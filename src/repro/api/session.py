@@ -172,6 +172,103 @@ class RunResult:
         )
 
 
+class _BatchBook:
+    """Journal + store bookkeeping shared by both ``run_many`` paths.
+
+    Per spec, :meth:`resume` restores a journaled completion (and
+    backfills the store if its entry was evicted) or serves a verified
+    store hit; :meth:`record` journals a fresh completion and writes
+    it back to the store.  One fault state and one tally cover the
+    whole batch, so ``store.*`` occurrence indexes count across it
+    (``at=[2]`` fires on the third store operation of the batch,
+    whichever spec reaches it) — which is why the per-spec order of
+    store operations here is fixed.
+    """
+
+    def __init__(self, session: "Session", checkpoint, store) -> None:
+        from ..resilience.checkpoint import CheckpointJournal
+
+        self.journal = self.completed = None
+        if checkpoint is not None:
+            self.journal = CheckpointJournal(checkpoint)
+            self.completed = self.journal.load()
+        self.store = self.state = self.counts = None
+        if store is not None:
+            from ..store import resolve_store
+
+            self.store = resolve_store(store)
+            self.state = session._store_fault_state()
+            self.counts = {
+                "hits": 0, "misses": 0, "quarantined": 0, "write_failures": 0,
+            }
+
+    @property
+    def active(self) -> bool:
+        return self.journal is not None or self.store is not None
+
+    def resume(self, spec: ExperimentSpec, token: str):
+        """The spec's outcome without executing it, or ``None``."""
+        from ..resilience.batch import SpecOutcome
+
+        if self.journal is not None:
+            entry = self.completed.get(token)
+            if entry is not None:
+                outcome = SpecOutcome(
+                    spec=spec,
+                    status=entry["status"],
+                    result=RunResult.from_document(entry["result"]),
+                    restored=True,
+                )
+                if self.store is not None and token not in self.store:
+                    # Journal line wins; backfill the evicted store
+                    # entry so future batches hit without a journal.
+                    self._put(token, entry["status"], entry["result"])
+                return outcome
+        if self.store is not None:
+            lookup = self.store.lookup(token, fault_state=self.state)
+            if lookup.quarantined:
+                self.counts["quarantined"] += 1
+            if lookup.hit:
+                self.counts["hits"] += 1
+                if self.journal is not None:
+                    self.journal.append(token, lookup.status, lookup.result)
+                return SpecOutcome(
+                    spec=spec,
+                    status=lookup.status,
+                    result=RunResult.from_document(lookup.result),
+                    served=True,
+                )
+            self.counts["misses"] += 1
+        return None
+
+    def record(self, token: str, status: str, result_doc: dict) -> None:
+        """Journal a completed spec, then write it to the store."""
+        if self.journal is not None:
+            self.journal.append(token, status, result_doc)
+        if self.store is not None:
+            self._put(token, status, result_doc)
+
+    def _put(self, token: str, status: str, result_doc: dict) -> None:
+        """Best-effort store write: failures are counted, never raised."""
+        from ..errors import StoreError
+
+        try:
+            self.store.put(
+                token, result_doc, status=status, fault_state=self.state
+            )
+        except StoreError:
+            self.counts["write_failures"] += 1
+
+    def report(self, outcomes, events=()):
+        from ..resilience.batch import BatchReport
+
+        return BatchReport(
+            outcomes,
+            events=events,
+            store=dict(self.counts) if self.store is not None else None,
+        )
+
+
 class Session:
     """Facade over the experiment registry and the process caches.
 
@@ -454,8 +551,7 @@ class Session:
         restored from the journal, never re-executed, and the store is
         backfilled from the journal entry on resume.
         """
-        from ..resilience.batch import BatchReport, SpecOutcome
-        from ..resilience.checkpoint import CheckpointJournal
+        from ..resilience.batch import SpecOutcome
         from ..resilience.document import ErrorDocument
 
         normalized = [self._normalize_spec(spec) for spec in specs]
@@ -469,62 +565,21 @@ class Session:
                 checkpoint=checkpoint,
                 store=store,
             )
-        journal = completed = None
-        if checkpoint is not None:
-            journal = CheckpointJournal(checkpoint)
-            completed = journal.load()
-        store, store_state, store_counts = self._store_batch_setup(store)
+        book = _BatchBook(self, checkpoint, store)
         outcomes = []
         for spec in normalized:
             token = None
-            if journal is not None or store is not None:
+            if book.active:
                 token = fingerprint(
                     {
                         "spec": spec.to_dict(),
                         "config": self.config.to_dict(),
                     }
                 )
-            if journal is not None:
-                entry = completed.get(token)
-                if entry is not None:
-                    outcomes.append(
-                        SpecOutcome(
-                            spec=spec,
-                            status=entry["status"],
-                            result=RunResult.from_document(entry["result"]),
-                            restored=True,
-                        )
-                    )
-                    if store is not None and token not in store:
-                        # Journal line wins; backfill the evicted store
-                        # entry so future batches hit without a journal.
-                        self._store_put(
-                            store,
-                            token,
-                            entry["result"],
-                            entry["status"],
-                            store_state,
-                            store_counts,
-                        )
+                outcome = book.resume(spec, token)
+                if outcome is not None:
+                    outcomes.append(outcome)
                     continue
-            if store is not None:
-                lookup = store.lookup(token, fault_state=store_state)
-                if lookup.quarantined:
-                    store_counts["quarantined"] += 1
-                if lookup.hit:
-                    store_counts["hits"] += 1
-                    outcomes.append(
-                        SpecOutcome(
-                            spec=spec,
-                            status=lookup.status,
-                            result=RunResult.from_document(lookup.result),
-                            served=True,
-                        )
-                    )
-                    if journal is not None:
-                        journal.append(token, lookup.status, lookup.result)
-                    continue
-                store_counts["misses"] += 1
             try:
                 result = self.run(spec)
             except ReproError as exc:
@@ -542,48 +597,9 @@ class Session:
                 continue
             status = "degraded" if result.degraded else "succeeded"
             outcomes.append(SpecOutcome(spec=spec, status=status, result=result))
-            if journal is not None:
-                journal.append(token, status, result.to_dict())
-            if store is not None:
-                self._store_put(
-                    store,
-                    token,
-                    result.to_dict(),
-                    status,
-                    store_state,
-                    store_counts,
-                )
-        return BatchReport(
-            tuple(outcomes),
-            store=dict(store_counts) if store is not None else None,
-        )
-
-    def _store_batch_setup(self, store):
-        """Resolve ``store=`` plus one shared fault state and tally.
-
-        One state per batch, so ``store.*`` occurrence indexes count
-        across the whole batch (``at=[2]`` fires on the third store
-        operation of the batch, whichever spec reaches it).
-        """
-        if store is None:
-            return None, None, None
-        from ..store import resolve_store
-
-        return (
-            resolve_store(store),
-            self._store_fault_state(),
-            {"hits": 0, "misses": 0, "quarantined": 0, "write_failures": 0},
-        )
-
-    @staticmethod
-    def _store_put(store, token, result_doc, status, state, counts) -> None:
-        """Best-effort store write: failures are counted, never raised."""
-        from ..errors import StoreError
-
-        try:
-            store.put(token, result_doc, status=status, fault_state=state)
-        except StoreError:
-            counts["write_failures"] += 1
+            if token is not None:
+                book.record(token, status, result.to_dict())
+        return book.report(outcomes)
 
     def _run_many_executor(
         self, specs: list, executor, *, fail_fast: bool, checkpoint, store=None
@@ -607,91 +623,41 @@ class Session:
         file level — see :meth:`repro.store.ResultStore.put`).
         """
         from ..exec import ExecTask, resolve_executor
-        from ..resilience.batch import BatchReport, SpecOutcome
-        from ..resilience.checkpoint import CheckpointJournal
+        from ..resilience.batch import SpecOutcome
         from ..resilience.document import ErrorDocument
         from ..errors import RemoteTaskError
 
         resolved = resolve_executor(executor)
+        book = _BatchBook(self, checkpoint, store)
         config_doc = self.config.to_dict()  # wire format: must serialize
-        journal = completed = None
-        if checkpoint is not None:
-            journal = CheckpointJournal(checkpoint)
-            completed = journal.load()
-        store, store_state, store_counts = self._store_batch_setup(store)
-
         outcomes: list = [None] * len(specs)
         tasks = []
         for index, spec in enumerate(specs):
             token = fingerprint(
                 {"spec": spec.to_dict(), "config": config_doc}
             )
-            if journal is not None:
-                entry = completed.get(token)
-                if entry is not None:
-                    outcomes[index] = SpecOutcome(
-                        spec=spec,
-                        status=entry["status"],
-                        result=RunResult.from_document(entry["result"]),
-                        restored=True,
+            outcomes[index] = book.resume(spec, token)
+            if outcomes[index] is None:
+                tasks.append(
+                    ExecTask(
+                        index=index,
+                        kind="run",
+                        spec=spec.to_dict(),
+                        config=config_doc,
+                        fingerprint=token,
                     )
-                    if store is not None and token not in store:
-                        self._store_put(
-                            store,
-                            token,
-                            entry["result"],
-                            entry["status"],
-                            store_state,
-                            store_counts,
-                        )
-                    continue
-            if store is not None:
-                lookup = store.lookup(token, fault_state=store_state)
-                if lookup.quarantined:
-                    store_counts["quarantined"] += 1
-                if lookup.hit:
-                    store_counts["hits"] += 1
-                    outcomes[index] = SpecOutcome(
-                        spec=spec,
-                        status=lookup.status,
-                        result=RunResult.from_document(lookup.result),
-                        served=True,
-                    )
-                    if journal is not None:
-                        journal.append(token, lookup.status, lookup.result)
-                    continue
-                store_counts["misses"] += 1
-            tasks.append(
-                ExecTask(
-                    index=index,
-                    kind="run",
-                    spec=spec.to_dict(),
-                    config=config_doc,
-                    fingerprint=token,
                 )
-            )
 
         events: list = []
 
         def on_event(event: dict) -> None:
             events.append(dict(event))
-            if journal is not None:
-                journal.append_event(event)
+            if book.journal is not None:
+                book.journal.append_event(event)
 
         def on_complete(task, outcome) -> None:
-            if not outcome.ok:
-                return
-            if journal is not None:
-                journal.append(task.fingerprint, outcome.status, outcome.result)
-            if store is not None:
-                self._store_put(
-                    store,
-                    task.fingerprint,
-                    outcome.result,
-                    outcome.status,
-                    store_state,
-                    store_counts,
-                )
+            if outcome.ok:
+                book.record(task.fingerprint, outcome.status, outcome.result)
 
         from ..perf.cache import export_ladder_state
 
@@ -740,11 +706,7 @@ class Session:
                 f"executor {resolved.name!r} returned no outcome for "
                 f"tasks {missing}"
             )
-        return BatchReport(
-            tuple(outcomes),
-            events=tuple(events),
-            store=dict(store_counts) if store is not None else None,
-        )
+        return book.report(outcomes, events)
 
     # -- introspection -------------------------------------------------
 

@@ -818,9 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--executor",
         default="serial",
-        help="compute backend for submitted runs (registry-resolved; "
-        f"registered: {', '.join(available_executors())}); 'async' "
-        "wraps its own inner executor",
+        help="executor for submitted runs (registry-resolved; "
+        f"registered: {', '.join(available_executors())}); 'process' "
+        "starts a supervised pool per submitted run",
     )
     serve.add_argument(
         "--workers",

@@ -7,11 +7,10 @@ an :class:`Executor` resolved through the same kind of name registry
 engines and comparators use.  ``"serial"`` exercises the wire format
 in-process; ``"process"`` is the supervised multiprocess pool with
 crash recovery, straggler requeue and graceful degradation
-(:mod:`repro.exec.process`); ``"async"`` is the asyncio dispatcher
-that feeds a blocking inner executor from an event loop
-(:mod:`repro.exec.asyncexec`, the :mod:`repro.serve` backend).
-Results are executor-invariant by construction — the certification
-tests live under ``tests/exec/``.
+(:mod:`repro.exec.process`).  The :mod:`repro.serve` backend drives
+the same executors from its event loop, one submitted run per
+``run_tasks`` call.  Results are executor-invariant by construction —
+the certification tests live under ``tests/exec/``.
 """
 
 from .base import (
@@ -25,7 +24,6 @@ from .base import (
     register_executor,
     resolve_executor,
 )
-from .asyncexec import AsyncExecutor
 from .process import ProcessExecutor
 from .shard import sharded_run_replications, split_replications
 from .worker import run_replication_shard, run_task_document, worker_main
@@ -36,7 +34,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "TaskOutcome",
-    "AsyncExecutor",
     "ProcessExecutor",
     "available_executors",
     "get_executor",

@@ -159,7 +159,7 @@ def execute_task_inline(task: ExecTask) -> TaskOutcome:
     Exactly what a pool worker does with the task's wire payload, minus
     the queues: documents in, documents out.
     """
-    from .worker import execute_wire_payload
+    from .worker import _error_payload, execute_wire_payload
 
     try:
         status, result = execute_wire_payload(task.kind, task.payload)
@@ -167,26 +167,9 @@ def execute_task_inline(task: ExecTask) -> TaskOutcome:
         return TaskOutcome(
             index=task.index,
             status="failed",
-            error=_capture_error(exc, task),
+            error=_error_payload(exc, task.kind, task.payload),
         )
     return TaskOutcome(index=task.index, status=status, result=result)
-
-
-def _capture_error(exc: BaseException, task: ExecTask) -> dict:
-    """An :class:`ErrorDocument` dict for *exc* raised executing *task*."""
-    from ..resilience.document import ErrorDocument
-
-    spec = config = None
-    if task.kind == "run":
-        from ..api.config import RunConfig
-        from ..api.spec import ExperimentSpec
-
-        try:
-            spec = ExperimentSpec.from_dict(task.spec)
-            config = RunConfig.from_dict(task.config)
-        except Exception:
-            spec = config = None
-    return ErrorDocument.capture(exc, spec=spec, config=config).to_dict()
 
 
 class SerialExecutor(Executor):
@@ -233,6 +216,11 @@ _REGISTRY: dict = {}
 #: Name of the executor used when callers pass nothing.
 DEFAULT_EXECUTOR = "serial"
 
+#: Removed executor names -> the registered executor that replaces
+#: them.  ``"async"`` wrapped ``"process"``; the service now dispatches
+#: every executor off its event loop itself.
+_RETIRED = {"async": "process"}
+
 
 def register_executor(
     executor: Executor, name: Optional[str] = None, replace: bool = False
@@ -267,10 +255,10 @@ def get_executor(executor: Union[str, Executor, None]) -> Executor:
         return executor
     resolved = _REGISTRY.get(executor)
     if resolved is None:
-        raise RegistryError.unknown(
-            "executor", executor, _REGISTRY,
-            hint="or an Executor instance",
-        )
+        hint = "or an Executor instance"
+        if executor in _RETIRED:
+            hint += f" — did you mean {_RETIRED[executor]!r}?"
+        raise RegistryError.unknown("executor", executor, _REGISTRY, hint=hint)
     return resolved
 
 

@@ -46,7 +46,7 @@ from .base import (
     execute_task_inline,
     register_executor,
 )
-from .worker import worker_main
+from .worker import _error_payload, worker_main
 
 __all__ = ["ProcessExecutor"]
 
@@ -320,16 +320,13 @@ class _Supervision:
             TaskOutcome(
                 index=pending.task.index,
                 status="failed",
-                error=self._crash_document(error, pending.task),
+                error=_error_payload(
+                    error, pending.task.kind, pending.task.payload
+                ),
                 worker=member.id,
                 dispatches=pending.dispatches,
             ),
         )
-
-    def _crash_document(self, error: WorkerCrashError, task: ExecTask) -> dict:
-        from .base import _capture_error
-
-        return _capture_error(error, task)
 
     # -- task lifecycle ------------------------------------------------
 

@@ -41,8 +41,6 @@ import os
 import threading
 import time
 
-from ..errors import ReproError
-
 __all__ = [
     "worker_main",
     "execute_wire_payload",
@@ -185,11 +183,7 @@ def worker_main(
             continue
         try:
             status, result = execute_wire_payload(kind, payload)
-        except ReproError as exc:
-            result_queue.put(
-                ("error", worker_id, index, _error_payload(exc, kind, payload))
-            )
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:  # a ReproError, or defensively anything
             result_queue.put(
                 ("error", worker_id, index, _error_payload(exc, kind, payload))
             )

@@ -12,12 +12,13 @@ load generator replays deterministic traffic for tests and the
     cli → serve → api / exec → engines
 
 Everything is stdlib + the already-present numpy: the HTTP layer is
-asyncio streams, compute dispatch rides the ``"async"`` executor
-(:mod:`repro.exec.asyncexec`), and failure paths are deterministic
-via the ``serve.request`` / ``serve.backend`` fault sites.
+asyncio streams, compute runs on a registered executor through
+dispatch threads (:class:`ExecutorBackend`), and failure paths are
+deterministic via the ``serve.request`` / ``serve.backend`` fault
+sites.
 """
 
-from .backend import ExecutorBackend, ServiceBackend
+from .backend import ExecutorBackend
 from .loadgen import (
     DEFAULT_MIX,
     LoadReport,
@@ -37,7 +38,6 @@ from .service import (
 __all__ = [
     "ReproService",
     "ServiceHandle",
-    "ServiceBackend",
     "ExecutorBackend",
     "LiveMarket",
     "DEFAULT_MARKET_BUDGET",

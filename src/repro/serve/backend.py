@@ -1,14 +1,14 @@
-"""Pluggable compute backends for the service layer.
+"""Off-loop compute dispatch for the service layer.
 
-The service only ever talks to a backend through one coroutine —
-``execute(spec_doc, config_doc)`` returning a
-:class:`~repro.exec.base.TaskOutcome` — so *where* a submitted run
-executes is swappable without touching any endpoint logic.
-:class:`ExecutorBackend` is the standard implementation: it funnels
-every run through an :class:`~repro.exec.asyncexec.AsyncExecutor`
-(wrapping whatever inner executor the deployment chose — ``"serial"``
-for a single-process service, ``"process"`` for the supervised pool),
-so the event loop never blocks on compute.
+:class:`ExecutorBackend` is the one place a submitted run leaves the
+event loop.  It resolves a registered executor once, at construction,
+and runs each submission as a one-task batch —
+``executor.run_tasks([task])``, the ordinary
+:class:`~repro.exec.base.Executor` contract — on its own pool of
+``workers`` dispatch threads via ``loop.run_in_executor``.  The loop
+never blocks on compute, and at most ``workers`` runs compute at
+once; further submissions wait for a free dispatch thread.  With
+``"process"`` every submitted run starts its own supervised pool.
 
 The ``serve.backend`` fault site is evaluated here, *before* dispatch,
 against the service's explicitly passed
@@ -21,77 +21,42 @@ exactly the crash-mid-run recovery scenario the serve tests replay.
 
 from __future__ import annotations
 
-from typing import Optional
+import asyncio
+from concurrent.futures import ThreadPoolExecutor
 
-from ..errors import FaultInjectedError
-from ..exec.asyncexec import AsyncExecutor
-from ..exec.base import ExecTask, Executor, TaskOutcome, resolve_executor
+from ..errors import FaultInjectedError, ModelError
+from ..exec.base import ExecTask, TaskOutcome, resolve_executor
 from ..resilience.document import ErrorDocument
 
-__all__ = ["ServiceBackend", "ExecutorBackend"]
+__all__ = ["ExecutorBackend"]
 
 
-class ServiceBackend:
-    """Protocol: run one serialized ``(spec, config)`` pair off-loop."""
-
-    async def execute(
-        self, spec_doc: dict, config_doc: dict, fault_state=None
-    ) -> TaskOutcome:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        """Release any pools the backend holds (idempotent)."""
-
-
-class ExecutorBackend(ServiceBackend):
-    """Run submissions on a registered executor via async dispatch.
+class ExecutorBackend:
+    """Run submissions on a registered executor off the event loop.
 
     Parameters
     ----------
     executor:
-        Registered executor name or instance.  An
-        :class:`AsyncExecutor` is used as-is; anything else becomes the
-        *inner* executor of a fresh async dispatcher.
+        Registered executor name or :class:`~repro.exec.base.Executor`
+        instance that runs each submission.
     workers:
-        Concurrent dispatch width when a dispatcher is created here.
-    retry / timeout:
-        Supervisor-level policies forwarded to every dispatch (the
-        in-run policies still come from each submission's config).
+        Dispatch width: how many submissions compute at once.
     """
 
-    def __init__(
-        self,
-        executor="serial",
-        workers: int = 2,
-        retry=None,
-        timeout=None,
-    ) -> None:
-        resolved = (
-            executor
-            if isinstance(executor, Executor)
-            else resolve_executor(executor)
+    def __init__(self, executor="serial", workers: int = 2) -> None:
+        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+            raise ModelError(f"workers must be an int >= 1, got {workers!r}")
+        self.executor = resolve_executor(executor)
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-dispatch"
         )
-        if isinstance(resolved, AsyncExecutor):
-            self._async = resolved
-            self._owns_dispatcher = False
-        else:
-            self._async = AsyncExecutor(inner=resolved, workers=workers)
-            self._owns_dispatcher = True
-        self.retry = retry
-        self.timeout = timeout
         self._dispatches = 0
-
-    @property
-    def executor_name(self) -> str:
-        inner = self._async.inner
-        return inner if isinstance(inner, str) else inner.name
 
     async def execute(
         self, spec_doc: dict, config_doc: dict, fault_state=None
     ) -> TaskOutcome:
         index = self._dispatches
         self._dispatches += 1
-        task = ExecTask(index=index, spec=spec_doc, config=config_doc)
         if fault_state is not None:
             fired = fault_state.fires("serve.backend")
             if fired is not None:
@@ -104,10 +69,13 @@ class ExecutorBackend(ServiceBackend):
                     )
                 ).to_dict()
                 return TaskOutcome(index=index, status="failed", error=error)
-        return await self._async.execute_async(
-            task, retry=self.retry, timeout=self.timeout
+        task = ExecTask(index=index, spec=spec_doc, config=config_doc)
+        loop = asyncio.get_running_loop()
+        (outcome,) = await loop.run_in_executor(
+            self._pool, self.executor.run_tasks, [task]
         )
+        return outcome
 
     def close(self) -> None:
-        if self._owns_dispatcher:
-            self._async.close()
+        """Shut down the dispatch threads (idempotent)."""
+        self._pool.shutdown(wait=True)

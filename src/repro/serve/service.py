@@ -10,7 +10,7 @@ of them:
   config documents through the experiment registry, addresses the run
   by the same content fingerprint :meth:`repro.api.Session.run`
   memoizes under, serves store hits *without touching compute*, and
-  dispatches misses to the pluggable backend; ``GET /runs/<id>`` polls
+  dispatches misses to the executor backend; ``GET /runs/<id>`` polls
   status; ``GET /runs/<id>/result`` returns the full
   :class:`~repro.api.session.RunResult` document (byte-identical to a
   direct ``Session.run`` of the same pair).
@@ -52,7 +52,7 @@ from ..resilience.document import ErrorDocument
 from ..resilience.faults import FaultState, resolve_fault_plan
 from ..store import resolve_store
 from ..workloads.families import available_families
-from .backend import ExecutorBackend, ServiceBackend
+from .backend import ExecutorBackend
 from .market import DEFAULT_MARKET_BUDGET, LiveMarket
 
 __all__ = ["ReproService", "ServiceHandle", "start_in_thread", "serve_forever"]
@@ -125,18 +125,14 @@ class ReproService:
     store:
         Result store (path or :class:`~repro.store.ResultStore`) for
         store-first serving; ``None`` disables memoization.
-    backend:
-        A :class:`~repro.serve.backend.ServiceBackend`; default is an
-        :class:`~repro.serve.backend.ExecutorBackend` over *executor*.
     executor / workers:
-        Inner executor name (``"serial"`` / ``"process"`` / an
-        instance) and dispatch width for the default backend.
+        Executor that runs submitted runs (``"serial"`` / ``"process"``
+        / an instance) and how many compute at once (see
+        :class:`~repro.serve.backend.ExecutorBackend`).
     faults:
         A fault plan (name / dict / :class:`FaultPlan`) whose
         ``serve.*`` and ``store.*`` rules are evaluated against one
         explicit state owned by the service.
-    config:
-        Base :class:`RunConfig` for submissions that carry none.
     market_budget:
         Ledger units for the online market.
     """
@@ -144,16 +140,13 @@ class ReproService:
     def __init__(
         self,
         store=None,
-        backend: Optional[ServiceBackend] = None,
         executor="serial",
         workers: int = 2,
         faults=None,
-        config: Optional[RunConfig] = None,
         market_budget: int = DEFAULT_MARKET_BUDGET,
     ) -> None:
         self.store = resolve_store(store)
-        self.backend = backend or ExecutorBackend(executor, workers=workers)
-        self.config = config or RunConfig()
+        self.backend = ExecutorBackend(executor, workers=workers)
         plan = resolve_fault_plan(faults) if faults is not None else None
         self._fault_state = FaultState(plan) if plan is not None else None
         self.market = LiveMarket(budget=market_budget)
@@ -253,7 +246,7 @@ class ReproService:
                 raise ModelError("'config' must be a JSON object when given")
             config = RunConfig.from_dict(config_doc)
         else:
-            config = self.config
+            config = RunConfig()
         token = fingerprint(
             {"spec": spec.to_dict(), "config": config.to_dict()}
         )
@@ -363,9 +356,18 @@ class ReproService:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length else b""
-            status, doc = await self.handle(method, target, body)
+            raw_length = headers.get("content-length", "0") or "0"
+            try:
+                length = int(raw_length)
+            except ValueError:
+                length = -1
+            if length < 0:
+                status, doc = 400, _error_body(
+                    ModelError(f"malformed Content-Length {raw_length!r}")
+                )
+            else:
+                body = await reader.readexactly(length) if length else b""
+                status, doc = await self.handle(method, target, body)
             payload = json.dumps(doc).encode("utf-8")
             head = (
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"

@@ -20,9 +20,7 @@ from repro.exec import (
 
 class TestExecutorRegistry:
     def test_builtins_are_registered(self):
-        names = available_executors()
-        assert "serial" in names
-        assert "process" in names
+        assert available_executors() == ("process", "serial")
 
     def test_none_defaults_to_serial(self):
         assert DEFAULT_EXECUTOR == "serial"
@@ -125,6 +123,13 @@ class TestDidYouMean:
         with pytest.raises(RegistryError) as exc:
             get_fault_plan("exec-suite-chaso")
         assert "did you mean 'exec-suite-chaos'?" in str(exc.value)
+
+    def test_removed_async_name_points_at_process(self):
+        # "async" wrapped the process pool; the service now dispatches
+        # every executor off its event loop itself.
+        with pytest.raises(RegistryError) as exc:
+            get_executor("async")
+        assert "did you mean 'process'?" in str(exc.value)
 
     def test_no_suggestion_when_nothing_is_close(self):
         with pytest.raises(RegistryError) as exc:

@@ -7,7 +7,7 @@ import pytest
 from repro.api import RunConfig, Session
 from repro.api.session import RunResult
 from repro.errors import ModelError
-from repro.exec import ExecTask, TaskOutcome
+from repro.exec import ExecTask, SerialExecutor, TaskOutcome
 from repro.exec.base import execute_task_inline
 
 from exec_tiny import tiny_specs
@@ -74,6 +74,41 @@ class TestInlineExecution:
         outcome = execute_task_inline(task)
         assert outcome.ok
         assert outcome.result == 7
+
+
+def _bad_task() -> ExecTask:
+    return ExecTask(
+        index=0,
+        spec={"experiment": "fig2", "params": {"n_tasks": -3}},
+        config=RunConfig().to_dict(),
+    )
+
+
+def _tiny_tasks() -> list:
+    config_doc = RunConfig().to_dict()
+    return [
+        ExecTask(index=i, spec=spec.to_dict(), config=config_doc)
+        for i, spec in enumerate(tiny_specs())
+    ]
+
+
+class TestSerialRunTasks:
+    def test_on_complete_fires_per_task(self):
+        seen = []
+        SerialExecutor().run_tasks(
+            _tiny_tasks(), on_complete=lambda task, outcome: seen.append(task.index)
+        )
+        assert seen == [0, 1, 2]
+
+    def test_failed_outcome_surfaces_not_raises(self):
+        (outcome,) = SerialExecutor().run_tasks([_bad_task()])
+        assert outcome.status == "failed"
+        assert outcome.error["code"] == "model-invalid"
+
+    def test_fail_fast_stops_after_failure(self):
+        tasks = [_bad_task()] + _tiny_tasks()[1:]
+        outcomes = SerialExecutor().run_tasks(tasks, fail_fast=True)
+        assert [o.status for o in outcomes] == ["failed"]
 
 
 class TestSerialBatch:

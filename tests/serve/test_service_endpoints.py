@@ -363,6 +363,35 @@ class TestWire:
 
             asyncio.run(check())
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_error_document(self, length):
+        service = ReproService()
+        with start_in_thread(service) as handle:
+            async def exchange():
+                reader, writer = await asyncio.open_connection(
+                    handle.host, handle.port
+                )
+                writer.write(
+                    b"POST /runs HTTP/1.1\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(-1), 10.0)
+                writer.close()
+                await writer.wait_closed()
+                return raw
+
+            raw = asyncio.run(exchange())
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            doc = json.loads(body)
+            assert doc["code"] == "model-invalid"
+            assert repr(length) in doc["message"]
+            status, _ = asyncio.run(
+                http_request(handle.host, handle.port, "GET", "/health")
+            )
+            assert status == 200  # the server survived the bad request
+
     def test_stop_is_idempotent(self):
         service = ReproService()
         handle = start_in_thread(service)

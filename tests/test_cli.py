@@ -21,6 +21,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig2", "--scenario", "quantum"])
 
+    def test_serve_rejects_removed_async_executor(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--executor", "async"])
+        assert exc.value.code == 2
+        assert "did you mean 'process'?" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
