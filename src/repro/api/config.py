@@ -311,13 +311,10 @@ def _comparator_token(comparator) -> Optional[str]:
     if comparator is None or isinstance(comparator, str):
         return comparator
     if callable(comparator):
-        from ..perf.deadline import (
-            available_deadline_comparators,
-            get_deadline_comparator,
-        )
+        from ..perf.deadline import _COMPARATORS
 
-        for name in available_deadline_comparators():
-            if get_deadline_comparator(name) is comparator:
+        for name, bound in sorted(_COMPARATORS.items()):
+            if bound is comparator:
                 return name
     raise ModelError(
         f"comparator {comparator!r} is not serializable; register it "

@@ -173,7 +173,8 @@ class RunResult:
 
 
 class _BatchBook:
-    """Journal + store bookkeeping shared by both ``run_many`` paths.
+    """Journal + store bookkeeping shared by ``run(store=...)`` and both
+    ``run_many`` paths.
 
     Per spec, :meth:`resume` restores a journaled completion (and
     backfills the store if its entry was evicted) or serves a verified
@@ -344,27 +345,19 @@ class Session:
 
     def _run_stored(self, spec: ExperimentSpec, store) -> RunResult:
         """The memoized path: store lookup → serve or compute+write."""
-        from ..errors import StoreError
-        from ..store import resolve_store
-
-        store = resolve_store(store)
+        book = _BatchBook(self, None, store)
         token = fingerprint(
             {"spec": spec.to_dict(), "config": self.config.to_dict()}
         )
-        state = self._store_fault_state()
-        lookup = store.lookup(token, fault_state=state)
-        if lookup.hit:
-            return RunResult.from_document(lookup.result)
+        outcome = book.resume(spec, token)
+        if outcome is not None:
+            return outcome.result
         result = self._run_normalized(spec)
-        try:
-            store.put(
-                token,
-                result.to_dict(),
-                status="degraded" if result.degraded else "succeeded",
-                fault_state=state,
-            )
-        except StoreError:
-            pass  # memoization lost, run intact
+        book.record(
+            token,
+            "degraded" if result.degraded else "succeeded",
+            result.to_dict(),
+        )
         return result
 
     def _store_fault_state(self):

@@ -9,12 +9,11 @@ engines, seeds, or replication counts, which belong to
 
 and the registry makes every experiment addressable by name:
 ``register_experiment`` / :func:`available_experiments` /
-:func:`get_experiment` mirror the engine, comparator, and family
-registries, so ``ExperimentSpec.from_dict(payload)`` can rebuild any
-registered spec from a dict that crossed a wire, a queue, or a JSON
-file.  ``from_dict(to_dict(spec))`` is the identity for every
-registered experiment (property-tested in
-``tests/api/test_spec_roundtrip.py``).
+:func:`get_experiment` front a :class:`~repro.registry.Registry`, so
+``ExperimentSpec.from_dict(payload)`` can rebuild any registered spec
+from a dict that crossed a wire, a queue, or a JSON file.
+``from_dict(to_dict(spec))`` is the identity for every registered
+experiment (property-tested in ``tests/api/test_spec_roundtrip.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from typing import Any, ClassVar, Mapping, Optional, Type, Union
 import numpy as np
 
 from ..errors import ModelError
+from ..registry import Registry
 
 __all__ = [
     "ExperimentSpec",
@@ -256,7 +256,7 @@ class ExperimentSpec:
 # the experiment registry
 # ---------------------------------------------------------------------------
 
-_EXPERIMENTS: dict[str, Type[ExperimentSpec]] = {}
+_EXPERIMENTS = Registry("experiment", noun="an experiment spec")
 
 
 def register_experiment(
@@ -272,35 +272,20 @@ def register_experiment(
     serialized batches, future service endpoints.  Usable as a class
     decorator.
     """
-    key = name or spec_cls.name
-    if not key:
-        raise ModelError("an experiment spec needs a non-empty name")
     if not dataclasses.is_dataclass(spec_cls):
         raise ModelError(
             f"experiment spec {spec_cls!r} must be a dataclass"
         )
-    if key in _EXPERIMENTS and not replace:
-        raise ModelError(
-            f"experiment {key!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _EXPERIMENTS[key] = spec_cls
-    return spec_cls
+    return _EXPERIMENTS.register(
+        name or spec_cls.name, spec_cls, replace=replace
+    )
 
 
-def get_experiment(name: str) -> Type[ExperimentSpec]:
-    """Resolve a registered experiment name to its spec class."""
-    spec_cls = _EXPERIMENTS.get(name)
-    if spec_cls is None:
-        from ..errors import RegistryError
+#: Resolve a registered experiment name to its spec class.
+get_experiment = _EXPERIMENTS.lookup
 
-        raise RegistryError.unknown("experiment", name, _EXPERIMENTS)
-    return spec_cls
-
-
-def available_experiments() -> tuple[str, ...]:
-    """Registered experiment names, sorted (CLI choices come from here)."""
-    return tuple(sorted(_EXPERIMENTS))
+#: Registered experiment names, sorted (CLI choices come from here).
+available_experiments = _EXPERIMENTS.names
 
 
 def make_spec(name: str, **params) -> ExperimentSpec:

@@ -46,7 +46,7 @@ from .api import (
     get_experiment,
     make_spec,
 )
-from .errors import ModelError, ReproError
+from .errors import ModelError, RegistryError, ReproError
 from .experiments.reporting import format_kv, format_series, format_table
 from .workloads import PAPER_BUDGETS
 
@@ -147,7 +147,14 @@ def _cmd_run(args: argparse.Namespace) -> None:
     try:
         result = Session(config).run(spec, store=args.store)
     except ReproError as exc:
-        _fail(args, exc, EXECUTION_ERROR_EXIT, spec=spec, config=config)
+        # An engine/comparator name only resolves when the run starts;
+        # a miss is still the caller's typo, not an execution failure.
+        exit_code = (
+            USER_ERROR_EXIT
+            if isinstance(exc, RegistryError)
+            else EXECUTION_ERROR_EXIT
+        )
+        _fail(args, exc, exit_code, spec=spec, config=config)
     if args.json:
         print(result.to_json(indent=2, include_timing=True))
         return

@@ -121,24 +121,21 @@ def latency_quantile_batch(
     group_prices: dict[tuple, int],
     confidences: Sequence[float],
     include_processing: bool = True,
-    window_mode: str = "per-point",
 ) -> np.ndarray:
     """Latency quantiles for a whole confidence vector at once.
 
     One array bisection: each iteration evaluates every group's sf on
     the full midpoint vector (one midpoint per confidence), so the
     kernel cost per iteration is one array call per group regardless
-    of how many confidences are requested.  With the default
-    per-point windows, every entry is **bitwise** equal to evaluating
-    its confidence alone through :func:`latency_quantile`; see
-    :func:`repro.perf.deadline.deadline_quantile_bisection` for the
-    ``window_mode`` contract.
+    of how many confidences are requested.  Every entry is **bitwise**
+    equal to evaluating its confidence alone through
+    :func:`latency_quantile` (see
+    :func:`repro.perf.deadline.deadline_quantile_bisection`).
     """
     from ..perf.deadline import deadline_quantile_bisection
 
     return deadline_quantile_bisection(
-        problem.groups(), group_prices, confidences, include_processing,
-        window_mode=window_mode,
+        problem.groups(), group_prices, confidences, include_processing
     )
 
 
@@ -350,3 +347,13 @@ def _min_cost_with_kernel(
 #: with a ``deadline_sweep`` attribute can tune a whole grid with
 #: shared tables (see :func:`repro.experiments.pareto.deadline_cost_frontier`).
 min_cost_for_deadline.deadline_sweep = min_cost_for_deadline_sweep
+
+
+# The builtin comparators.  Bound here rather than in repro.perf.deadline
+# so that kernel module imports no core module; ``import repro`` always
+# runs this.
+from ..perf.deadline import register_deadline_comparator  # noqa: E402
+from ..perf.reference import reference_min_cost_for_deadline  # noqa: E402
+
+register_deadline_comparator("batched", min_cost_for_deadline)
+register_deadline_comparator("reference", reference_min_cost_for_deadline)

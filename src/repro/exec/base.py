@@ -10,7 +10,7 @@ executor), which is why :class:`~repro.api.config.RunConfig` excludes
 its ``executor`` field from serialization and why serial and process
 batch reports compare byte-identically.
 
-The registry mirrors the engine / comparator / experiment registries
+The executor registry is a :class:`~repro.registry.Registry`
 (:func:`register_executor` / :func:`get_executor` /
 :func:`available_executors`), so ``RunConfig(executor="process")`` and
 ``repro run-many --executor process`` resolve through the same single
@@ -27,9 +27,10 @@ place.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from ..errors import ModelError, RegistryError, ReproError
+from ..errors import ModelError, ReproError
+from ..registry import Registry
 
 __all__ = [
     "ExecTask",
@@ -208,18 +209,26 @@ class SerialExecutor(Executor):
 
 
 # ---------------------------------------------------------------------------
-# the executor registry (mirrors engines / comparators / experiments)
+# the executor registry
 # ---------------------------------------------------------------------------
-
-_REGISTRY: dict = {}
 
 #: Name of the executor used when callers pass nothing.
 DEFAULT_EXECUTOR = "serial"
 
-#: Removed executor names -> the registered executor that replaces
-#: them.  ``"async"`` wrapped ``"process"``; the service now dispatches
-#: every executor off its event loop itself.
-_RETIRED = {"async": "process"}
+#: What every ``executor=`` parameter resolves through (an instance,
+#: a name, ``None`` or a :class:`repro.api.RunConfig`).  ``"async"``
+#: wrapped ``"process"``; the service now dispatches every executor
+#: off its event loop itself, so the retired name suggests its
+#: replacement.
+_REGISTRY = Registry(
+    "executor",
+    noun="an executor",
+    default=DEFAULT_EXECUTOR,
+    accepts=Executor,
+    unwrap="executor",
+    hint="or an Executor instance",
+    retired={"async": "process"},
+)
 
 
 def register_executor(
@@ -230,60 +239,15 @@ def register_executor(
     Registered names are what ``RunConfig(executor=...)`` and
     ``repro run-many --executor`` accept.
     """
-    key = name or executor.name
-    if not key:
-        raise ModelError("an executor needs a non-empty name")
-    if key in _REGISTRY and not replace:
-        raise ModelError(
-            f"executor {key!r} is already registered; pass replace=True to "
-            "override"
-        )
-    _REGISTRY[key] = executor
-    return executor
+    return _REGISTRY.register(name or executor.name, executor, replace=replace)
 
 
-def get_executor(executor: Union[str, Executor, None]) -> Executor:
-    """Resolve an ``executor=`` argument to an :class:`Executor`.
+#: Resolve an ``executor=`` argument (a name, an executor instance,
+#: ``None`` or a config object) to an :class:`Executor`.
+resolve_executor = get_executor = _REGISTRY.resolve
 
-    Accepts an executor instance (returned as-is), a registered name,
-    or ``None`` (the default serial executor).  Unknown names raise
-    :class:`~repro.errors.RegistryError` with a did-you-mean hint.
-    """
-    if executor is None:
-        executor = DEFAULT_EXECUTOR
-    if isinstance(executor, Executor):
-        return executor
-    resolved = _REGISTRY.get(executor)
-    if resolved is None:
-        hint = "or an Executor instance"
-        if executor in _RETIRED:
-            hint += f" — did you mean {_RETIRED[executor]!r}?"
-        raise RegistryError.unknown("executor", executor, _REGISTRY, hint=hint)
-    return resolved
-
-
-_MISSING = object()
-
-
-def resolve_executor(executor) -> Executor:
-    """The single place ``executor=`` defaulting happens.
-
-    Accepts everything :func:`get_executor` does **plus** a config
-    object exposing an ``executor`` attribute
-    (:class:`repro.api.RunConfig`) — same unwrap contract as
-    :func:`repro.perf.engine.resolve_engine`.
-    """
-    if executor is None or isinstance(executor, (str, Executor)):
-        return get_executor(executor)
-    inner = getattr(executor, "executor", _MISSING)
-    if inner is not _MISSING:
-        return get_executor(inner)
-    return get_executor(executor)
-
-
-def available_executors() -> tuple:
-    """Registered executor names, sorted (CLI choices come from here)."""
-    return tuple(sorted(_REGISTRY))
+#: Registered executor names, sorted (CLI choices come from here).
+available_executors = _REGISTRY.names
 
 
 register_executor(SerialExecutor())

@@ -22,8 +22,8 @@ to the seed comparator:
   :func:`~repro.stats.phase_type._sf_from_ladder` array path.  A
   single confidence degenerates to length-1 vectors, which follow the
   exact float path of the scalar bisection — results are bit-identical.
-* a **comparator registry** (:func:`get_deadline_comparator`) mirroring
-  the evaluation-engine registry: ``"batched"`` resolves to the
+* the **comparator registry** (:func:`get_deadline_comparator`, a
+  :class:`~repro.registry.Registry`): ``"batched"`` resolves to the
   kernel-backed :func:`repro.core.deadline.min_cost_for_deadline`,
   ``"reference"`` to the preserved seed implementation in
   :mod:`repro.perf.reference`; custom comparators are registrable and
@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ModelError
+from ..registry import Registry
 from .cache import shared_ladder_sf, shared_ladder_sf_batch
 
 __all__ = [
@@ -389,7 +390,6 @@ def deadline_quantile_bisection(
     confidences: np.ndarray,
     include_processing: bool = True,
     n_iterations: int = 80,
-    window_mode: str = "per-point",
 ) -> np.ndarray:
     """Array bisection for latency quantiles at several confidences.
 
@@ -399,24 +399,12 @@ def deadline_quantile_bisection(
     the per-iteration cost is one array kernel call per group instead
     of one fresh scalar kernel per (group, confidence).
 
-    ``window_mode`` selects how the Poisson mixing windows are sized:
-
-    * ``"per-point"`` (default) — each midpoint's sf is accumulated
-      over exactly its own truncation window
-      (:func:`~repro.stats.phase_type._sf_rows_at` semantics), so
-      every entry is **bitwise** what the scalar per-confidence
-      bisection computes: multi-confidence batches equal per-point
-      evaluation exactly, not just to tolerance.
-    * ``"chunked"`` — the historical grid path
-      (:func:`~repro.perf.cache.shared_ladder_sf`), which unions
-      neighbouring midpoints' windows into shared chunks; entries can
-      differ from per-point evaluation at the truncation-tolerance
-      level (~1e-13).  Kept for callers that batch very long
-      confidence vectors where chunking amortizes better.
-
-    With a single confidence both modes follow the exact float path of
-    the scalar bisection — bit-identical to the seed
-    ``latency_quantile``.
+    Each midpoint's sf is accumulated over exactly its own truncation
+    window (:func:`~repro.stats.phase_type._sf_rows_at` semantics), so
+    every entry is **bitwise** what the scalar per-confidence
+    bisection computes: multi-confidence batches equal per-point
+    evaluation exactly, not just to tolerance, and a single confidence
+    is bit-identical to the seed ``latency_quantile``.
     """
     from ..core.latency import group_onhold_latency, group_processing_latency
 
@@ -427,12 +415,6 @@ def deadline_quantile_bisection(
         raise ModelError(
             f"confidences must be in (0,1), got {confidences.tolist()}"
         )
-    if window_mode not in ("per-point", "chunked"):
-        raise ModelError(
-            f"window_mode must be 'per-point' or 'chunked', got "
-            f"{window_mode!r}"
-        )
-    per_point = window_mode == "per-point"
     groups = tuple(groups)
     profiles = []
     for g in groups:
@@ -452,13 +434,9 @@ def deadline_quantile_bisection(
         # python loop is negligible next to the sf kernel.
         prob = np.ones_like(t_vec)
         for rates, size in profiles:
-            if per_point:
-                # One padded-window row per midpoint, each sized from
-                # its own q·t — row i is bitwise
-                # shared_ladder_sf(rates, [t_i])[0].
-                sf = shared_ladder_sf_batch([rates] * t_vec.size, t_vec)
-            else:
-                sf = shared_ladder_sf(rates, t_vec)
+            # One padded-window row per midpoint, each sized from its
+            # own q·t — row i is bitwise shared_ladder_sf(rates, [t_i])[0].
+            sf = shared_ladder_sf_batch([rates] * t_vec.size, t_vec)
             member = 1.0 - sf
             powered = np.fromiter(
                 ((m**size if m > 0.0 else 0.0) for m in member.tolist()),
@@ -499,21 +477,17 @@ def deadline_quantile_bisection(
 #: Name resolved when callers pass ``comparator=None``.
 DEFAULT_DEADLINE_COMPARATOR = "batched"
 
-_COMPARATORS: dict[str, Callable] = {}
-
-
-def _builtin_comparator(name: str) -> Optional[Callable]:
-    # Lazy so perf.deadline imports no core/experiment module at import
-    # time (the core comparator itself routes back through this module).
-    if name == "batched":
-        from ..core.deadline import min_cost_for_deadline
-
-        return min_cost_for_deadline
-    if name == "reference":
-        from .reference import reference_min_cost_for_deadline
-
-        return reference_min_cost_for_deadline
-    return None
+#: What every ``comparator=`` parameter resolves through (a callable,
+#: a name, ``None`` or a :class:`repro.api.RunConfig`).  The builtins
+#: are registered by :mod:`repro.core.deadline`, which ``import repro``
+#: always runs.
+_COMPARATORS = Registry(
+    "deadline comparator",
+    default=DEFAULT_DEADLINE_COMPARATOR,
+    accepts=callable,
+    unwrap="comparator",
+    hint="or a callable",
+)
 
 
 def register_deadline_comparator(
@@ -523,72 +497,18 @@ def register_deadline_comparator(
 
     Registered names are accepted wherever a ``comparator=`` parameter
     appears (``deadline_cost_frontier``, ``run_deadline_sweep``, the
-    CLI ``deadline`` command) — the same string-resolution contract as
-    the evaluation-engine registry.
+    CLI ``deadline`` command).  Every comparator has the
+    :func:`repro.core.deadline.min_cost_for_deadline` signature.
     """
-    if not name:
-        raise ModelError("a deadline comparator needs a non-empty name")
-    if not replace and (
-        name in _COMPARATORS or _builtin_comparator(name) is not None
-    ):
-        raise ModelError(
-            f"deadline comparator {name!r} is already registered; pass "
-            "replace=True to override"
-        )
-    _COMPARATORS[name] = comparator
-    return comparator
+    return _COMPARATORS.register(name, comparator, replace=replace)
 
 
-_MISSING = object()
+#: Resolve a ``comparator=`` argument (a name, a callable, ``None`` or
+#: a config object) to a callable.
+get_deadline_comparator = _COMPARATORS.resolve
 
-
-def _unwrap_comparator(comparator):
-    """Pull the ``comparator`` field out of a config-like object.
-
-    Mirrors :func:`repro.perf.engine._unwrap_engine`: strings, ``None``
-    and callables pass through; an object exposing a ``comparator``
-    attribute (:class:`repro.api.RunConfig`) contributes that attribute
-    instead, so every ``comparator=`` parameter accepts a run config.
-    """
-    if comparator is None or isinstance(comparator, str) or callable(comparator):
-        return comparator
-    inner = getattr(comparator, "comparator", _MISSING)
-    if inner is not _MISSING:
-        return inner
-    return comparator
-
-
-def get_deadline_comparator(
-    comparator: Union[str, Callable, None, object],
-) -> Callable:
-    """Resolve a ``comparator=`` argument to a callable.
-
-    Accepts a callable (returned as-is), a registered name, ``None``
-    (the ``"batched"`` default), or a config object exposing a
-    ``comparator`` attribute (:class:`repro.api.RunConfig`).  Every
-    comparator has the
-    :func:`repro.core.deadline.min_cost_for_deadline` signature.  This
-    is the single place comparator defaulting happens — the dual of
-    :func:`repro.perf.engine.resolve_engine`.
-    """
-    comparator = _unwrap_comparator(comparator)
-    if comparator is None:
-        comparator = DEFAULT_DEADLINE_COMPARATOR
-    if callable(comparator):
-        return comparator
-    resolved = _COMPARATORS.get(comparator)
-    if resolved is None:
-        resolved = _builtin_comparator(comparator)
-    if resolved is None:
-        from ..errors import RegistryError
-
-        raise RegistryError.unknown(
-            "deadline comparator",
-            comparator,
-            available_deadline_comparators(),
-            hint="or a callable",
-        )
-    return resolved
+#: Registered comparator names, sorted (CLI choices come from here).
+available_deadline_comparators = _COMPARATORS.names
 
 
 def deadline_comparator_name(
@@ -601,14 +521,9 @@ def deadline_comparator_name(
     falls back to its ``__name__`` (or ``"custom"``).  Accepts config
     objects exactly as :func:`get_deadline_comparator` does.
     """
-    comparator = _unwrap_comparator(comparator)
+    comparator = _COMPARATORS.unwrap(comparator)
     if comparator is None:
         return DEFAULT_DEADLINE_COMPARATOR
     if isinstance(comparator, str):
         return comparator
     return getattr(comparator, "__name__", "custom")
-
-
-def available_deadline_comparators() -> tuple[str, ...]:
-    """Registered comparator names (CLI choices come from here)."""
-    return tuple(sorted({"batched", "reference", *_COMPARATORS}))

@@ -16,19 +16,21 @@ the sampler.  Engines are now objects:
   every chunk size.
 
 String names keep working everywhere an ``engine=`` parameter is
-accepted — they resolve through :func:`get_engine`, so the CLI and any
-existing caller passing ``"scalar"``/``"batch"`` is unaffected, and
-new engines become available to every sweep path at once via
-:func:`register_engine`.
+accepted — they resolve through the engine
+:class:`~repro.registry.Registry` (:func:`resolve_engine`), so the
+CLI and any existing caller passing ``"scalar"``/``"batch"`` is
+unaffected, and new engines become available to every sweep path at
+once via :func:`register_engine`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from ..errors import ModelError, RegistryError
+from ..errors import ModelError
+from ..registry import Registry
 from ..resilience.faults import active_fault_state, site_check
 from ..stats.rng import RandomState
 from ..stats.rng import ensure_rng as _ensure_rng
@@ -214,11 +216,19 @@ class ChunkedBatchEngine(BatchEngine):
             raise ModelError("ChunkedBatchEngine needs a chunk_rows value")
 
 
-#: Resolution order shown in CLI help / error messages.
-_REGISTRY: dict[str, EvaluationEngine] = {}
-
 #: Name of the engine used when callers pass nothing.
 DEFAULT_ENGINE = "scalar"
+
+#: What every ``engine=`` parameter resolves through (an instance,
+#: a name, ``None`` or a :class:`repro.api.RunConfig`).
+_REGISTRY = Registry(
+    "engine",
+    noun="an evaluation engine",
+    default=DEFAULT_ENGINE,
+    accepts=EvaluationEngine,
+    unwrap="engine",
+    hint="or an EvaluationEngine instance",
+)
 
 
 def register_engine(
@@ -230,77 +240,16 @@ def register_engine(
     ``engine=`` parameter accept.  Pass ``replace=True`` to override an
     existing binding (e.g. to re-tune the default chunk size).
     """
-    key = name or engine.name
-    if not key:
-        raise ModelError("an evaluation engine needs a non-empty name")
-    if key in _REGISTRY and not replace:
-        raise ModelError(
-            f"engine {key!r} is already registered; pass replace=True to "
-            "override"
-        )
-    _REGISTRY[key] = engine
-    return engine
+    return _REGISTRY.register(name or engine.name, engine, replace=replace)
 
 
-def get_engine(engine: Union[str, EvaluationEngine, None]) -> EvaluationEngine:
-    """Resolve an ``engine=`` argument to an :class:`EvaluationEngine`.
+#: Resolve an ``engine=`` argument (a name, an engine instance, ``None``
+#: or a config object) to an :class:`EvaluationEngine`; unknown names
+#: raise :class:`~repro.errors.RegistryError` with a did-you-mean hint.
+resolve_engine = get_engine = _REGISTRY.resolve
 
-    Accepts an engine instance (returned as-is), a registered name, or
-    ``None`` (the default engine).  Unknown names raise
-    :class:`~repro.errors.RegistryError` listing what is available.
-    """
-    if engine is None:
-        engine = DEFAULT_ENGINE
-    if isinstance(engine, EvaluationEngine):
-        return engine
-    resolved = _REGISTRY.get(engine)
-    if resolved is None:
-        raise RegistryError.unknown(
-            "engine", engine, _REGISTRY,
-            hint="or an EvaluationEngine instance",
-        )
-    return resolved
-
-
-_MISSING = object()
-
-
-def _unwrap_engine(engine):
-    """Pull the ``engine`` field out of a config-like object.
-
-    Strings, ``None`` and engine instances pass through unchanged; any
-    other object carrying an ``engine`` attribute (a
-    :class:`repro.api.RunConfig`, or anything structurally like one)
-    contributes that attribute instead.  Centralizing the unwrap here
-    means every ``engine=`` parameter in the library accepts a run
-    config directly.
-    """
-    if engine is None or isinstance(engine, (str, EvaluationEngine)):
-        return engine
-    inner = getattr(engine, "engine", _MISSING)
-    if inner is not _MISSING:
-        return inner
-    return engine
-
-
-def resolve_engine(
-    engine: Union[str, EvaluationEngine, None, object],
-) -> EvaluationEngine:
-    """The single place ``engine=`` defaulting happens.
-
-    Accepts everything :func:`get_engine` does **plus** a config
-    object exposing an ``engine`` attribute
-    (:class:`repro.api.RunConfig`); ``None`` — directly or inside the
-    config — resolves to :data:`DEFAULT_ENGINE`.  Every ``engine=``
-    call site in the library routes through here, so the None → default
-    rule lives in exactly one function.
-    """
-    return get_engine(_unwrap_engine(engine))
-
-
-def available_engines() -> tuple[str, ...]:
-    """Registered engine names, sorted (CLI choices come from here)."""
-    return tuple(sorted(_REGISTRY))
+#: Registered engine names, sorted (CLI choices come from here).
+available_engines = _REGISTRY.names
 
 
 register_engine(ScalarEngine())

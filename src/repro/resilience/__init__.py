@@ -3,8 +3,8 @@
 The execution layer's failure model (see ``docs/robustness.md``):
 
 * :mod:`~repro.resilience.faults` — seeded :class:`FaultPlan` /
-  :class:`FaultRule` injection at named sites, with a name registry
-  mirroring the engine/comparator registries;
+  :class:`FaultRule` injection at named sites, with a fault-plan
+  :class:`~repro.registry.Registry`;
 * :mod:`~repro.resilience.policy` — :class:`RetryPolicy` /
   :class:`TimeoutPolicy` carried on :class:`~repro.api.RunConfig`, and
   the :class:`ExecutionRecord` of what the executor actually did;

@@ -37,12 +37,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
-from ..errors import (
-    FaultInjectedError,
-    ModelError,
-    RegistryError,
-    RunTimeoutError,
-)
+from ..errors import FaultInjectedError, ModelError, RunTimeoutError
+from ..registry import Registry
 
 __all__ = [
     "FAULT_SITES",
@@ -378,10 +374,10 @@ _NO_CONTEXT: Mapping = {"engine": None, "comparator": None}
 
 
 # ---------------------------------------------------------------------------
-# fault-plan registry (mirrors the engine / comparator registries)
+# fault-plan registry
 # ---------------------------------------------------------------------------
 
-_PLANS: dict[str, FaultPlan] = {}
+_PLANS = Registry("fault plan", hint="or an inline FaultPlan")
 
 
 def register_fault_plan(
@@ -389,32 +385,16 @@ def register_fault_plan(
 ) -> FaultPlan:
     """Register *plan* under *name* (what ``RunConfig(faults=...)``
     accepts as a string)."""
-    if not name:
-        raise ModelError("a fault plan needs a non-empty name")
     if not isinstance(plan, FaultPlan):
         raise ModelError(f"expected a FaultPlan, got {plan!r}")
-    if name in _PLANS and not replace:
-        raise ModelError(
-            f"fault plan {name!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _PLANS[name] = plan
-    return plan
+    return _PLANS.register(name, plan, replace=replace)
 
 
-def get_fault_plan(name: str) -> FaultPlan:
-    """Resolve a registered fault-plan name."""
-    plan = _PLANS.get(name)
-    if plan is None:
-        raise RegistryError.unknown(
-            "fault plan", name, _PLANS, hint="or an inline FaultPlan"
-        )
-    return plan
+#: Resolve a registered fault-plan name.
+get_fault_plan = _PLANS.lookup
 
-
-def available_fault_plans() -> tuple:
-    """Registered fault-plan names, sorted."""
-    return tuple(sorted(_PLANS))
+#: Registered fault-plan names, sorted.
+available_fault_plans = _PLANS.names
 
 
 def resolve_fault_plan(

@@ -9,11 +9,13 @@ cover but correctness depends on:
   the entry shape changes incompatibly;
 * ``package`` — ``repro.__version__`` at write time (result semantics
   may shift between releases even for identical specs);
-* ``registries`` — a digest of the engine and deadline-comparator
-  registry *contents*.  A config naming ``engine="batch"`` fingerprints
-  identically whatever ``"batch"`` currently resolves to, so a process
-  that registered different engines must not serve entries written
-  under the old registry.
+* ``registries`` — a digest of what every name a run can reference
+  is bound to: ``name -> module.qualname`` of each engine (its type),
+  deadline comparator, experiment spec and workload family.  A spec
+  naming ``family="homo"`` or a config naming ``engine="batch"``
+  fingerprints identically whatever the name currently resolves to,
+  so a process that registered or rebound a name must not serve
+  entries written under the old binding.
 
 An intact entry whose envelope mismatches is **stale**, not corrupt:
 it is quarantined with the :class:`~repro.errors.StoreStaleError` code
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..api.config import fingerprint
+from ..registry import Registry
 
 __all__ = ["SCHEMA_VERSION", "current_envelope", "registry_contents_hash"]
 
@@ -34,17 +37,41 @@ __all__ = ["SCHEMA_VERSION", "current_envelope", "registry_contents_hash"]
 SCHEMA_VERSION = 1
 
 
-def registry_contents_hash() -> str:
-    """Digest of what the engine/comparator registries currently hold."""
-    from ..perf.deadline import available_deadline_comparators
-    from ..perf.engine import available_engines
+def _binding(obj) -> str:
+    """``module.qualname`` of a bound function or class (the type for
+    instances)."""
+    if not hasattr(obj, "__qualname__"):
+        obj = type(obj)
+    return f"{obj.__module__}.{obj.__qualname__}"
 
-    return fingerprint(
-        {
-            "engines": list(available_engines()),
-            "comparators": list(available_deadline_comparators()),
+
+#: ``(Registry.generation, digest)`` of the last computation.
+_digest = (-1, "")
+
+
+def registry_contents_hash() -> str:
+    """Digest of what the engine, comparator, experiment and family
+    registries currently bind each name to (recomputed only after a
+    registry changed)."""
+    global _digest
+    generation = Registry.generation
+    if _digest[0] != generation:
+        from ..api.spec import _EXPERIMENTS
+        from ..perf.deadline import _COMPARATORS
+        from ..perf.engine import _REGISTRY as _ENGINES
+        from ..workloads.families import _FAMILY_REGISTRY
+
+        tables = {
+            "engines": _ENGINES,
+            "comparators": _COMPARATORS,
+            "experiments": _EXPERIMENTS,
+            "families": _FAMILY_REGISTRY,
         }
-    )
+        _digest = (generation, fingerprint({
+            kind: {name: _binding(obj) for name, obj in table.items()}
+            for kind, table in tables.items()
+        }))
+    return _digest[1]
 
 
 def current_envelope() -> dict:

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.problem import HTuningProblem, TaskGroup, TaskSpec
 from ..errors import ModelError
+from ..registry import Registry
 from .scenarios import (
     heterogeneous_tasks,
     homogeneity_tasks,
@@ -207,14 +208,9 @@ def heterogeneous_family(
 
 #: Name -> family builder.  The registry behind every spec or sweep
 #: that references a workload *by name* (``repro.api`` experiment
-#: specs, the CLI): a registered name is a serializable address for a
-#: :class:`ProblemFamily`, the same contract the engine and comparator
-#: registries provide for execution strategies.
-_FAMILY_REGISTRY: dict[str, Callable[..., ProblemFamily]] = {
-    "homo": homogeneity_family,
-    "repe": repetition_family,
-    "heter": heterogeneous_family,
-}
+#: specs, the CLI, the service): a registered name is a serializable
+#: address for a :class:`ProblemFamily`.
+_FAMILY_REGISTRY = Registry("family", noun="a problem family")
 
 
 def register_family(
@@ -231,30 +227,14 @@ def register_family(
     time, so registering a family makes it addressable from serialized
     specs and the generic CLI.
     """
-    if not name:
-        raise ModelError("a problem family needs a non-empty name")
-    if name in _FAMILY_REGISTRY and not replace:
-        raise ModelError(
-            f"family {name!r} is already registered; pass replace=True "
-            "to override"
-        )
-    _FAMILY_REGISTRY[name] = builder
-    return builder
+    return _FAMILY_REGISTRY.register(name, builder, replace=replace)
 
 
-def get_family_builder(name: str) -> Callable[..., ProblemFamily]:
-    """Resolve a registered family name to its builder."""
-    builder = _FAMILY_REGISTRY.get(name)
-    if builder is None:
-        from ..errors import RegistryError
+#: Resolve a registered family name to its builder.
+get_family_builder = _FAMILY_REGISTRY.lookup
 
-        raise RegistryError.unknown("family", name, _FAMILY_REGISTRY)
-    return builder
-
-
-def available_families() -> tuple[str, ...]:
-    """Registered family names, sorted (spec/CLI choices come from here)."""
-    return tuple(sorted(_FAMILY_REGISTRY))
+#: Registered family names, sorted (spec/CLI choices come from here).
+available_families = _FAMILY_REGISTRY.names
 
 
 def scenario_family(scenario: str, case: str = "a", **kwargs) -> ProblemFamily:
@@ -263,12 +243,12 @@ def scenario_family(scenario: str, case: str = "a", **kwargs) -> ProblemFamily:
     Historical name kept for the Fig. 2 harness; equivalent to
     ``get_family_builder(scenario)(case=case, **kwargs)``.
     """
-    if scenario not in _FAMILY_REGISTRY:
-        raise ModelError(
-            f"unknown scenario {scenario!r}; expected one of "
-            f"{sorted(_FAMILY_REGISTRY)}"
-        )
-    return _FAMILY_REGISTRY[scenario](case=case, **kwargs)
+    return _FAMILY_REGISTRY.lookup(scenario)(case=case, **kwargs)
+
+
+register_family("homo", homogeneity_family)
+register_family("repe", repetition_family)
+register_family("heter", heterogeneous_family)
 
 
 def as_problem_family(

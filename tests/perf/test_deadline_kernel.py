@@ -273,25 +273,9 @@ class TestQuantileWindowModes:
             )
             assert np.array_equal(batch, singles), trial
 
-    def test_chunked_mode_stays_tolerance_close(self):
-        """The legacy unioned-window mode is kept selectable and agrees
-        with per-point evaluation at truncation-tolerance level."""
-        from repro.core.deadline import latency_quantile_batch
-
-        rng = np.random.default_rng(7)
-        tasks = random_tasks(rng)
-        problem = HTuningProblem(tasks, budget=10**7)
-        prices = {g.key: 3 for g in problem.groups()}
-        confidences = [0.5, 0.8, 0.9, 0.97]
-        per_point = latency_quantile_batch(problem, prices, confidences)
-        chunked = latency_quantile_batch(
-            problem, prices, confidences, window_mode="chunked"
-        )
-        assert np.allclose(per_point, chunked, rtol=1e-9, atol=1e-9)
-
     def test_single_confidence_unchanged_by_mode(self):
-        """Length-1 vectors follow the exact scalar float path in both
-        modes — the seed bit-identity contract is untouched."""
+        """Length-1 vectors follow the exact scalar float path — the
+        seed bit-identity contract is untouched."""
         from repro.core.deadline import latency_quantile_batch
 
         rng = np.random.default_rng(12)
@@ -299,20 +283,5 @@ class TestQuantileWindowModes:
         problem = HTuningProblem(tasks, budget=10**7)
         prices = {g.key: 2 for g in problem.groups()}
         reference = reference_latency_quantile(problem, prices, 0.9)
-        for mode in ("per-point", "chunked"):
-            out = latency_quantile_batch(
-                problem, prices, [0.9], window_mode=mode
-            )
-            assert float(out[0]) == reference
-
-    def test_unknown_window_mode_rejected(self):
-        from repro.perf.deadline import deadline_quantile_bisection
-
-        rng = np.random.default_rng(5)
-        tasks = random_tasks(rng)
-        problem = HTuningProblem(tasks, budget=10**7)
-        prices = {g.key: 2 for g in problem.groups()}
-        with pytest.raises(ModelError):
-            deadline_quantile_bisection(
-                problem.groups(), prices, [0.9], window_mode="windowed"
-            )
+        out = latency_quantile_batch(problem, prices, [0.9])
+        assert float(out[0]) == reference

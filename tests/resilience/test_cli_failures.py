@@ -75,3 +75,21 @@ def test_json_user_error_emits_error_document(capsys):
 def test_successful_run_still_exits_zero(capsys):
     assert main(["run", "fig3", "--param", "n_arrivals=3"]) in (0, None)
     assert "fig3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, suggestion",
+    [
+        (["run", "fig2", "--param", "n_tasks=4", "--param", "n_samples=10",
+          "--param", "budgets=[800]", "--engine", "batc"], "'batch'"),
+        (["run", "deadline-frontier", "--comparator", "refrence"],
+         "'reference'"),
+    ],
+)
+def test_unknown_engine_or_comparator_is_a_user_error(
+    capsys, argv, suggestion
+):
+    """Engine/comparator names resolve only once the run starts; a miss
+    is still a user error (exit 2), with the did-you-mean intact."""
+    assert _run(argv) == USER_ERROR_EXIT
+    assert f"did you mean {suggestion}" in capsys.readouterr().err

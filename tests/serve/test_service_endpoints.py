@@ -363,6 +363,19 @@ class TestWire:
 
             asyncio.run(check())
 
+    def test_unknown_family_is_400_registry_lookup(self):
+        service = ReproService()
+        with start_in_thread(service) as handle:
+            status, doc = asyncio.run(
+                http_request(
+                    handle.host, handle.port, "POST", "/market/allocate",
+                    {"scenario": "hom"},
+                )
+            )
+        assert status == 400
+        assert doc["code"] == "registry-lookup"
+        assert "did you mean 'homo'" in doc["message"]
+
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_400_error_document(self, length):
         service = ReproService()
