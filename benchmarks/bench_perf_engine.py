@@ -32,11 +32,15 @@ Fig. 2-sized workload, against the seed implementations:
 * **Session run_many** — a batch of serialized ``repro.api`` specs
   executed through one shared-cache ``Session.run_many`` vs cold
   isolated per-run sessions (payloads asserted identical).
+* **Numeric profile scoring** — cold ``expected_job_latency`` of
+  even ``homo``/d allocations with the shared Poisson blocks (one
+  uniformization pass per grid and rate) vs the seed per-profile
+  kernel behind the same caches (latencies asserted byte-identical).
 * **Session resilience** — the default fast path vs the armed
   resilience executor (empty ``FaultPlan`` + retry policy, every
   fault-site check live); payloads asserted identical and the
-  overhead reported as ``overhead_pct`` (the tier-1 smoke test caps
-  it at 5%).
+  overhead, in process CPU time, reported as ``overhead_pct`` (the
+  tier-1 smoke test caps it at 5%).
 * **Executor scaling** — ``Session.run_many`` spec batches and
   sharded replication ensembles on the supervised process pool at
   1/2/4 workers vs the serial loop (reports byte-identical), plus the
@@ -474,6 +478,79 @@ def bench_session_run_many(n_tasks: int = 100, n_budgets: int = 9) -> dict:
     }
 
 
+def bench_numeric_profile_scoring(
+    n_tasks: int = 100, n_budgets: int = 9
+) -> dict:
+    """Cold numeric scoring: shared Poisson blocks vs the seed kernel.
+
+    The even allocation of the ``homo`` family (case d, *n_tasks*
+    tasks) at *n_budgets* budgets from 1.3× to 2.5× its cheapest
+    feasible budget, each scored by
+    :func:`~repro.core.latency.expected_job_latency` on on-hold latency
+    (the numeric runs of the service benchmark) with the phase caches
+    cleared first.  A budget's leftover splits the tasks into several
+    rate profiles that share one uniformization rate on one grid.  The
+    shared path builds that grid's Poisson blocks once and mixes every
+    profile from them; the reference path swaps the seed kernel
+    (:func:`repro.perf.reference.reference_sf_from_weights`: one
+    per-point planned pass per profile) in behind the same caches.
+    Latencies are asserted byte-identical.
+    """
+    from unittest import mock
+
+    from repro.core.latency import expected_job_latency
+    from repro.core.tuner import STRATEGIES
+    from repro.perf import cache, clear_phase_caches
+    from repro.perf.reference import reference_sf_from_weights
+    from repro.workloads.families import scenario_family
+
+    family = scenario_family("homo", case="d", n_tasks=n_tasks)
+    floor = family.min_feasible_budget
+    problems = [
+        family.problem_at(int(floor * (1.3 + 1.2 * k / max(n_budgets - 1, 1))))
+        for k in range(n_budgets)
+    ]
+    scored = [
+        (problem, STRATEGIES["ea"](problem, np.random.default_rng(0)))
+        for problem in problems
+    ]
+
+    def shared():
+        out = []
+        for problem, allocation in scored:
+            clear_phase_caches()
+            out.append(
+                expected_job_latency(
+                    problem, allocation, include_processing=False
+                )
+            )
+        return out
+
+    def reference():
+        with mock.patch.object(
+            cache, "_sf_from_weights", reference_sf_from_weights
+        ):
+            return shared()
+
+    if np.array(shared()).tobytes() != np.array(reference()).tobytes():
+        raise AssertionError(
+            "shared-block numeric latencies diverged from the seed kernel"
+        )
+    t_reference = _time(reference, repeats=3)
+    t_shared = _time(shared, repeats=3)
+    return {
+        "workload": f"cold expected_job_latency of {n_budgets} even "
+        f"allocations (homo/d, {n_tasks} tasks, on-hold latency)",
+        "reference_seconds": t_reference,
+        "shared_seconds": t_shared,
+        "speedup": t_reference / t_shared,
+        "bit_identical": True,
+        "note": "phase caches cleared before every allocation; both "
+        "paths build the same weight ladders, so the gap is the "
+        "mixing alone",
+    }
+
+
 def bench_session_resilience(
     n_samples: int = 1000, n_tasks: int = 100, n_budgets: int = 9
 ) -> dict:
@@ -527,9 +604,9 @@ def bench_session_resilience(
         clear_phase_caches()
         return [r.payload for r in Session(armed_config).run_many(specs)]
 
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     baseline = default()
-    single_call = time.perf_counter() - t0
+    single_call = time.process_time() - t0
     if baseline != armed():
         raise AssertionError(
             "armed resilience executor payloads diverged from the "
@@ -539,19 +616,22 @@ def bench_session_resilience(
     # drift between two sequential best-of blocks would swamp the
     # signal; interleave the repeats so both see the same drift, and
     # amortize each timed sample over enough calls (~50ms blocks) that
-    # one scheduler hiccup cannot swing the ratio at smoke sizes.
+    # one scheduler hiccup cannot swing the ratio at smoke sizes.  The
+    # blocks are timed in process CPU time: on a loaded machine, wall
+    # time charges preemption by other processes to whichever side
+    # happened to be running.
     calls_per_block = max(1, math.ceil(0.05 / max(single_call, 1e-9)))
     t_default = float("inf")
     t_armed = float("inf")
     for _ in range(7):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(calls_per_block):
             default()
-        t_default = min(t_default, (time.perf_counter() - t0) / calls_per_block)
-        t0 = time.perf_counter()
+        t_default = min(t_default, (time.process_time() - t0) / calls_per_block)
+        t0 = time.process_time()
         for _ in range(calls_per_block):
             armed()
-        t_armed = min(t_armed, (time.perf_counter() - t0) / calls_per_block)
+        t_armed = min(t_armed, (time.process_time() - t0) / calls_per_block)
     return {
         "workload": f"{len(specs)} mc budget-sweep specs "
         f"({n_samples} samples, grids up to {top}, {n_tasks} tasks, ra+re)",
@@ -562,8 +642,8 @@ def bench_session_resilience(
         "outputs_identical": True,
         "note": "armed = empty FaultPlan + RetryPolicy(attempts=2): the "
         "resilient executor with every fault-site check live but no "
-        "rule firing; speedup ~1.0 by design, overhead_pct is the "
-        "headline",
+        "rule firing; seconds are process CPU time per call; speedup "
+        "~1.0 by design, overhead_pct is the headline",
     }
 
 
@@ -1101,6 +1181,9 @@ _SECTIONS = {
         p["n_replications"]
     ),
     "session_run_many": lambda p: bench_session_run_many(
+        p["n_tasks"], p["n_budgets"]
+    ),
+    "numeric_profile_scoring": lambda p: bench_numeric_profile_scoring(
         p["n_tasks"], p["n_budgets"]
     ),
     "session_resilience": lambda p: bench_session_resilience(

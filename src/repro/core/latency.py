@@ -97,27 +97,21 @@ def surrogate_onhold_objective(
 # ---------------------------------------------------------------------------
 
 
-def _task_latency_cdf_on_grid(
+def _task_chain_rates(
     onhold_rates: tuple[float, ...],
     processing_rate: float,
-    grid: np.ndarray,
     include_processing: bool,
-) -> np.ndarray:
-    """cdf of one task's total latency on *grid*.
+) -> list[float]:
+    """Phase rates of one task's latency chain.
 
     The task's latency is the sum of ``Exp(rate)`` phases: one on-hold
     phase per repetition (rates may differ when the allocation is not
-    uniform) plus, optionally, one ``Exp(λ_p)`` per repetition.  The
-    phase-type cdf is evaluated exactly by uniformization, through the
-    process-level kernel cache so repeated profiles (sweeps, Pareto
-    fronts, exhaustive searches) are computed once.
+    uniform) plus, optionally, one ``Exp(λ_p)`` per repetition.
     """
-    from ..perf.cache import cached_hypoexponential_cdf
-
     rates = list(onhold_rates)
     if include_processing:
         rates.extend([processing_rate] * len(onhold_rates))
-    return cached_hypoexponential_cdf(rates, grid)
+    return rates
 
 
 def expected_job_latency(
@@ -193,21 +187,37 @@ def _expected_max_on_grid(
     integration semantics (grid heuristic, log-product clamping) live
     in exactly one place.
     """
+    from ..perf.cache import cached_hypoexponential_sf_many
+
+    # Every chain the profiles need, evaluated in one cached pass: the
+    # phase-type cdfs are exact by uniformization, chains sharing a
+    # uniformization rate share its Poisson blocks, and repeated chains
+    # (sweeps, Pareto fronts, exhaustive searches) are computed once.
+    if repetition_mode == "sequential":
+        chains = [
+            [_task_chain_rates(onhold, proc, include_processing)]
+            for onhold, proc in profiles
+        ]
+    else:
+        # Task cdf = product over repetitions of the single-rep chain
+        # cdfs (max of independent chains).
+        chains = [
+            [
+                _task_chain_rates((rate,), proc, include_processing)
+                for rate in onhold
+            ]
+            for onhold, proc in profiles
+        ]
+    sfs = iter(
+        cached_hypoexponential_sf_many(
+            [rates for chain in chains for rates in chain], grid
+        )
+    )
     log_prod = np.zeros_like(grid)
-    for (onhold, proc), count in profiles.items():
-        if repetition_mode == "sequential":
-            cdf = _task_latency_cdf_on_grid(
-                onhold, proc, grid, include_processing
-            )
-        else:
-            # Task cdf = product over repetitions of the single-rep
-            # chain cdfs (max of independent chains).
-            cdf = np.ones_like(grid)
-            for rate in onhold:
-                single = _task_latency_cdf_on_grid(
-                    (rate,), proc, grid, include_processing
-                )
-                cdf = cdf * single
+    for chain, count in zip(chains, profiles.values()):
+        cdf = 1.0 - next(sfs)
+        for _ in chain[1:]:
+            cdf = cdf * (1.0 - next(sfs))
         with np.errstate(divide="ignore"):
             log_cdf = np.log(np.where(cdf > 0.0, cdf, 1.0))
             log_cdf = np.where(cdf > 0.0, log_cdf, -np.inf)

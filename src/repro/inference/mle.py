@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as sps
-
 from ..errors import InferenceError
 
 __all__ = ["RateEstimate", "estimate_rate_fixed_period", "estimate_rate_random_period"]
@@ -53,6 +51,11 @@ class RateEstimate:
 
 def _poisson_rate_ci(n: int, t0: float, confidence: float) -> tuple[float, float]:
     """Exact (Garwood) CI for a Poisson rate from ``n`` events in ``t0``."""
+    # Imported here, not at module level: the service imports this
+    # module (through the AMT workloads) but never builds an interval,
+    # and scipy.stats is a large import.
+    from scipy import stats as sps
+
     alpha = 1.0 - confidence
     if n == 0:
         low = 0.0
@@ -121,6 +124,8 @@ def estimate_rate_random_period(
                 "debiasing the random-period estimator needs at least 2 events"
             )
         rate = (n - 1) / elapsed
+    from scipy import stats as sps
+
     # CI from the Gamma pivot: 2λT0 ~ chi2(2N).
     alpha = 1.0 - confidence
     low = sps.chi2.ppf(alpha / 2.0, 2 * n) / (2.0 * elapsed)

@@ -41,6 +41,7 @@ from .batch import (
 from .cache import (
     cached_hypoexponential_cdf,
     cached_hypoexponential_sf,
+    cached_hypoexponential_sf_many,
     clear_phase_caches,
     configure_phase_cache,
     phase_cache_stats,
@@ -89,6 +90,7 @@ __all__ = [
     "budget_indexed_dp_sweep",
     "cached_hypoexponential_cdf",
     "cached_hypoexponential_sf",
+    "cached_hypoexponential_sf_many",
     "clear_phase_caches",
     "configure_phase_cache",
     "deadline_comparator_name",

@@ -30,13 +30,15 @@ import numpy as np
 from ..errors import ModelError
 from ..stats.phase_type import (
     WeightLadder,
-    _sf_from_ladder,
+    _sf_from_weights,
     _sf_rows_at,
+    _sf_terms,
     batch_weight_ladders,
 )
 
 __all__ = [
     "cached_hypoexponential_sf",
+    "cached_hypoexponential_sf_many",
     "cached_hypoexponential_cdf",
     "shared_ladder_sf",
     "shared_ladder_sf_batch",
@@ -109,25 +111,59 @@ def survival_weights(rates: Sequence[float], n_terms: int) -> np.ndarray:
 
 def cached_hypoexponential_sf(rates: Sequence[float], grid: np.ndarray) -> np.ndarray:
     """Memoized ``P(Σ Exp(rates_i) > t)`` on *grid* (read-only array)."""
+    return cached_hypoexponential_sf_many([rates], grid)[0]
+
+
+def cached_hypoexponential_sf_many(
+    profiles: Sequence[Sequence[float]], grid: np.ndarray
+) -> list[np.ndarray]:
+    """Memoized sf of every rate profile in *profiles* on one *grid*.
+
+    Hits are served from the LRU; the misses are computed together, so
+    misses sharing a uniformization rate ``q`` share one set of
+    Poisson mixing blocks (:func:`~repro.stats.phase_type._sf_from_weights`).
+    Counters move once per profile, as for one
+    :func:`cached_hypoexponential_sf` call each: a profile repeated in
+    *profiles* counts as a hit after its first occurrence.
+
+    The lock covers the LRU and the ladder lookups/extensions only.
+    The mixing runs unlocked: it reads the weight arrays fetched under
+    the lock, and a ladder extension never writes an array it has
+    handed out (it allocates a longer one).
+    """
     grid = np.asarray(grid, dtype=float)
-    rkey = _rates_key(rates)
-    key = (rkey, _grid_key(grid))
+    gkey = _grid_key(grid)
+    keys = [(_rates_key(rates), gkey) for rates in profiles]
+    out: list = [None] * len(keys)
+    misses: dict[tuple, list[int]] = {}
     with _lock:
-        hit = _sf_cache.get(key)
-        if hit is not None:
-            _stats["sf_hits"] += 1
-            _sf_cache.move_to_end(key)
-            return hit
-        _stats["sf_misses"] += 1
-        ladder = _ladder_for(rkey)
-        # Computed under the lock: _sf_from_ladder extends the shared
-        # ladder in place, and WeightLadder is not itself thread-safe.
-        sf = _sf_from_ladder(ladder, grid)
-        sf.flags.writeable = False
-        _sf_cache[key] = sf
+        for pos, key in enumerate(keys):
+            if key in misses:
+                _stats["sf_hits"] += 1
+                misses[key].append(pos)
+                continue
+            hit = _sf_cache.get(key)
+            if hit is not None:
+                _stats["sf_hits"] += 1
+                _sf_cache.move_to_end(key)
+                out[pos] = hit
+            else:
+                _stats["sf_misses"] += 1
+                misses[key] = [pos]
+        if not misses:
+            return out
+        ladders = [_ladder_for(key[0]) for key in misses]
+        weights = [ladder.get(_sf_terms(ladder.q, grid)) for ladder in ladders]
+    rows = _sf_from_weights([ladder.q for ladder in ladders], weights, grid)
+    with _lock:
+        for (key, positions), sf in zip(misses.items(), rows):
+            sf.flags.writeable = False
+            _sf_cache[key] = sf
+            for pos in positions:
+                out[pos] = sf
         while len(_sf_cache) > _max_sf_entries:
             _sf_cache.popitem(last=False)
-    return sf
+    return out
 
 
 def cached_hypoexponential_cdf(rates: Sequence[float], grid: np.ndarray) -> np.ndarray:
@@ -152,9 +188,8 @@ def shared_ladder_sf(rates: Sequence[float], grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     with _lock:
         ladder = _ladder_for(_rates_key(rates))
-        # Under the lock: _sf_from_ladder extends the shared ladder in
-        # place, and WeightLadder is not itself thread-safe.
-        return _sf_from_ladder(ladder, grid)
+        w = ladder.get(_sf_terms(ladder.q, grid))
+    return _sf_from_weights([ladder.q], [w], grid)[0]
 
 
 def _build_for_t(keys, ts, _mix_terms) -> int:

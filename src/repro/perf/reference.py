@@ -22,6 +22,8 @@ __all__ = [
     "reference_latency_quantile",
     "reference_min_cost_for_deadline",
     "reference_agent_run_job",
+    "reference_poisson_mix_windows",
+    "reference_sf_from_weights",
 ]
 
 
@@ -460,3 +462,90 @@ def reference_heterogeneous_prices(problem) -> dict[tuple, int]:
 
     final = prices_at[residual]
     return {g.key: final[i] for i, g in enumerate(groups)}
+
+
+# ---------------------------------------------------------------------------
+# seed uniformization mixing (pre shared Poisson blocks)
+# ---------------------------------------------------------------------------
+
+
+def reference_poisson_mix_windows(qt, w, tol: float = 1e-12):
+    """Seed ``_poisson_mix_windows``: one weight series, greedy chunks
+    planned by a per-point python loop.
+
+    The vectorized planner and the shared blocks of
+    :func:`repro.stats.phase_type._poisson_mix_windows` must reproduce
+    these chunks, and so these bytes, exactly.
+    """
+    import numpy as np
+    from scipy.special import gammaln
+
+    from ..stats.phase_type import _MIX_CHUNK_ELEMENTS, _tail_width
+
+    n_terms = len(w) - 1
+    qt = np.asarray(qt, dtype=float)
+    half = (_tail_width(tol) * np.sqrt(qt + 1.0) + 25.0).astype(np.int64)
+    base = qt.astype(np.int64)
+    lo = np.maximum(0, base - half)
+    hi = np.minimum(n_terms, base + half)
+
+    acc = np.empty_like(qt)
+    log_qt = np.log(qt)
+    n_points = len(qt)
+    # Greedy chunks of consecutive points sharing one *union* window
+    # [lo_u, hi_u].  Within a chunk the Poisson factorials are a single
+    # 1-D gammaln over the union, and the mixture is one matrix-vector
+    # product.  Terms a point gains beyond its own window only *add*
+    # Poisson mass below the truncation tolerance.  For a monotone grid
+    # neighbouring windows almost coincide, so chunks stay dense; a
+    # scrambled grid degrades gracefully toward one point per chunk.
+    i = 0
+    while i < n_points:
+        lo_u = int(lo[i])
+        hi_u = int(hi[i])
+        j = i + 1
+        while j < n_points:
+            nl = min(lo_u, int(lo[j]))
+            nh = max(hi_u, int(hi[j]))
+            width_j = int(hi[j] - lo[j]) + 1
+            # Cap the union at ~2× the joining row's own window (else
+            # a wide-qt chunk pads every row to the full span) and the
+            # chunk matrix at the element budget.
+            if (nh - nl + 1) > 2 * width_j or (
+                nh - nl + 1
+            ) * (j - i + 1) > _MIX_CHUNK_ELEMENTS:
+                break
+            lo_u, hi_u = nl, nh
+            j += 1
+        blk = slice(i, j)
+        ns = np.arange(lo_u, hi_u + 1, dtype=float)
+        log_fact = gammaln(ns + 1.0)
+        log_pmf = np.multiply.outer(log_qt[blk], ns)
+        log_pmf -= qt[blk, None]
+        log_pmf -= log_fact[None, :]
+        np.exp(log_pmf, out=log_pmf)
+        acc[blk] = log_pmf @ w[lo_u : hi_u + 1]
+        i = j
+    return acc
+
+
+def reference_sf_from_weights(qs, weights, t_arr, tol: float = 1e-12):
+    """Seed sf kernel: every profile mixed on its own, by
+    :func:`reference_poisson_mix_windows`.
+
+    Takes the arguments of
+    :func:`repro.stats.phase_type._sf_from_weights`, so the benchmark
+    can score through the process caches with the seed kernel behind
+    them.
+    """
+    import numpy as np
+
+    rows = []
+    for q, w in zip(qs, weights):
+        out = np.ones_like(t_arr)
+        positive = (q * t_arr) > 0
+        if np.any(positive):
+            acc = reference_poisson_mix_windows(q * t_arr[positive], w, tol)
+            out[positive] = np.clip(acc, 0.0, 1.0)
+        rows.append(out)
+    return rows

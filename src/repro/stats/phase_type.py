@@ -22,7 +22,10 @@ Two performance-relevant pieces are factored out so the batch engine
   extensible in place (a longer grid only computes the *new* terms);
 * :func:`_poisson_mix_windows` — the ``E[w_N], N ~ Poisson(qt)``
   accumulation, vectorized over all grid points in chunked windows
-  instead of one python iteration per point.
+  instead of one python iteration per point.  Its Poisson blocks
+  depend on ``q·t`` alone, so every profile sharing a grid and a
+  uniformization rate ``q`` is mixed from one set of blocks
+  (:func:`_sf_from_ladders`).
 """
 
 from __future__ import annotations
@@ -191,65 +194,100 @@ def batch_weight_ladders(
     return ladders
 
 
-def _poisson_mix_windows(
-    qt: np.ndarray, w: np.ndarray, tol: float = _DEFAULT_TOL
-) -> np.ndarray:
-    """``Σ_n pois(n; qt_i)·w_n = E[w_N], N ~ Poisson(qt_i)`` per point.
+#: First lookahead of the chunk planner; grown 4× until a chunk closes.
+_PLAN_LOOKAHEAD = 64
 
-    The Poisson mass concentrates in ``qt ± O(√qt)``; accumulating only
-    that window in log space avoids the ``exp(-qt)`` underflow of the
-    naive recurrence.  The window half-width scales with *tol* (see
-    :func:`_tail_width`); the 1e-12 default reproduces the historical
-    constants exactly.  All windows are processed as chunked 2-D blocks
-    so the grid sweep is a handful of numpy calls instead of one python
-    iteration per grid point.
+
+def _mix_chunks(lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Greedy chunks ``(start, stop, lo_u, hi_u)`` of consecutive points.
+
+    A chunk grows point by point while its *union* window
+    ``[lo_u, hi_u]`` stays within 2× the joining point's own window
+    (else a wide-qt chunk pads every row to the full span) and the
+    chunk matrix within :data:`_MIX_CHUNK_ELEMENTS`.  The first point
+    always joins.  Each chunk's close is found in numpy: running
+    ``minimum``/``maximum`` of the windows from the chunk start, then
+    the first point violating either cap.  A chunk of width ``w`` at
+    its start cannot hold more than ``_MIX_CHUNK_ELEMENTS // w`` rows,
+    so the scan never looks further than that; it starts short and
+    widens, so a scrambled grid's one-point chunks stay cheap.
+    """
+    n_points = len(lo)
+    width = hi - lo + 1
+    chunks = []
+    i = 0
+    while i < n_points:
+        limit = min(n_points, i + _MIX_CHUNK_ELEMENTS // int(width[i]) + 1)
+        stop = min(limit, i + _PLAN_LOOKAHEAD)
+        while True:
+            lo_run = np.minimum.accumulate(lo[i:stop])
+            hi_run = np.maximum.accumulate(hi[i:stop])
+            union = hi_run - lo_run + 1
+            rows = np.arange(1, stop - i + 1)
+            over = (union > 2 * width[i:stop]) | (
+                union * rows > _MIX_CHUNK_ELEMENTS
+            )
+            over[0] = False
+            k = int(over.argmax())
+            if over[k]:
+                break
+            if stop == limit:
+                k = stop - i
+                break
+            stop = min(limit, i + 4 * (stop - i))
+        chunks.append((i, i + k, int(lo_run[k - 1]), int(hi_run[k - 1])))
+        i += k
+    return chunks
+
+
+def _poisson_blocks(qt: np.ndarray, n_terms: int, tol: float = _DEFAULT_TOL):
+    """Yield ``(points, lo_u, hi_u, pmf)`` — the Poisson mixing blocks.
+
+    ``pmf[r, c]`` is ``pois(lo_u + c; qt[points][r])`` over the chunk's
+    union window (see :func:`_mix_chunks`), built in log space: the
+    Poisson mass concentrates in ``qt ± O(√qt)``, and accumulating only
+    that window avoids the ``exp(-qt)`` underflow of the naive
+    recurrence.  Terms a point gains beyond its own window only *add*
+    Poisson mass below the truncation tolerance.  A block depends on
+    ``qt``, ``n_terms`` and *tol* alone, so every weight series mixed on
+    the same ``qt`` shares it.
     """
     from scipy.special import gammaln
 
-    n_terms = len(w) - 1
-    qt = np.asarray(qt, dtype=float)
     half = (_tail_width(tol) * np.sqrt(qt + 1.0) + 25.0).astype(np.int64)
     base = qt.astype(np.int64)
     lo = np.maximum(0, base - half)
     hi = np.minimum(n_terms, base + half)
-
-    acc = np.empty_like(qt)
     log_qt = np.log(qt)
-    n_points = len(qt)
-    # Greedy chunks of consecutive points sharing one *union* window
-    # [lo_u, hi_u].  Within a chunk the Poisson factorials are a single
-    # 1-D gammaln over the union, and the mixture is one matrix-vector
-    # product.  Terms a point gains beyond its own window only *add*
-    # Poisson mass below the truncation tolerance.  For a monotone grid
-    # neighbouring windows almost coincide, so chunks stay dense; a
-    # scrambled grid degrades gracefully toward one point per chunk.
-    i = 0
-    while i < n_points:
-        lo_u = int(lo[i])
-        hi_u = int(hi[i])
-        j = i + 1
-        while j < n_points:
-            nl = min(lo_u, int(lo[j]))
-            nh = max(hi_u, int(hi[j]))
-            width_j = int(hi[j] - lo[j]) + 1
-            # Cap the union at ~2× the joining row's own window (else
-            # a wide-qt chunk pads every row to the full span) and the
-            # chunk matrix at the element budget.
-            if (nh - nl + 1) > 2 * width_j or (
-                nh - nl + 1
-            ) * (j - i + 1) > _MIX_CHUNK_ELEMENTS:
-                break
-            lo_u, hi_u = nl, nh
-            j += 1
-        blk = slice(i, j)
+    for start, stop, lo_u, hi_u in _mix_chunks(lo, hi):
+        points = slice(start, stop)
         ns = np.arange(lo_u, hi_u + 1, dtype=float)
         log_fact = gammaln(ns + 1.0)
-        log_pmf = np.multiply.outer(log_qt[blk], ns)
-        log_pmf -= qt[blk, None]
+        log_pmf = np.multiply.outer(log_qt[points], ns)
+        log_pmf -= qt[points, None]
         log_pmf -= log_fact[None, :]
         np.exp(log_pmf, out=log_pmf)
-        acc[blk] = log_pmf @ w[lo_u : hi_u + 1]
-        i = j
+        yield points, lo_u, hi_u, log_pmf
+
+
+def _poisson_mix_windows(
+    qt: np.ndarray, weights: Sequence[np.ndarray], tol: float = _DEFAULT_TOL
+) -> np.ndarray:
+    """``Σ_n pois(n; qt_i)·w_n = E[w_N], N ~ Poisson(qt_i)`` per point,
+    one row per weight series in *weights* (all of one length).
+
+    The window half-width scales with *tol* (see :func:`_tail_width`);
+    the 1e-12 default reproduces the historical constants exactly.
+    Each block is built once and mixed into every row with one
+    matrix-vector product, so extra series sharing ``qt`` cost a matvec
+    per block, not a block build.
+    """
+    qt = np.asarray(qt, dtype=float)
+    acc = np.empty((len(weights), len(qt)))
+    n_terms = len(weights[0]) - 1
+    for points, lo_u, hi_u, pmf in _poisson_blocks(qt, n_terms, tol):
+        for row, w in zip(acc, weights):
+            row[points] = pmf @ w[lo_u : hi_u + 1]
     return acc
 
 
@@ -339,31 +377,72 @@ def hypoexponential_sf(rates: Sequence[float], t, tol: float = _DEFAULT_TOL):
     return out if np.ndim(t) else float(out[0])
 
 
+def _sf_terms(q: float, t_arr: np.ndarray, tol: float = _DEFAULT_TOL) -> int:
+    """Weights a ladder of uniformization rate *q* must supply for the
+    sf on *t_arr* (0 when no point needs mixing)."""
+    # Guard the q·t product, not t alone: a subnormal t can underflow
+    # to q·t == 0, which the log-space accumulation cannot represent
+    # (sf is exactly 1 there anyway, as it is for t < 0).
+    qt = q * t_arr
+    qt = qt[qt > 0]
+    if not qt.size:
+        return 0
+    return _mix_terms(float(qt.max()), tol) + 1
+
+
+def _sf_from_weights(
+    qs: Sequence[float],
+    weights: Sequence[np.ndarray],
+    t_arr: np.ndarray,
+    tol: float = _DEFAULT_TOL,
+) -> list[np.ndarray]:
+    """sf rows on *t_arr* from each profile's rate ``qs[i]`` and its
+    weight series ``weights[i]`` (``_sf_terms(qs[i], t_arr)`` terms).
+
+    Profiles sharing ``q`` share ``q·t``, so they are mixed in one
+    :func:`_poisson_mix_windows` pass: one set of Poisson blocks, one
+    matvec per profile and block.  Reads the weight arrays only, so
+    it needs no lock around ladders a caller extends elsewhere.
+    """
+    out = [np.ones_like(t_arr) for _ in qs]
+    by_q: dict[float, list[int]] = {}
+    for row, q in enumerate(qs):
+        by_q.setdefault(q, []).append(row)
+    for q, rows in by_q.items():
+        qt = q * t_arr
+        positive = qt > 0
+        if not np.any(positive):
+            continue
+        acc = _poisson_mix_windows(
+            qt[positive], [weights[row] for row in rows], tol=tol
+        )
+        for row, mixed in zip(rows, acc):
+            out[row][positive] = np.clip(mixed, 0.0, 1.0)
+    return out
+
+
+def _sf_from_ladders(
+    ladders: Sequence[WeightLadder],
+    t_arr: np.ndarray,
+    tol: float = _DEFAULT_TOL,
+) -> list[np.ndarray]:
+    """Shared sf kernel: every rate profile's sf on *t_arr*, one
+    uniformization pass per distinct ``q`` (see :func:`_sf_from_weights`).
+
+    :mod:`repro.perf.cache` runs the same computation in its two
+    halves: the ladder extension under its lock, the mixing outside.
+    """
+    weights = [ladder.get(_sf_terms(ladder.q, t_arr, tol)) for ladder in ladders]
+    return _sf_from_weights(
+        [ladder.q for ladder in ladders], weights, t_arr, tol=tol
+    )
+
+
 def _sf_from_ladder(
     ladder: WeightLadder, t_arr: np.ndarray, tol: float = _DEFAULT_TOL
 ) -> np.ndarray:
-    """Shared sf kernel: evaluate one rate profile's sf on *t_arr*.
-
-    Exposed (privately) so :mod:`repro.perf.cache` can run the same
-    computation against a process-level, incrementally extended ladder.
-    """
-    out = np.ones_like(t_arr)
-    q = ladder.q
-    # Guard the q·t product, not t alone: a subnormal t can underflow
-    # to q·t == 0, which the log-space accumulation cannot represent
-    # (sf is exactly 1 there anyway).
-    positive = (q * t_arr) > 0
-    if not np.any(positive):
-        return np.where(t_arr < 0, 1.0, out)
-
-    qt = q * t_arr[positive]
-    qt_max = float(qt.max())
-    n_terms = _mix_terms(qt_max, tol)
-    w = ladder.get(n_terms + 1)
-    acc = _poisson_mix_windows(qt, w, tol=tol)
-    out[positive] = np.clip(acc, 0.0, 1.0)
-    out[t_arr < 0] = 1.0
-    return out
+    """One rate profile's sf on *t_arr* (:func:`_sf_from_ladders` of one)."""
+    return _sf_from_ladders([ladder], t_arr, tol=tol)[0]
 
 
 def hypoexponential_cdf(rates: Sequence[float], t, tol: float = _DEFAULT_TOL):

@@ -15,7 +15,9 @@ cover but correctness depends on:
   naming ``family="homo"`` or a config naming ``engine="batch"``
   fingerprints identically whatever the name currently resolves to,
   so a process that registered or rebound a name must not serve
-  entries written under the old binding.
+  entries written under the old binding.  Fault plans are digested by
+  content (``name -> plan.to_dict()``): a plan is an instance, whose
+  type says nothing about the rules a ``faults="name"`` run injects.
 
 An intact entry whose envelope mismatches is **stale**, not corrupt:
 it is quarantined with the :class:`~repro.errors.StoreStaleError` code
@@ -50,15 +52,16 @@ _digest = (-1, "")
 
 
 def registry_contents_hash() -> str:
-    """Digest of what the engine, comparator, experiment and family
-    registries currently bind each name to (recomputed only after a
-    registry changed)."""
+    """Digest of what the engine, comparator, experiment, family and
+    fault-plan registries currently bind each name to (recomputed only
+    after a registry changed)."""
     global _digest
     generation = Registry.generation
     if _digest[0] != generation:
         from ..api.spec import _EXPERIMENTS
         from ..perf.deadline import _COMPARATORS
         from ..perf.engine import _REGISTRY as _ENGINES
+        from ..resilience.faults import _PLANS
         from ..workloads.families import _FAMILY_REGISTRY
 
         tables = {
@@ -67,10 +70,14 @@ def registry_contents_hash() -> str:
             "experiments": _EXPERIMENTS,
             "families": _FAMILY_REGISTRY,
         }
-        _digest = (generation, fingerprint({
+        contents = {
             kind: {name: _binding(obj) for name, obj in table.items()}
             for kind, table in tables.items()
-        }))
+        }
+        contents["fault_plans"] = {
+            name: plan.to_dict() for name, plan in _PLANS.items()
+        }
+        _digest = (generation, fingerprint(contents))
     return _digest[1]
 
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,3 +107,23 @@ class TestRandomPeriod:
             estimate_rate_random_period(5, -1.0)
         with pytest.raises(InferenceError):
             estimate_rate_random_period(5, 1.0, confidence=0.0)
+
+
+def test_service_import_leaves_scipy_stats_unloaded():
+    """The service reaches this module through the AMT workloads but
+    never builds an interval, so starting it must not pay for
+    ``scipy.stats``: the intervals import it where they use it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli, repro.serve; "
+            "print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"

@@ -63,6 +63,7 @@ def test_smoke_run_asserts_equivalence_and_speedup(bench, tmp_path):
     market = results["agent_market_replications"]
     session = results["session_run_many"]
     resilience = results["session_resilience"]
+    profile_scoring = results["numeric_profile_scoring"]
     assert mc["bit_identical"]
     assert dp["outputs_identical"]
     # The sweep bench raises internally if any one-pass allocation or
@@ -93,6 +94,11 @@ def test_smoke_run_asserts_equivalence_and_speedup(bench, tmp_path):
     # tables strictly removes work, so batched must not lose.
     assert session["outputs_identical"]
     assert session["speedup"] > 1.0
+    # The numeric-scoring bench raises internally if a shared-block
+    # latency diverges from the seed kernel's; one block build per
+    # grid instead of one per profile must win clearly.
+    assert profile_scoring["bit_identical"]
+    assert profile_scoring["speedup"] > 2.0
     # The resilience bench raises internally if the armed executor's
     # payloads diverge from the default fast path; arming the fault
     # machinery (empty plan, live site checks) must stay cheap.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.errors import ModelError
 from repro.perf.cache import (
     cached_hypoexponential_cdf,
     cached_hypoexponential_sf,
+    cached_hypoexponential_sf_many,
     clear_phase_caches,
     configure_phase_cache,
     phase_cache_stats,
@@ -116,3 +120,107 @@ class TestCachedKernels:
         assert stats["sf_entries"] == 0
         assert stats["ladder_entries"] == 0
         assert stats["sf_hits"] == 0
+
+
+class TestSfMany:
+    GRID = np.linspace(0.0, 30.0, 1025)
+    # Two disjoint sets, each mixing profiles that share q with ones
+    # that do not.
+    SET_A = [(3.0, 1.0), (3.0, 0.5, 0.5), (2.0,), (3.0, 3.0, 1.0)]
+    SET_B = [(4.0, 1.0), (4.0, 4.0), (0.8, 0.8), (1.5, 4.0, 0.2)]
+
+    def test_rows_match_single_profile_calls(self):
+        many = cached_hypoexponential_sf_many(self.SET_A, self.GRID)
+        clear_phase_caches()
+        for rates, row in zip(self.SET_A, many):
+            single = cached_hypoexponential_sf(rates, self.GRID)
+            assert row.tobytes() == single.tobytes()
+            assert not row.flags.writeable
+
+    def test_counters_count_once_per_profile(self):
+        cached_hypoexponential_sf(self.SET_A[0], self.GRID)
+        before = phase_cache_stats()
+        profiles = self.SET_A + [self.SET_A[1]]
+        rows = cached_hypoexponential_sf_many(profiles, self.GRID)
+        after = phase_cache_stats()
+        # SET_A[0] was cached; SET_A[1] repeats, so it is a hit the
+        # second time, served by the same array as its first row.
+        assert after["sf_hits"] - before["sf_hits"] == 2
+        assert after["sf_misses"] - before["sf_misses"] == 3
+        assert after["ladder_misses"] - before["ladder_misses"] == 3
+        assert rows[-1] is rows[1]
+        assert rows[0] is cached_hypoexponential_sf(self.SET_A[0], self.GRID)
+
+    def test_two_threads_match_sequential(self):
+        seq_a = cached_hypoexponential_sf_many(self.SET_A, self.GRID)
+        seq_b = cached_hypoexponential_sf_many(self.SET_B, self.GRID)
+        seq_stats = phase_cache_stats()
+        clear_phase_caches()
+
+        results: dict = {}
+        barrier = threading.Barrier(2)
+
+        def worker(name, profiles):
+            barrier.wait()
+            results[name] = cached_hypoexponential_sf_many(profiles, self.GRID)
+
+        threads = [
+            threading.Thread(target=worker, args=("a", self.SET_A)),
+            threading.Thread(target=worker, args=("b", self.SET_B)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for seq, par in ((seq_a, results["a"]), (seq_b, results["b"])):
+            assert [r.tobytes() for r in par] == [r.tobytes() for r in seq]
+        assert phase_cache_stats() == seq_stats
+
+    def test_stress_shared_ladders_across_threads(self):
+        """More threads than cores extend the same ladders on grids of
+        different widths while others mix unlocked: every row must be
+        the uncached kernel's bytes, and no counter update is lost."""
+        profiles = self.SET_A + self.SET_B
+        grids = [np.linspace(0.0, top, 257) for top in (5.0, 20.0, 60.0)]
+        expected = {
+            (k, i): hypoexponential_sf(rates, grid).tobytes()
+            for k, grid in enumerate(grids)
+            for i, rates in enumerate(profiles)
+        }
+        n_threads, rounds = 6, 4
+        failures: list = []
+
+        def worker(offset):
+            try:
+                for r in range(rounds):
+                    k = (offset + r) % len(grids)
+                    order = profiles[offset:] + profiles[:offset]
+                    rows = cached_hypoexponential_sf_many(order, grids[k])
+                    for j, row in enumerate(rows):
+                        i = (offset + j) % len(profiles)
+                        if row.tobytes() != expected[(k, i)]:
+                            failures.append((offset, r, i))
+            except Exception as exc:  # surfaced by the assertion below
+                failures.append(exc)
+
+        clear_phase_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        stats = phase_cache_stats()
+        requested = n_threads * rounds * len(profiles)
+        assert stats["sf_hits"] + stats["sf_misses"] == requested
+        assert stats["ladder_entries"] == len(profiles)

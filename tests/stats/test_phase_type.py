@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.perf.reference import reference_poisson_mix_windows
 from repro.stats import (
     Erlang,
     Exponential,
@@ -14,9 +17,14 @@ from repro.stats import (
     hypoexponential_mean,
     hypoexponential_sf,
 )
+from repro.stats import phase_type
 from repro.stats.phase_type import (
     WeightLadder,
+    _mix_chunks,
+    _mix_terms,
+    _poisson_mix_windows,
     _sf_from_ladder,
+    _sf_from_ladders,
     _sf_rows_at,
     batch_weight_ladders,
 )
@@ -210,3 +218,130 @@ class TestSfRowsAt:
     def test_negative_t_is_all_ones(self):
         ladders = [WeightLadder((1.0, 2.0)), WeightLadder((3.0,))]
         assert np.array_equal(_sf_rows_at(ladders, -1.0), np.ones(2))
+
+
+def _greedy_chunks(lo, hi, budget):
+    """The seed planner's per-point loop, boundaries only."""
+    chunks, i, n = [], 0, len(lo)
+    while i < n:
+        lo_u, hi_u, j = int(lo[i]), int(hi[i]), i + 1
+        while j < n:
+            nl, nh = min(lo_u, int(lo[j])), max(hi_u, int(hi[j]))
+            if (nh - nl + 1) > 2 * int(hi[j] - lo[j] + 1) or (
+                nh - nl + 1
+            ) * (j - i + 1) > budget:
+                break
+            lo_u, hi_u, j = nl, nh, j + 1
+        chunks.append((i, j, lo_u, hi_u))
+        i = j
+    return chunks
+
+
+def _grid(kind: str, n: int, seed: int) -> np.ndarray:
+    """``qt`` grids of the shapes the planner must get right."""
+    rng = np.random.default_rng(seed)
+    if kind == "monotone":
+        return np.linspace(1e-3, 60.0, n)
+    if kind == "scrambled":
+        return rng.permutation(np.linspace(1e-3, 60.0, n))
+    if kind == "repeated":
+        return np.repeat(rng.uniform(0.1, 40.0, max(1, n // 4)), 4)[:n]
+    if kind == "single":
+        return np.array([rng.uniform(0.01, 80.0)])
+    # wide: qt spans four decades, so windows range from ~50 terms to
+    # ~2500 and the 2x-own-width cap closes chunks constantly.
+    return np.sort(10.0 ** rng.uniform(-2.0, 4.0, n))
+
+
+_KINDS = ("monotone", "scrambled", "repeated", "single", "wide")
+
+
+class TestSharedPoissonBlocks:
+    """The numpy chunk planner and the shared blocks must reproduce the
+    seed per-point kernel (:mod:`repro.perf.reference`) byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        max_width=st.integers(1, 400),
+        budget=st.integers(1, 20_000),
+        scrambled=st.booleans(),
+    )
+    def test_planner_matches_greedy_loop(
+        self, seed, n, max_width, budget, scrambled
+    ):
+        rng = np.random.default_rng(seed)
+        centers = np.cumsum(rng.integers(-3, 12, n)) + 500
+        if scrambled:
+            centers = rng.permutation(centers)
+        half = rng.integers(0, max_width, n)
+        lo = np.maximum(0, centers - half).astype(np.int64)
+        hi = (centers + half).astype(np.int64)
+        original = phase_type._MIX_CHUNK_ELEMENTS
+        phase_type._MIX_CHUNK_ELEMENTS = budget
+        try:
+            planned = _mix_chunks(lo, hi)
+        finally:
+            phase_type._MIX_CHUNK_ELEMENTS = original
+        assert planned == _greedy_chunks(lo, hi, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(_KINDS),
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from((1e-12, 1e-6, 1e-20)),
+        n_series=st.integers(1, 4),
+    )
+    def test_shared_blocks_byte_equal_reference(
+        self, kind, n, seed, tol, n_series
+    ):
+        qt = _grid(kind, n, seed)
+        rng = np.random.default_rng(seed)
+        n_terms = _mix_terms(float(qt.max()), tol)
+        weights = [rng.random(n_terms + 1) for _ in range(n_series)]
+        mixed = _poisson_mix_windows(qt, weights, tol=tol)
+        for row, w in zip(mixed, weights):
+            expected = reference_poisson_mix_windows(qt, w, tol=tol)
+            assert row.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("budget", [50, 5_000, 200_000])
+    def test_element_budget_cap_byte_equal_reference(self, monkeypatch, budget):
+        qt = np.linspace(0.5, 300.0, 257)
+        w = np.random.default_rng(budget).random(_mix_terms(300.0) + 1)
+        monkeypatch.setattr(phase_type, "_MIX_CHUNK_ELEMENTS", budget)
+        got = _poisson_mix_windows(qt, [w])[0]
+        assert got.tobytes() == reference_poisson_mix_windows(qt, w).tobytes()
+
+    def test_rows_byte_equal_single_ladder_calls(self):
+        # Two profiles share q = 3.0, one shares q = 2.0 with nobody,
+        # and one repeats a profile: grouping by q must not change a
+        # single byte of any row.
+        profiles = [
+            (3.0, 1.0, 1.0),
+            (3.0, 3.0),
+            (2.0, 0.5),
+            (1.0, 3.0, 0.25, 0.25),
+            (3.0, 1.0, 1.0),
+        ]
+        for t_arr in (
+            np.linspace(0.0, 40.0, 513),
+            np.array([-1.0, 0.0, 5e-324, 2.5, 0.7]),
+            np.random.default_rng(7).permutation(np.linspace(0, 25, 300)),
+            np.array([-2.0, -0.5]),
+        ):
+            rows = _sf_from_ladders([WeightLadder(p) for p in profiles], t_arr)
+            for profile, row in zip(profiles, rows):
+                alone = _sf_from_ladder(WeightLadder(profile), t_arr)
+                assert row.tobytes() == alone.tobytes()
+
+    def test_sf_matches_reference_kernel(self):
+        grid = np.linspace(0.0, 30.0, 2048)
+        ladder = WeightLadder((2.0, 0.7, 0.7))
+        sf = _sf_from_ladder(ladder, grid)
+        qt = ladder.q * grid[1:]
+        w = ladder.get(_mix_terms(float(qt.max())) + 1)
+        expected = np.clip(reference_poisson_mix_windows(qt, w), 0.0, 1.0)
+        assert sf[0] == 1.0
+        assert sf[1:].tobytes() == expected.tobytes()
