@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import fig2_experiment, format_series
+from repro.api import Fig2Spec, RunConfig, Session
+from repro.experiments import format_series
 from repro.workloads import PAPER_BUDGETS, repetition_workload
 
 CASES = "abcdef"
@@ -18,15 +19,16 @@ CASES = "abcdef"
 @pytest.mark.parametrize("case", CASES)
 def test_fig2_repetition_case(case, benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig2_experiment(
-            "repe",
-            case=case,
-            budgets=PAPER_BUDGETS,
-            n_tasks=100,
-            scoring="mc",
-            n_samples=1200,
-            seed=0,
-        ),
+        lambda: Session(RunConfig(seed=0)).run(
+            Fig2Spec(
+                scenario="repe",
+                case=case,
+                budgets=PAPER_BUDGETS,
+                n_tasks=100,
+                scoring="mc",
+                n_samples=1200,
+            )
+        ).payload,
         rounds=1,
         iterations=1,
     )

@@ -10,12 +10,15 @@ in a comparatively narrow band.
 
 from __future__ import annotations
 
-from repro.experiments import fig3_experiment, format_table
+from repro.api import Fig3Spec, RunConfig, Session
+from repro.experiments import format_table
 
 
 def test_fig3_worker_arrivals(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig3_experiment(n_arrivals=20, price=5, seed=0),
+        lambda: Session(RunConfig(seed=0)).run(
+            Fig3Spec(n_arrivals=20, price=5)
+        ).payload,
         rounds=1,
         iterations=1,
     )

@@ -15,19 +15,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import fig4_experiment, format_kv, format_table
+from repro.api import Fig4Spec, RunConfig, Session
+from repro.experiments import format_table
 from repro.inference import paper_amt_rates
 
 
 def test_fig4_reward_vs_latency(benchmark, report):
     # Average the inference over several independent traces to tame
     # single-trace noise (the paper reports one trace; same procedure).
+    def fig4(seed):
+        return Session(RunConfig(seed=seed)).run(Fig4Spec()).payload
+
     results = [
-        benchmark.pedantic(
-            lambda s=seed: fig4_experiment(seed=s), rounds=1, iterations=1
-        )
+        benchmark.pedantic(fig4, args=(seed,), rounds=1, iterations=1)
         if seed == 0
-        else fig4_experiment(seed=seed)
+        else fig4(seed)
         for seed in range(6)
     ]
     prices = results[0].prices

@@ -8,15 +8,18 @@ higher reward must be faster at every difficulty.
 
 from __future__ import annotations
 
-from repro.experiments import fig5ab_experiment, format_table
+from repro.api import Fig5abSpec, RunConfig, Session
+from repro.experiments import format_table
 
 
 def test_fig5a_difficulty_vs_phase1(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig5ab_experiment(
-            vote_counts=(4, 6, 8), prices=(5, 8), repetitions=10,
-            n_tasks=60, seed=0,
-        ),
+        lambda: Session(RunConfig(seed=0)).run(
+            Fig5abSpec(
+                vote_counts=(4, 6, 8), prices=(5, 8), repetitions=10,
+                n_tasks=60,
+            )
+        ).payload,
         rounds=1,
         iterations=1,
     )

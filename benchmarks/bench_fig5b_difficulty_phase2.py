@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import fig5ab_experiment, format_table
+from repro.api import Fig5abSpec, RunConfig, Session
+from repro.experiments import format_table
 
 
 def test_fig5b_difficulty_vs_phase2(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig5ab_experiment(
-            vote_counts=(4, 6, 8), prices=(5, 8), repetitions=10,
-            n_tasks=60, seed=0,
-        ),
+        lambda: Session(RunConfig(seed=0)).run(
+            Fig5abSpec(
+                vote_counts=(4, 6, 8), prices=(5, 8), repetitions=10,
+                n_tasks=60,
+            )
+        ).payload,
         rounds=1,
         iterations=1,
     )

@@ -11,14 +11,15 @@ worst type.
 
 from __future__ import annotations
 
-from repro.experiments import fig5c_experiment, format_table
+from repro.api import Fig5cSpec, RunConfig, Session
+from repro.experiments import format_table
 
 
 def test_fig5c_opt_vs_heuristic(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig5c_experiment(
-            budgets=(600, 700, 800, 900, 1000), n_samples=1000, seed=0
-        ),
+        lambda: Session(RunConfig(seed=0)).run(
+            Fig5cSpec(budgets=(600, 700, 800, 900, 1000), n_samples=1000)
+        ).payload,
         rounds=1,
         iterations=1,
     )

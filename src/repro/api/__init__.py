@@ -15,9 +15,8 @@ objects:
   ``run(spec)`` → :class:`~repro.api.session.RunResult` and
   ``run_many(specs)`` for batched submission against shared tables.
 
-The legacy ``repro.experiments`` functions are byte-identical wrappers
-over this layer, and the CLI (``repro run <experiment> --param k=v``)
-is a thin shell over the registry.  See ``docs/api.md``.
+The CLI (``repro run <experiment> --param k=v`` and its per-figure
+aliases) is a thin shell over the registry.  See ``docs/api.md``.
 """
 
 from .config import RECORDER_POLICIES, ResolvedRunConfig, RunConfig, fingerprint

@@ -11,8 +11,7 @@ frozen, serializable object:
   :class:`~repro.perf.engine.EvaluationEngine` instance, or ``None``
   for the default).  Experiments whose historical ``engine=None``
   means "the seed aggregate path" (Fig. 4 / Fig. 5ab) read the raw
-  field, so wrapping a legacy call in a config never changes its
-  output.
+  field, so ``None`` and ``"aggregate"`` give the seed figures.
 * **comparator** — deadline comparator (name, callable, or ``None``).
 * **recorder** — trace policy: ``None`` (each experiment's own
   default), ``"trace"`` (full per-replication traces), or ``"null"``

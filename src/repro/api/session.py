@@ -80,8 +80,8 @@ def _key(key: Any) -> str:
 class RunResult:
     """A finished run: the spec/config that produced it + its payload.
 
-    ``payload`` is exactly the object the corresponding legacy
-    experiment function returns.  ``fingerprint`` is the run's address
+    ``payload`` is exactly the object the spec's ``run`` returns.
+    ``fingerprint`` is the run's address
     — a digest of the serialized ``(spec, config)`` pair, the key a
     cache or result store would file this result under.  Computing it
     requires the config to be serializable (integer seed, named
@@ -316,7 +316,7 @@ class Session:
         *spec* may be an :class:`ExperimentSpec`, its ``to_dict``
         document, or a bare registered experiment name (default
         params).  Returns a :class:`RunResult` whose payload is
-        byte-identical to the corresponding legacy function call.
+        byte-identical however the spec was given.
 
         ``store`` (a :class:`~repro.store.ResultStore` or a directory
         path) memoizes the run by fingerprint: a verified stored entry

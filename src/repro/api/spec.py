@@ -138,8 +138,8 @@ class ExperimentSpec:
     class-level ``name`` (the registry address) and implement
     :meth:`run`, which receives the owning
     :class:`~repro.api.session.Session` and returns the experiment's
-    payload — the exact object the legacy ``*_experiment`` function
-    returned, byte for byte.
+    payload (for the paper's figures, the result object of the
+    matching ``repro.experiments.figures._run_*`` implementation).
     """
 
     #: Registry address; subclasses must set it.

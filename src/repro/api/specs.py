@@ -3,9 +3,10 @@
 One frozen dataclass per experiment; each ``run`` delegates to the
 implementation in :mod:`repro.experiments` (imported lazily — the api
 layer stays import-light and cycle-free) with execution strategy taken
-from the session's :class:`~repro.api.config.RunConfig`.  The legacy
-``fig*_experiment`` functions are thin wrappers over these specs, so a
-spec run and a legacy call are byte-identical by construction.
+from the session's :class:`~repro.api.config.RunConfig`.  These specs
+are the only way to a figure's numbers: the service, ``repro run``,
+``run-many`` and the per-figure CLI aliases all build one and call
+:meth:`~repro.api.session.Session.run`.
 
 Field values are normalized on construction (sequences → int/float
 tuples) so that equality survives a JSON round-trip:

@@ -7,7 +7,7 @@ Usage::
     python -m repro run deadline-frontier --param confidences=[0.8,0.9]
     python -m repro serve --port 8765 --store ./results  # live service
 
-    python -m repro list                 # legacy command names
+    python -m repro list                 # the per-figure aliases
     python -m repro table1               # motivation examples
     python -m repro fig2 --scenario homo --case a
     python -m repro fig3 | fig4 | fig5ab | fig5c
@@ -21,8 +21,11 @@ batched ``run_many`` submission takes.  The generic ``run`` command
 reaches any registered experiment by name with ``--param k=v`` pairs
 (values parsed as JSON, falling back to strings); ``--json`` prints
 the full :class:`~repro.api.session.RunResult` document (spec, config,
-fingerprint, payload).  The legacy per-figure commands are kept as
-ergonomic shorthands and print the same rows the figures plot.
+fingerprint, payload).  The per-figure commands are aliases of
+``run``: their flags are spec parameters under their historical names
+(``--tasks`` is ``n_tasks``), and a renderer prints the rows the
+figure plots.  Every command exits 2 for a user error (bad name,
+parameter or config) and 3 when the run itself fails.
 """
 
 from __future__ import annotations
@@ -30,31 +33,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
 from .api import (
-    DeadlineFrontierSpec,
-    Fig2Spec,
-    Fig3Spec,
-    Fig4Spec,
-    Fig5abSpec,
-    Fig5cSpec,
+    ExperimentSpec,
     RunConfig,
     Session,
-    Table1Spec,
     available_experiments,
     get_experiment,
     make_spec,
 )
 from .errors import ModelError, RegistryError, ReproError
 from .experiments.reporting import format_kv, format_series, format_table
-from .workloads import PAPER_BUDGETS
 
 __all__ = ["main", "USER_ERROR_EXIT", "EXECUTION_ERROR_EXIT"]
 
-#: ``repro run`` exit codes: 2 = user error (bad experiment name,
-#: parameter, or config), 3 = execution failure (the run itself died).
-#: Legacy commands keep the historical blanket exit 1.
+#: CLI exit codes: 2 = user error (bad experiment name, parameter, or
+#: config), 3 = execution failure (the run itself died).
 USER_ERROR_EXIT = 2
 EXECUTION_ERROR_EXIT = 3
 
@@ -80,6 +74,24 @@ def _parse_params(pairs: list[str]) -> dict:
             value = raw
         params[key] = value
     return params
+
+
+def _parse_faults(text: str | None):
+    """``--faults`` → a registered plan name or an inline JSON plan.
+
+    The plan is resolved here, so an unknown name is a user error
+    raised before anything runs.
+    """
+    if not text:
+        return None
+    try:
+        faults = json.loads(text)
+    except json.JSONDecodeError:
+        faults = text  # a registered plan name
+    from .resilience.faults import resolve_fault_plan
+
+    resolve_fault_plan(faults)
+    return faults
 
 
 def _cmd_experiments(args: argparse.Namespace) -> None:
@@ -123,17 +135,24 @@ def _fail(
     raise SystemExit(exit_code)
 
 
+def _execute(args: argparse.Namespace, spec, config, store=None):
+    """``Session(config).run(spec)`` under the CLI exit contract."""
+    try:
+        return Session(config).run(spec, store=store)
+    except ReproError as exc:
+        # An engine/comparator name only resolves when the run starts;
+        # a miss is still the caller's typo, not an execution failure.
+        exit_code = (
+            USER_ERROR_EXIT
+            if isinstance(exc, RegistryError)
+            else EXECUTION_ERROR_EXIT
+        )
+        _fail(args, exc, exit_code, spec=spec, config=config)
+
+
 def _cmd_run(args: argparse.Namespace) -> None:
     try:
-        faults = None
-        if args.faults:
-            try:
-                faults = json.loads(args.faults)
-            except json.JSONDecodeError:
-                faults = args.faults  # a registered plan name
-            from .resilience.faults import resolve_fault_plan
-
-            resolve_fault_plan(faults)  # unknown names are user errors
+        faults = _parse_faults(args.faults)
         spec = make_spec(args.experiment, **_parse_params(args.param))
         config = RunConfig(
             engine=args.engine,
@@ -144,17 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         )
     except ReproError as exc:
         _fail(args, exc, USER_ERROR_EXIT)
-    try:
-        result = Session(config).run(spec, store=args.store)
-    except ReproError as exc:
-        # An engine/comparator name only resolves when the run starts;
-        # a miss is still the caller's typo, not an execution failure.
-        exit_code = (
-            USER_ERROR_EXIT
-            if isinstance(exc, RegistryError)
-            else EXECUTION_ERROR_EXIT
-        )
-        _fail(args, exc, exit_code, spec=spec, config=config)
+    result = _execute(args, spec, config, store=args.store)
     if args.json:
         print(result.to_json(indent=2, include_timing=True))
         return
@@ -172,15 +181,7 @@ def _cmd_run_many(args: argparse.Namespace) -> None:
     names, params, executor), 3 when any spec's execution failed.
     """
     try:
-        faults = None
-        if args.faults:
-            try:
-                faults = json.loads(args.faults)
-            except json.JSONDecodeError:
-                faults = args.faults
-            from .resilience.faults import resolve_fault_plan
-
-            resolve_fault_plan(faults)  # unknown names are user errors
+        faults = _parse_faults(args.faults)
         executor = args.executor
         if executor is not None:
             from .exec import ProcessExecutor, get_executor
@@ -192,7 +193,7 @@ def _cmd_run_many(args: argparse.Namespace) -> None:
         specs = []
         for entry in args.experiment:
             if entry.lstrip().startswith("{"):
-                specs.append(json.loads(entry))
+                specs.append(ExperimentSpec.from_dict(json.loads(entry)))
             else:
                 specs.append(make_spec(entry))
         config = RunConfig(
@@ -256,6 +257,20 @@ def _cmd_run_many(args: argparse.Namespace) -> None:
         raise SystemExit(EXECUTION_ERROR_EXIT)
 
 
+def _inspect_entry(args: argparse.Namespace, store, fingerprint: str) -> dict:
+    """One stored entry document: exit 2 if absent, 3 if corrupt."""
+    try:
+        code, message, entry = store.inspect(fingerprint)
+    except ReproError as exc:
+        _fail(args, exc, USER_ERROR_EXIT)
+    if code is not None:
+        from .errors import StoreCorruptError
+
+        exc = StoreCorruptError(f"entry {fingerprint}: {message}")
+        _fail(args, exc, EXECUTION_ERROR_EXIT)
+    return entry
+
+
 def _cmd_results(args: argparse.Namespace) -> None:
     """Inspect a persistent result store (see ``repro.store``).
 
@@ -284,28 +299,12 @@ def _cmd_results(args: argparse.Namespace) -> None:
         return
 
     if args.show is not None:
-        try:
-            code, message, entry = store.inspect(args.show)
-        except ReproError as exc:
-            _fail(args, exc, USER_ERROR_EXIT)
-        if code is not None:
-            from .errors import StoreCorruptError
-
-            exc = StoreCorruptError(f"entry {args.show}: {message}")
-            _fail(args, exc, EXECUTION_ERROR_EXIT)
+        entry = _inspect_entry(args, store, args.show)
         print(json.dumps(entry, indent=2, sort_keys=True))
         return
 
     if args.replay is not None:
-        try:
-            code, message, entry = store.inspect(args.replay)
-        except ReproError as exc:
-            _fail(args, exc, USER_ERROR_EXIT)
-        if code is not None:
-            from .errors import StoreCorruptError
-
-            exc = StoreCorruptError(f"entry {args.replay}: {message}")
-            _fail(args, exc, EXECUTION_ERROR_EXIT)
+        entry = _inspect_entry(args, store, args.replay)
         from .api.session import RunResult
 
         stored = RunResult.from_document(entry["result"])
@@ -360,167 +359,172 @@ def _cmd_results(args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# legacy per-figure commands (ergonomic shorthands over the same path)
+# per-figure aliases of `run`: flags are spec params, output is a renderer
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table1(args: argparse.Namespace) -> None:
-    payload = Session(RunConfig(seed=args.seed)).run(Table1Spec()).payload
-    ex1 = payload["example_1"]
-    ex2 = payload["example_2"]
-    print(
-        format_kv(
-            {
-                "even ($3/$3)": ex1.even_latency,
-                "load-sensitive ($2/$4)": ex1.load_sensitive_latency,
-                "improvement": f"{ex1.improvement:.1%}",
+def _cmd_alias(args: argparse.Namespace) -> None:
+    """Run ``args.experiment`` from the alias's flags and print
+    ``args.render(result)``.
+
+    Every namespace key that names a spec parameter becomes one (each
+    alias flag declares ``dest=<param>``); ``--seed`` plus whichever
+    of ``engine``/``comparator``/``replications`` the alias declares
+    make the config.  Errors follow ``run``'s exit contract.
+    """
+    flags = vars(args)
+    try:
+        params = get_experiment(args.experiment).describe()
+        spec = make_spec(
+            args.experiment,
+            **{name: flags[name] for name in params if name in flags},
+        )
+        config = RunConfig(
+            seed=args.seed,
+            **{
+                key: flags[key]
+                for key in ("engine", "comparator", "replications")
+                if key in flags
             },
-            title="Motivation Example 1",
         )
-    )
-    print()
-    print(
-        format_kv(
-            {
-                "even ($3/$3)": ex2.even_latency,
-                "balanced ($4/$2)": ex2.load_sensitive_latency,
-                "improvement": f"{ex2.improvement:.1%}",
-            },
-            title="Motivation Example 2",
-        )
+    except ReproError as exc:
+        _fail(args, exc, USER_ERROR_EXIT)
+    print(args.render(_execute(args, spec, config)))
+
+
+def _render_table1(result) -> str:
+    ex1 = result.payload["example_1"]
+    ex2 = result.payload["example_2"]
+    return "\n\n".join(
+        [
+            format_kv(
+                {
+                    "even ($3/$3)": ex1.even_latency,
+                    "load-sensitive ($2/$4)": ex1.load_sensitive_latency,
+                    "improvement": f"{ex1.improvement:.1%}",
+                },
+                title="Motivation Example 1",
+            ),
+            format_kv(
+                {
+                    "even ($3/$3)": ex2.even_latency,
+                    "balanced ($4/$2)": ex2.load_sensitive_latency,
+                    "improvement": f"{ex2.improvement:.1%}",
+                },
+                title="Motivation Example 2",
+            ),
+        ]
     )
 
 
-def _cmd_fig2(args: argparse.Namespace) -> None:
-    spec = Fig2Spec(
-        scenario=args.scenario,
-        case=args.case,
-        budgets=PAPER_BUDGETS,
-        n_tasks=args.tasks,
-        scoring=args.scoring,
-        n_samples=args.samples,
-    )
-    config = RunConfig(seed=args.seed, engine=args.engine)
-    result = Session(config).run(spec).payload
-    print(
-        format_series(
-            "budget",
-            result.budgets,
-            result.series,
-            title=f"Fig 2 {args.scenario}({args.case})",
-        )
+def _render_fig2(result) -> str:
+    spec, sweep = result.spec, result.payload
+    return format_series(
+        "budget",
+        sweep.budgets,
+        sweep.series,
+        title=f"Fig 2 {spec.scenario}({spec.case})",
     )
 
 
-def _cmd_fig3(args: argparse.Namespace) -> None:
-    config = RunConfig(
-        seed=args.seed, replications=args.replications, engine=args.engine
-    )
-    result = Session(config).run(Fig3Spec(n_arrivals=args.arrivals)).payload
+def _render_fig3(result) -> str:
+    fig = result.payload
     rows = [
         (i + 1, e / 60.0, p1 / 60.0, p2 / 60.0)
         for i, (e, p1, p2) in enumerate(
             zip(
-                result.arrival_epochs,
-                result.phase1_latencies,
-                result.phase2_latencies,
+                fig.arrival_epochs,
+                fig.phase1_latencies,
+                fig.phase2_latencies,
             )
         )
     ]
-    print(
-        format_table(
-            ["order", "epoch/min", "phase1/min", "phase2/min"],
-            rows,
-            title=f"Fig 3 (R² = {result.linearity_r2:.3f})",
-        )
+    return format_table(
+        ["order", "epoch/min", "phase1/min", "phase2/min"],
+        rows,
+        title=f"Fig 3 (R² = {fig.linearity_r2:.3f})",
     )
 
 
-def _cmd_fig4(args: argparse.Namespace) -> None:
-    config = RunConfig(
-        seed=args.seed, replications=args.replications, engine=args.engine
-    )
-    result = Session(config).run(Fig4Spec()).payload
+def _render_fig4(result) -> str:
+    fig = result.payload
     rows = [
-        (f"${p / 100:.2f}", result.inferred_rates[p])
-        for p in result.prices
+        (f"${p / 100:.2f}", fig.inferred_rates[p])
+        for p in fig.prices
     ]
-    print(
-        format_table(
-            ["reward", "inferred rate"],
-            rows,
-            title=f"Fig 4 (fit slope {result.fit.slope:.2e}, "
-            f"R² {result.fit.r_squared:.2f})",
-        )
+    return format_table(
+        ["reward", "inferred rate"],
+        rows,
+        title=f"Fig 4 (fit slope {fig.fit.slope:.2e}, "
+        f"R² {fig.fit.r_squared:.2f})",
     )
 
 
-def _cmd_fig5ab(args: argparse.Namespace) -> None:
-    config = RunConfig(
-        seed=args.seed, replications=args.replications, engine=args.engine
-    )
-    result = Session(config).run(Fig5abSpec()).payload
+def _render_fig5ab(result) -> str:
+    fig = result.payload
     rows = []
-    for votes in result.vote_counts:
-        for price in result.prices:
+    for votes in fig.vote_counts:
+        for price in fig.prices:
             rows.append(
                 (
                     f"{votes}v",
                     f"${price / 100:.2f}",
-                    result.mean_phase1[(votes, price)] / 60.0,
-                    result.mean_phase2[(votes, price)],
+                    fig.mean_phase1[(votes, price)] / 60.0,
+                    fig.mean_phase2[(votes, price)],
                 )
             )
-    print(
-        format_table(
-            ["difficulty", "reward", "phase1/min", "phase2/s"],
-            rows,
-            title="Fig 5(a)/(b)",
-        )
+    return format_table(
+        ["difficulty", "reward", "phase1/min", "phase2/s"],
+        rows,
+        title="Fig 5(a)/(b)",
     )
 
 
-def _cmd_fig5c(args: argparse.Namespace) -> None:
-    result = Session(RunConfig(seed=args.seed)).run(Fig5cSpec()).payload
+def _render_fig5c(result) -> str:
+    fig = result.payload
     rows = []
-    for bi, budget in enumerate(result.budgets):
+    for bi, budget in enumerate(fig.budgets):
         rows.append(
             (
                 f"${budget / 100:.0f}",
-                *(result.series[("opt", t)][bi] / 60.0 for t in range(3)),
-                *(result.series[("heu", t)][bi] / 60.0 for t in range(3)),
+                *(fig.series[("opt", t)][bi] / 60.0 for t in range(3)),
+                *(fig.series[("heu", t)][bi] / 60.0 for t in range(3)),
             )
         )
-    print(
-        format_table(
-            ["budget", "OPT t1", "OPT t2", "OPT t3", "HEU t1", "HEU t2",
-             "HEU t3"],
-            rows,
-            title="Fig 5(c) — latencies in minutes",
-        )
+    return format_table(
+        ["budget", "OPT t1", "OPT t2", "OPT t3", "HEU t1", "HEU t2",
+         "HEU t3"],
+        rows,
+        title="Fig 5(c) — latencies in minutes",
     )
 
 
-def _cmd_deadline(args: argparse.Namespace) -> None:
-    spec = DeadlineFrontierSpec(
-        scenario=args.scenario,
-        case=args.case,
-        n_tasks=args.tasks,
-        n_deadlines=args.points,
-        confidences=args.confidence,
-        max_price=args.max_price,
+def _render_deadline(result) -> str:
+    spec, sweep = result.spec, result.payload
+    return format_series(
+        "deadline",
+        [round(d, 4) for d in sweep.deadlines],
+        sweep.series,
+        title=f"Deadline–cost frontier {spec.scenario}({spec.case}) "
+        f"[{sweep.comparator}]",
     )
-    config = RunConfig(comparator=args.comparator)
-    result = Session(config).run(spec).payload
-    print(
-        format_series(
-            "deadline",
-            [round(d, 4) for d in result.deadlines],
-            result.series,
-            title=f"Deadline–cost frontier {args.scenario}({args.case}) "
-            f"[{result.comparator}]",
-        )
-    )
+
+
+def _cmd_all(args: argparse.Namespace) -> None:
+    """The paper's figures at their defaults, through their aliases;
+    Fig. 2 once per scenario (``deadline`` is an extension)."""
+    figures = ("table1", "fig3", "fig4", "fig5ab", "fig5c")
+    runs = [(name, [name]) for name in figures]
+    runs += [
+        (f"fig2 {scenario}(a)", ["fig2", "--scenario", scenario])
+        for scenario in ("homo", "repe", "heter")
+    ]
+    parser = build_parser()
+    for title, argv in runs:
+        print(f"===== {title} =====")
+        alias = parser.parse_args(["--seed", str(args.seed), *argv])
+        alias.func(alias)
+        print()
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -537,15 +541,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     from .serve import DEFAULT_MARKET_BUDGET, ReproService, serve_forever
 
     try:
-        faults = None
-        if args.faults:
-            try:
-                faults = json.loads(args.faults)
-            except json.JSONDecodeError:
-                faults = args.faults  # a registered plan name
-            from .resilience.faults import resolve_fault_plan
-
-            resolve_fault_plan(faults)  # unknown names are user errors
+        faults = _parse_faults(args.faults)
         market_budget = (
             DEFAULT_MARKET_BUDGET
             if args.market_budget is None
@@ -568,22 +564,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         service.close()
 
 
-_COMMANDS: dict[str, Callable[[argparse.Namespace], None]] = {
-    "table1": _cmd_table1,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig5ab": _cmd_fig5ab,
-    "fig5c": _cmd_fig5c,
-    "deadline": _cmd_deadline,
-    "run": _cmd_run,
-    "run-many": _cmd_run_many,
-    "results": _cmd_results,
-    "experiments": _cmd_experiments,
-    "serve": _cmd_serve,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -592,8 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available experiments")
-    sub.add_parser("all", help="run every experiment")
+    listing = sub.add_parser("list", help="list the per-figure commands")
+    sub.add_parser("all", help="run every experiment").set_defaults(
+        func=_cmd_all
+    )
 
     from .perf.deadline import (
         DEFAULT_DEADLINE_COMPARATOR,
@@ -608,6 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument(
         "--json", action="store_true", help="machine-readable schema dump"
     )
+    experiments.set_defaults(func=_cmd_experiments)
     run = sub.add_parser(
         "run",
         help="run any registered experiment by name "
@@ -670,6 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "structured error document (exit 2 = bad spec/param, exit 3 = "
         "execution failure)",
     )
+    run.set_defaults(func=_cmd_run)
 
     from .exec import available_executors
 
@@ -761,6 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the BatchReport document including supervisor "
         "events and the store tally",
     )
+    run_many.set_defaults(func=_cmd_run_many)
 
     results = sub.add_parser(
         "results",
@@ -798,6 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="machine-readable output",
     )
+    results.set_defaults(func=_cmd_results)
 
     serve = sub.add_parser(
         "serve",
@@ -850,15 +836,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="total ledger units for the online market (default "
         "100000)",
     )
+    serve.set_defaults(func=_cmd_serve)
 
-    sub.add_parser("table1", help="motivation examples (Table 1 / Fig 1)")
-    fig2 = sub.add_parser("fig2", help="synthetic budget sweeps")
+    def alias(name, experiment, render, **kwargs):
+        command = sub.add_parser(name, **kwargs)
+        command.set_defaults(
+            experiment=experiment, render=render, func=_cmd_alias
+        )
+        return command
+
+    alias(
+        "table1", "table1", _render_table1,
+        help="motivation examples (Table 1 / Fig 1)",
+    )
+    fig2 = alias("fig2", "fig2", _render_fig2, help="synthetic budget sweeps")
     fig2.add_argument(
         "--scenario", choices=["homo", "repe", "heter"], default="homo"
     )
     fig2.add_argument("--case", choices=list("abcdef"), default="a")
-    fig2.add_argument("--tasks", type=int, default=100)
-    fig2.add_argument("--samples", type=int, default=1000)
+    fig2.add_argument("--tasks", dest="n_tasks", type=int, default=100)
+    fig2.add_argument("--samples", dest="n_samples", type=int, default=1000)
     fig2.add_argument(
         "--scoring", choices=["mc", "numeric"], default="mc"
     )
@@ -870,18 +867,21 @@ def build_parser() -> argparse.ArgumentParser:
         "repro.perf.engine registry; all engines produce the same "
         "curves seed-for-seed — they differ in speed and memory)",
     )
-    deadline = sub.add_parser(
-        "deadline",
+    deadline = alias(
+        "deadline", "deadline-frontier", _render_deadline,
         help="deadline–cost frontier (the [29] dual sweep)",
     )
     deadline.add_argument(
         "--scenario", choices=["homo", "repe", "heter"], default="repe"
     )
     deadline.add_argument("--case", choices=list("abcdef"), default="a")
-    deadline.add_argument("--tasks", type=int, default=100)
-    deadline.add_argument("--points", type=int, default=10)
+    deadline.add_argument("--tasks", dest="n_tasks", type=int, default=100)
+    deadline.add_argument(
+        "--points", dest="n_deadlines", type=int, default=10
+    )
     deadline.add_argument(
         "--confidence",
+        dest="confidences",
         type=float,
         nargs="+",
         default=[0.9],
@@ -896,8 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the repro.perf.deadline registry; all comparators produce "
         "identical curves — 'batched' shares kernels across the grid)",
     )
-    fig3 = sub.add_parser("fig3", help="worker arrival moments")
-    fig3.add_argument("--arrivals", type=int, default=20)
+    fig3 = alias("fig3", "fig3", _render_fig3, help="worker arrival moments")
+    fig3.add_argument("--arrivals", dest="n_arrivals", type=int, default=20)
     fig3.add_argument(
         "--replications",
         type=int,
@@ -912,8 +912,10 @@ def build_parser() -> argparse.ArgumentParser:
         "all replications in lock-step — figures are byte-identical "
         "for every engine)",
     )
-    fig4 = sub.add_parser("fig4", help="reward vs latency")
-    fig5ab = sub.add_parser("fig5ab", help="difficulty vs latency")
+    fig4 = alias("fig4", "fig4", _render_fig4, help="reward vs latency")
+    fig5ab = alias(
+        "fig5ab", "fig5ab", _render_fig5ab, help="difficulty vs latency"
+    )
     for agent_figure in (fig4, fig5ab):
         agent_figure.add_argument(
             "--replications",
@@ -930,41 +932,19 @@ def build_parser() -> argparse.ArgumentParser:
             "replication-engine name to run the cells on the agent "
             "market ('agent-batch' = lock-step)",
         )
-    sub.add_parser("fig5c", help="OPT vs heuristic")
+    alias("fig5c", "fig5c", _render_fig5c, help="OPT vs heuristic")
+
+    aliases = sorted(
+        name for name, command in sub.choices.items()
+        if command.get_default("render") is not None
+    )
+    listing.set_defaults(func=lambda args: print("\n".join(aliases)))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        for name in sorted(
-            set(_COMMANDS) - {"run", "run-many", "results", "experiments"}
-        ):
-            print(name)
-        return 0
-    if args.command == "all":
-        defaults = build_parser()
-        for name in ("table1", "fig3", "fig4", "fig5ab", "fig5c"):
-            print(f"===== {name} =====")
-            _COMMANDS[name](defaults.parse_args(["--seed", str(args.seed), name]))
-            print()
-        for scenario in ("homo", "repe", "heter"):
-            print(f"===== fig2 {scenario}(a) =====")
-            _COMMANDS["fig2"](
-                defaults.parse_args(
-                    ["--seed", str(args.seed), "fig2", "--scenario", scenario]
-                )
-            )
-            print()
-        return 0
-    try:
-        _COMMANDS[args.command](args)
-    except ReproError as exc:
-        # Registry/param mistakes surface as clean CLI errors, not
-        # tracebacks (unknown experiment names are caught earlier with
-        # the available list).
-        raise SystemExit(f"error: {exc}")
+    args = build_parser().parse_args(argv)
+    args.func(args)
     return 0
 
 

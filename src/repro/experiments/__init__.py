@@ -7,12 +7,6 @@ from .figures import (
     Fig5abResult,
     Fig5cResult,
     MotivationResult,
-    deadline_frontier_experiment,
-    fig2_experiment,
-    fig3_experiment,
-    fig4_experiment,
-    fig5ab_experiment,
-    fig5c_experiment,
     motivation_example_1,
     motivation_example_2,
 )
@@ -49,14 +43,8 @@ __all__ = [
     "MotivationResult",
     "SweepResult",
     "deadline_cost_frontier",
-    "deadline_frontier_experiment",
     "evaluate_allocation",
     "evaluate_allocation_with_ci",
-    "fig2_experiment",
-    "fig3_experiment",
-    "fig4_experiment",
-    "fig5ab_experiment",
-    "fig5c_experiment",
     "budget_latency_frontier",
     "format_kv",
     "format_series",

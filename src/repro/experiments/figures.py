@@ -1,70 +1,51 @@
 """Per-figure experiment definitions (paper §1 + §5).
 
-Each ``fig*_experiment`` function regenerates the data behind one
-table/figure of the paper and returns a small result object the
-benchmark harness prints.  The module is deliberately free of plotting
-— the *numbers* are the reproduction; see EXPERIMENTS.md for the
-paper-vs-measured comparison.
-
-Since the :mod:`repro.api` redesign the public functions are thin,
-byte-identical wrappers: each builds the experiment's registered
-:class:`~repro.api.spec.ExperimentSpec` plus a
-:class:`~repro.api.config.RunConfig` from its keyword arguments and
-executes through :meth:`repro.api.Session.run`.  The implementations
-(`_run_fig2`, `_run_fig3`, ...) take ``(spec, config)`` and are what
-the specs dispatch to — one code path whether a figure is requested by
-keyword call, serialized spec, CLI name, or batched session
-submission.
+Each ``_run_<figure>(spec, config)`` regenerates the data behind one
+table/figure of the paper and returns a small result object.  They are
+what the registered :mod:`repro.api` specs dispatch to, so every way of
+asking for a figure — ``Session.run(Fig2Spec(...))``, a serialized
+spec, ``repro run fig2`` or the ``repro fig2`` alias, a batched
+``run_many`` submission, ``POST /runs`` — takes this one code path.
+The module is deliberately free of plotting — the *numbers* are the
+reproduction; see EXPERIMENTS.md for the paper-vs-measured comparison.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.latency import sample_job_latencies, simulate_job_latency
-from ..core.problem import Allocation, HTuningProblem, TaskSpec
+from ..core.latency import simulate_job_latency
+from ..core.problem import Allocation, TaskSpec
 from ..core.tuner import STRATEGIES
 from ..errors import ModelError
 from ..inference.linearity import LinearityFit, fit_linearity
 from ..inference.mle import estimate_rate_fixed_period
-from ..market.pricing import LinearPricing, PricingModel
-from ..market.simulator import AtomicTaskOrder, AgentSimulator, MarketModel
-from ..market.task import TaskType
+from ..market.pricing import LinearPricing
+from ..market.simulator import AtomicTaskOrder, AgentSimulator
 from ..market.trace import TraceRecorder
-from ..market.worker import WorkerPool
 from ..stats.distributions import Erlang, Exponential, MaximumOf, SumOf
 from ..stats.order_statistics import expected_maximum_generic
-from ..stats.rng import RandomState, ensure_rng, replication_seeds
+from ..stats.rng import ensure_rng, replication_seeds
 from ..workloads.amt import (
-    AMT_VOTE_PROCESSING_SECONDS,
     amt_market,
     amt_pricing_model,
     amt_task_type,
     amt_worker_pool,
 )
 from ..workloads.families import ProblemFamily, scenario_family
-from ..workloads.scenarios import PAPER_BUDGETS
 from .runner import DeadlineSweepResult, SweepResult, run_budget_sweep
 
 __all__ = [
     "motivation_example_1",
     "motivation_example_2",
     "MotivationResult",
-    "fig2_experiment",
     "FIG2_STRATEGIES",
-    "fig3_experiment",
     "Fig3Result",
-    "fig4_experiment",
     "Fig4Result",
-    "fig5ab_experiment",
     "Fig5abResult",
-    "fig5c_experiment",
     "Fig5cResult",
-    "deadline_frontier_experiment",
 ]
 
 
@@ -174,45 +155,15 @@ FIG2_STRATEGIES: dict[str, tuple[str, ...]] = {
     "heter": ("ha", "te", "re"),
 }
 
-def fig2_experiment(
-    scenario: str,
-    case: str,
-    budgets: Sequence[int] = PAPER_BUDGETS,
-    n_tasks: int = 100,
-    scoring: str = "mc",
-    n_samples: int = 1500,
-    seed: RandomState = 0,
-    engine=None,
-) -> SweepResult:
-    """One Fig. 2 subplot: a (scenario, pricing-case) budget sweep.
-
-    ``scenario`` in {'homo', 'repe', 'heter'}, ``case`` in 'a'..'f'.
-    The sweep runs over one :class:`ProblemFamily` — specs and groups
-    are built once and the DP strategies tune every budget in a single
-    pass — with curves byte-identical to the historical per-budget
-    rebuild.  ``engine`` picks the Monte-Carlo sampler (a registered
-    name such as ``"batch"`` or ``"chunked-batch"``, or an
-    :class:`~repro.perf.engine.EvaluationEngine`; the curves are
-    identical seed-for-seed whichever engine runs).
-
-    A byte-identical wrapper over ``Session.run(Fig2Spec(...))``.
-    """
-    from ..api import Fig2Spec, RunConfig, Session
-
-    return Session(RunConfig(seed=seed, engine=engine)).run(
-        Fig2Spec(
-            scenario=scenario,
-            case=case,
-            budgets=budgets,
-            n_tasks=n_tasks,
-            scoring=scoring,
-            n_samples=n_samples,
-        )
-    ).payload
-
 
 def _run_fig2(spec, config) -> SweepResult:
-    """Implementation behind :class:`repro.api.Fig2Spec`."""
+    """Implementation behind :class:`repro.api.Fig2Spec`.
+
+    The sweep runs over one :class:`ProblemFamily`: specs and groups
+    are built once and the DP strategies tune every budget in a single
+    pass.  ``config.engine`` picks the Monte-Carlo sampler; the curves
+    are identical seed-for-seed whichever engine runs.
+    """
     family = scenario_family(
         spec.scenario, case=spec.case, n_tasks=spec.n_tasks
     )
@@ -233,47 +184,15 @@ def _run_fig2(spec, config) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def deadline_frontier_experiment(
-    scenario: str = "repe",
-    case: str = "a",
-    n_tasks: int = 100,
-    n_deadlines: int = 10,
-    confidences: Sequence[float] = (0.9,),
-    max_price: int = 50,
-    deadlines: Optional[Sequence[float]] = None,
-    comparator=None,
-) -> DeadlineSweepResult:
-    """Deadline–cost curves on a Fig. 2 workload (the [29] dual).
-
-    Where Fig. 2 fixes budgets and plots tuned latency, this sweep
-    fixes deadlines and plots the cheapest spend meeting each at the
-    target confidence(s).  When *deadlines* is omitted the grid spans
-    the workload's own latency range: from the quantile achievable at
-    a generous uniform price (tight end) to the quantile at the
-    one-unit floor (loose end), so every scenario/case lands on its
-    interesting region automatically.  ``comparator`` resolves through
-    the deadline-comparator registry exactly as engine strings do.
-
-    A byte-identical wrapper over
-    ``Session.run(DeadlineFrontierSpec(...))``.
-    """
-    from ..api import DeadlineFrontierSpec, RunConfig, Session
-
-    return Session(RunConfig(comparator=comparator)).run(
-        DeadlineFrontierSpec(
-            scenario=scenario,
-            case=case,
-            n_tasks=n_tasks,
-            n_deadlines=n_deadlines,
-            confidences=confidences,
-            max_price=max_price,
-            deadlines=None if deadlines is None else tuple(deadlines),
-        )
-    ).payload
-
-
 def _run_deadline_frontier(spec, config) -> DeadlineSweepResult:
-    """Implementation behind :class:`repro.api.DeadlineFrontierSpec`."""
+    """Implementation behind :class:`repro.api.DeadlineFrontierSpec`.
+
+    Fixes deadlines and finds the cheapest spend meeting each at the
+    target confidence(s).  Without explicit ``deadlines`` the grid
+    spans the workload's own latency range: from the quantile at a
+    generous uniform price (tight end) to the quantile at the one-unit
+    floor (loose end).
+    """
     from ..core.deadline import latency_quantile_batch
     from .runner import run_deadline_sweep
 
@@ -327,43 +246,15 @@ class Fig3Result:
         return self.linearity_r2 >= 0.9
 
 
-#: Historical alias — the per-replication seeding protocol now lives in
-#: :func:`repro.stats.rng.replication_seeds` (public, unit-tested);
-#: every figure cell and the api layer share it.
-_replication_seeds = replication_seeds
-
-
-def fig3_experiment(
-    n_arrivals: int = 20,
-    price: int = 5,
-    seed: RandomState = 0,
-    replications: int = 1,
-    engine=None,
-) -> Fig3Result:
-    """Issue dot-filter tasks at $0.05 and watch the first N takes.
-
-    Uses the *agent* engine (a real worker stream) so the Poisson
-    behaviour is emergent, not assumed: each of *n_arrivals* slots is a
-    single-repetition task; we record acceptance epochs in order.
-
-    ``replications`` fans the experiment out to R independent seeded
-    worlds (epochs/latencies are averaged order-by-order — Fig. 3 with
-    Monte-Carlo noise smoothed); the fan-out runs through
-    ``AgentSimulator.run_replications`` with *engine* resolved from
-    the :mod:`repro.perf.engine` registry (``"agent-batch"`` =
-    lock-step), and every engine yields byte-identical figures.
-
-    A byte-identical wrapper over ``Session.run(Fig3Spec(...))``.
-    """
-    from ..api import Fig3Spec, RunConfig, Session
-
-    return Session(
-        RunConfig(seed=seed, replications=replications, engine=engine)
-    ).run(Fig3Spec(n_arrivals=n_arrivals, price=price)).payload
-
-
 def _run_fig3(spec, config) -> Fig3Result:
-    """Implementation behind :class:`repro.api.Fig3Spec`."""
+    """Implementation behind :class:`repro.api.Fig3Spec`.
+
+    Issues single-repetition dot-filter tasks on the *agent* market (a
+    real worker stream, so the Poisson behaviour is emergent) and
+    records acceptance epochs in order, averaged order-by-order over
+    ``config.replications`` seeded worlds.  Every replication engine
+    yields byte-identical figures.
+    """
     task_type = amt_task_type(votes=4)
     pool = amt_worker_pool()
     sim = AgentSimulator(pool, seed=config.seed, max_sim_time=1e9)
@@ -446,44 +337,17 @@ def _cell_onhold_rows(results) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def fig4_experiment(
-    prices: Sequence[int] = (5, 8, 10, 12),
-    repetitions: int = 10,
-    seed: RandomState = 0,
-    replications: int = 1,
-    engine=None,
-) -> Fig4Result:
-    """Vary the reward $0.05–$0.12 at 10 repetitions per task (§5.2.2).
-
-    For each price we publish one 10-repetition dot-filter task on the
-    calibrated market, record the per-order acceptance latencies, and
-    infer λ_o with the fixed-period estimator over the observed span.
-
-    ``engine=None`` (or ``"aggregate"``) is the historical path: the
-    aggregate model sampled with one stream across the price cells,
-    byte-identical to the seed figure.  Any registry engine name (or
-    :class:`~repro.perf.engine.EvaluationEngine`) switches the cells
-    to the *agent* market: each price's job runs as ``replications``
-    independent worker-stream worlds through
-    ``AgentSimulator.run_replications`` (latencies averaged
-    order-by-order), and every engine — sequential or
-    ``"agent-batch"`` lock-step — yields byte-identical figures.
-
-    A byte-identical wrapper over ``Session.run(Fig4Spec(...))``.
-    """
-    from ..api import Fig4Spec, RunConfig, Session
-
-    return Session(
-        RunConfig(seed=seed, replications=replications, engine=engine)
-    ).run(Fig4Spec(prices=prices, repetitions=repetitions)).payload
-
-
 def _run_fig4(spec, config) -> Fig4Result:
-    """Implementation behind :class:`repro.api.Fig4Spec`.
+    """Implementation behind :class:`repro.api.Fig4Spec` (§5.2.2).
+
+    Publishes one multi-repetition dot-filter task per price, records
+    the per-order acceptance latencies and infers λ_o with the
+    fixed-period estimator over the observed span.
 
     Reads ``config.engine`` raw: ``None``/``"aggregate"`` select the
-    historical aggregate path, anything else the replicated agent
-    market — the historical contract of the keyword API.
+    seed aggregate path (one stream across the price cells, so it is
+    single-realization), anything else runs ``config.replications``
+    agent-market worlds per price, averaged order-by-order.
     """
     prices = spec.prices
     repetitions = spec.repetitions
@@ -564,44 +428,6 @@ class Fig5abResult:
     def phase2_increases_with_difficulty(self, price: int) -> bool:
         series = [self.mean_phase2[(v, price)] for v in self.vote_counts]
         return all(a <= b for a, b in zip(series, series[1:]))
-
-
-def fig5ab_experiment(
-    vote_counts: Sequence[int] = (4, 6, 8),
-    prices: Sequence[int] = (5, 8),
-    repetitions: int = 10,
-    n_tasks: int = 20,
-    seed: RandomState = 0,
-    replications: int = 1,
-    engine=None,
-) -> Fig5abResult:
-    """Vary task difficulty (internal vote count) at two rewards.
-
-    Harder tasks must show slower acceptance (Fig. 5(a)) and longer
-    processing (Fig. 5(b)).
-
-    ``engine=None`` (or ``"aggregate"``) is the historical aggregate
-    path, byte-identical to the seed figure.  Any registry engine
-    switches each (difficulty, reward) cell to the agent market:
-    ``replications`` independent worker-stream worlds per cell run
-    through ``AgentSimulator.run_replications`` (phase means pooled
-    over every record of every replication), identical for every
-    engine — ``"agent-batch"`` just gets there in lock-step.
-
-    A byte-identical wrapper over ``Session.run(Fig5abSpec(...))``.
-    """
-    from ..api import Fig5abSpec, RunConfig, Session
-
-    return Session(
-        RunConfig(seed=seed, replications=replications, engine=engine)
-    ).run(
-        Fig5abSpec(
-            vote_counts=vote_counts,
-            prices=prices,
-            repetitions=repetitions,
-            n_tasks=n_tasks,
-        )
-    ).payload
 
 
 def _run_fig5ab(spec, config) -> Fig5abResult:
@@ -704,32 +530,13 @@ class Fig5cResult:
         return all(o <= h * 1.02 for o, h in zip(opt, heu))
 
 
-def fig5c_experiment(
-    budgets: Sequence[int] = (600, 700, 800, 900, 1000),
-    repetitions: tuple[int, int, int] = (10, 15, 20),
-    n_samples: int = 800,
-    seed: RandomState = 0,
-) -> Fig5cResult:
-    """Three task types (reps 10/15/20), budgets $6–$10 in cents.
-
-    OPT = Algorithm 3 (the instance is Scenario III: the vote counts
-    4/6/8 give the types different processing rates); HEU = the
-    equal-payment-per-type heuristic.  Latency is per-type completion
-    (the paper plots OPT(t1..t3)/HEU(t1..t3) separately).
-
-    A byte-identical wrapper over ``Session.run(Fig5cSpec(...))``.
-    """
-    from ..api import Fig5cSpec, RunConfig, Session
-
-    return Session(RunConfig(seed=seed)).run(
-        Fig5cSpec(
-            budgets=budgets, repetitions=repetitions, n_samples=n_samples
-        )
-    ).payload
-
-
 def _run_fig5c(spec, config) -> Fig5cResult:
-    """Implementation behind :class:`repro.api.Fig5cSpec`."""
+    """Implementation behind :class:`repro.api.Fig5cSpec`.
+
+    OPT = Algorithm 3 (vote counts 4/6/8 give the three types
+    different processing rates); HEU = the equal-payment-per-type
+    heuristic.  Latency is per-type completion.
+    """
     from ..core.heterogeneous import heterogeneous_algorithm_sweep
 
     budgets = spec.budgets

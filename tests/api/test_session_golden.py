@@ -1,9 +1,9 @@
-"""Session.run(spec) is byte-identical to the legacy direct calls.
+"""Session.run(spec) is byte-identical across every way of asking.
 
-The acceptance contract of the api redesign: for every registered
-experiment, running through the facade — including from a serialized
-spec document — produces *exactly* the object the legacy keyword
-function returns, for every engine / comparator.
+The acceptance contract of the api: for every registered experiment,
+running from a serialized spec document produces *exactly* the object
+a direct ``Session.run(spec)`` returns, for every engine / comparator;
+the generic sweep specs match the runner functions they wrap.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from repro.api import (
 )
 from repro.errors import ModelError
 from repro.experiments import (
-    deadline_frontier_experiment,
-    fig2_experiment,
-    fig3_experiment,
-    fig4_experiment,
-    fig5ab_experiment,
-    fig5c_experiment,
     motivation_example_1,
     motivation_example_2,
     run_budget_sweep,
@@ -47,6 +41,12 @@ def _run_via_document(spec, config=None):
     return session.run(ExperimentSpec.from_dict(spec.to_dict())).payload
 
 
+def _assert_round_trip(spec, config=None):
+    """The document round trip equals a direct ``Session.run(spec)``."""
+    direct = Session(config).run(spec).payload
+    assert _run_via_document(spec, config) == direct
+
+
 class TestGoldenFigures:
     def test_table1(self):
         payload = _run_via_document(Table1Spec())
@@ -55,65 +55,43 @@ class TestGoldenFigures:
 
     @pytest.mark.parametrize("engine", [None, "scalar", "batch", "chunked-batch"])
     def test_fig2_every_engine(self, engine):
-        kwargs = dict(budgets=(1000, 1500), n_tasks=6, n_samples=40, seed=3)
         spec = Fig2Spec(
-            scenario="homo",
-            case="a",
-            budgets=kwargs["budgets"],
-            n_tasks=kwargs["n_tasks"],
-            n_samples=kwargs["n_samples"],
+            scenario="homo", case="a", budgets=(1000, 1500), n_tasks=6,
+            n_samples=40,
         )
-        legacy = fig2_experiment("homo", "a", engine=engine, **kwargs)
-        config = RunConfig(seed=3, engine=engine)
-        assert _run_via_document(spec, config) == legacy
+        _assert_round_trip(spec, RunConfig(seed=3, engine=engine))
 
     @pytest.mark.parametrize("engine", [None, "scalar", "agent-batch"])
     def test_fig3_every_engine_with_replications(self, engine):
-        legacy = fig3_experiment(
-            n_arrivals=6, seed=1, replications=2, engine=engine
-        )
         config = RunConfig(seed=1, replications=2, engine=engine)
-        assert _run_via_document(Fig3Spec(n_arrivals=6), config) == legacy
+        _assert_round_trip(Fig3Spec(n_arrivals=6), config)
 
     def test_fig4_aggregate_default(self):
-        legacy = fig4_experiment(prices=(5, 8), repetitions=3, seed=2)
         spec = Fig4Spec(prices=(5, 8), repetitions=3)
-        assert _run_via_document(spec, RunConfig(seed=2)) == legacy
+        _assert_round_trip(spec, RunConfig(seed=2))
 
     def test_fig4_agent_engines_agree_with_legacy(self):
         spec = Fig4Spec(prices=(5, 8), repetitions=2)
         for engine in ("scalar", "agent-batch"):
-            legacy = fig4_experiment(
-                prices=(5, 8), repetitions=2, seed=4, replications=2,
-                engine=engine,
-            )
             config = RunConfig(seed=4, replications=2, engine=engine)
-            assert _run_via_document(spec, config) == legacy
+            _assert_round_trip(spec, config)
 
     def test_fig5ab(self):
-        kwargs = dict(
+        spec = Fig5abSpec(
             vote_counts=(4,), prices=(5,), repetitions=2, n_tasks=3
         )
-        legacy = fig5ab_experiment(seed=6, **kwargs)
-        spec = Fig5abSpec(**kwargs)
-        assert _run_via_document(spec, RunConfig(seed=6)) == legacy
+        _assert_round_trip(spec, RunConfig(seed=6))
 
     def test_fig5c(self):
-        legacy = fig5c_experiment(
-            budgets=(600, 700), n_samples=30, seed=5
-        )
         spec = Fig5cSpec(budgets=(600, 700), n_samples=30)
-        assert _run_via_document(spec, RunConfig(seed=5)) == legacy
+        _assert_round_trip(spec, RunConfig(seed=5))
 
     @pytest.mark.parametrize("comparator", [None, "batched", "reference"])
     def test_deadline_frontier_every_comparator(self, comparator):
-        kwargs = dict(
+        spec = DeadlineFrontierSpec(
             scenario="repe", case="a", n_tasks=8, n_deadlines=3, max_price=12
         )
-        legacy = deadline_frontier_experiment(comparator=comparator, **kwargs)
-        spec = DeadlineFrontierSpec(**kwargs)
-        config = RunConfig(comparator=comparator)
-        assert _run_via_document(spec, config) == legacy
+        _assert_round_trip(spec, RunConfig(comparator=comparator))
 
 
 class TestGoldenGenericSweeps:

@@ -6,55 +6,53 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Fig3Spec, Fig4Spec, Fig5abSpec, RunConfig, Session
 from repro.errors import ModelError
-from repro.experiments import (
-    evaluate_allocation_with_ci,
-    fig3_experiment,
-    fig4_experiment,
-    fig5ab_experiment,
-)
+from repro.experiments import evaluate_allocation_with_ci
 
 
 class TestFig3Replications:
     def test_engines_byte_identical(self):
-        reference = fig3_experiment(n_arrivals=8, seed=0)
+        spec = Fig3Spec(n_arrivals=8)
+        reference = Session(RunConfig(seed=0)).run(spec).payload
         for engine in ("scalar", "batch", "agent-batch"):
-            assert fig3_experiment(n_arrivals=8, seed=0, engine=engine) == (
-                reference
-            )
+            config = RunConfig(seed=0, engine=engine)
+            assert Session(config).run(spec).payload == reference
 
     def test_multi_replication_engines_byte_identical(self):
-        sequential = fig3_experiment(
-            n_arrivals=8, seed=0, replications=4, engine="scalar"
-        )
-        lockstep = fig3_experiment(
-            n_arrivals=8, seed=0, replications=4, engine="agent-batch"
-        )
+        spec = Fig3Spec(n_arrivals=8)
+        sequential = Session(
+            RunConfig(seed=0, replications=4, engine="scalar")
+        ).run(spec).payload
+        lockstep = Session(
+            RunConfig(seed=0, replications=4, engine="agent-batch")
+        ).run(spec).payload
         assert sequential == lockstep
         # Averaging over worlds changes the figure (it smooths noise).
-        assert sequential != fig3_experiment(n_arrivals=8, seed=0)
+        assert sequential != Session(RunConfig(seed=0)).run(spec).payload
         assert len(sequential.arrival_epochs) == 8
 
     def test_replications_validated(self):
         with pytest.raises(ModelError):
-            fig3_experiment(n_arrivals=4, replications=0)
+            Session(RunConfig(replications=0)).run(Fig3Spec(n_arrivals=4))
 
 
 class TestFig4Replications:
     def test_aggregate_default_untouched_by_engine_alias(self):
-        assert fig4_experiment(seed=0) == fig4_experiment(
-            seed=0, engine="aggregate"
-        )
+        default = Session(RunConfig(seed=0)).run(Fig4Spec()).payload
+        aggregate = Session(RunConfig(seed=0, engine="aggregate")).run(
+            Fig4Spec()
+        ).payload
+        assert default == aggregate
 
     def test_agent_engines_byte_identical(self):
-        sequential = fig4_experiment(
-            prices=(5, 8), repetitions=4, seed=0, replications=3,
-            engine="scalar",
-        )
-        lockstep = fig4_experiment(
-            prices=(5, 8), repetitions=4, seed=0, replications=3,
-            engine="agent-batch",
-        )
+        spec = Fig4Spec(prices=(5, 8), repetitions=4)
+        sequential = Session(
+            RunConfig(seed=0, replications=3, engine="scalar")
+        ).run(spec).payload
+        lockstep = Session(
+            RunConfig(seed=0, replications=3, engine="agent-batch")
+        ).run(spec).payload
         assert sequential == lockstep
         assert sequential.prices == (5, 8)
         assert all(
@@ -63,34 +61,35 @@ class TestFig4Replications:
 
     def test_aggregate_path_rejects_fanout(self):
         with pytest.raises(ModelError):
-            fig4_experiment(seed=0, replications=3)
+            Session(RunConfig(seed=0, replications=3)).run(Fig4Spec())
 
 
 class TestFig5abReplications:
     def test_aggregate_default_untouched_by_engine_alias(self):
-        assert fig5ab_experiment(
-            vote_counts=(4, 6), prices=(5,), repetitions=2, n_tasks=3, seed=0
-        ) == fig5ab_experiment(
-            vote_counts=(4, 6), prices=(5,), repetitions=2, n_tasks=3,
-            seed=0, engine="aggregate",
+        spec = Fig5abSpec(
+            vote_counts=(4, 6), prices=(5,), repetitions=2, n_tasks=3
         )
+        default = Session(RunConfig(seed=0)).run(spec).payload
+        aggregate = Session(RunConfig(seed=0, engine="aggregate")).run(
+            spec
+        ).payload
+        assert default == aggregate
 
     def test_agent_engines_byte_identical(self):
-        kwargs = dict(
-            vote_counts=(4, 6),
-            prices=(5,),
-            repetitions=2,
-            n_tasks=3,
-            seed=0,
-            replications=2,
+        spec = Fig5abSpec(
+            vote_counts=(4, 6), prices=(5,), repetitions=2, n_tasks=3
         )
-        sequential = fig5ab_experiment(engine="scalar", **kwargs)
-        lockstep = fig5ab_experiment(engine="agent-batch", **kwargs)
+        sequential = Session(
+            RunConfig(seed=0, replications=2, engine="scalar")
+        ).run(spec).payload
+        lockstep = Session(
+            RunConfig(seed=0, replications=2, engine="agent-batch")
+        ).run(spec).payload
         assert sequential == lockstep
 
     def test_aggregate_path_rejects_fanout(self):
         with pytest.raises(ModelError):
-            fig5ab_experiment(seed=0, replications=2)
+            Session(RunConfig(seed=0, replications=2)).run(Fig5abSpec())
 
 
 class TestCiEngineParameter:

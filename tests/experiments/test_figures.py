@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ModelError
-from repro.experiments import (
-    fig2_experiment,
-    fig3_experiment,
-    fig4_experiment,
-    fig5ab_experiment,
-    fig5c_experiment,
-    motivation_example_1,
-    motivation_example_2,
+from repro.api import (
+    Fig2Spec,
+    Fig3Spec,
+    Fig4Spec,
+    Fig5abSpec,
+    Fig5cSpec,
+    RunConfig,
+    Session,
 )
+from repro.errors import ModelError
+from repro.experiments import motivation_example_1, motivation_example_2
 
 
 class TestMotivationExamples:
@@ -40,13 +41,15 @@ class TestMotivationExamples:
 class TestFig2:
     @pytest.mark.parametrize("scenario", ["homo", "repe", "heter"])
     def test_opt_dominates_numeric(self, scenario):
-        result = fig2_experiment(
-            scenario,
-            case="a",
-            budgets=(1000, 3000, 5000),
-            n_tasks=20,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario=scenario,
+                case="a",
+                budgets=(1000, 3000, 5000),
+                n_tasks=20,
+                scoring="numeric",
+            )
+        ).payload
         opt = {"homo": "ea", "repe": "ra", "heter": "ha"}[scenario]
         for baseline in result.series:
             if baseline == opt:
@@ -57,30 +60,36 @@ class TestFig2:
             )
 
     def test_latency_decreases_with_budget(self):
-        result = fig2_experiment(
-            "homo", case="a", budgets=(1000, 2000, 4000), n_tasks=20,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="homo", case="a", budgets=(1000, 2000, 4000),
+                n_tasks=20, scoring="numeric",
+            )
+        ).payload
         curve = result.series["ea"]
         assert curve[0] > curve[1] > curve[2]
 
     def test_flat_market_insensitive_to_budget(self):
         # Case (c): λ = 0.1p + 10 — price barely matters.
-        result = fig2_experiment(
-            "homo", case="c", budgets=(1000, 5000), n_tasks=20,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="homo", case="c", budgets=(1000, 5000), n_tasks=20,
+                scoring="numeric",
+            )
+        ).payload
         lo, hi = result.series["ea"]
         assert abs(lo - hi) / lo < 0.15
 
     def test_unknown_scenario(self):
         with pytest.raises(ModelError):
-            fig2_experiment("quantum", case="a")
+            Session().run(Fig2Spec(scenario="quantum", case="a"))
 
 
 class TestFig3:
     def test_poisson_linearity(self):
-        result = fig3_experiment(n_arrivals=20, seed=0)
+        result = Session(RunConfig(seed=0)).run(
+            Fig3Spec(n_arrivals=20)
+        ).payload
         assert len(result.arrival_epochs) == 20
         assert result.linearity_r2 > 0.8
         assert all(
@@ -88,7 +97,9 @@ class TestFig3:
         )
 
     def test_phase_measurements_present(self):
-        result = fig3_experiment(n_arrivals=10, seed=1)
+        result = Session(RunConfig(seed=1)).run(
+            Fig3Spec(n_arrivals=10)
+        ).payload
         assert len(result.phase1_latencies) == 10
         assert len(result.phase2_latencies) == 10
         assert all(v >= 0 for v in result.phase1_latencies)
@@ -96,23 +107,23 @@ class TestFig3:
 
 class TestFig4:
     def test_monotone_latency_in_reward(self):
-        result = fig4_experiment(seed=0)
+        result = Session(RunConfig(seed=0)).run(Fig4Spec()).payload
         assert result.monotone_in_price or result.fit.slope > 0
 
     def test_rates_increase_with_price(self):
-        result = fig4_experiment(seed=0)
+        result = Session(RunConfig(seed=0)).run(Fig4Spec()).payload
         assert result.inferred_rates[12] > result.inferred_rates[5]
 
     def test_fit_positive_slope(self):
-        result = fig4_experiment(seed=0)
+        result = Session(RunConfig(seed=0)).run(Fig4Spec()).payload
         assert result.fit.slope > 0
 
 
 class TestFig5ab:
     def test_difficulty_orderings(self):
-        result = fig5ab_experiment(
-            repetitions=10, n_tasks=30, seed=0
-        )
+        result = Session(RunConfig(seed=0)).run(
+            Fig5abSpec(repetitions=10, n_tasks=30)
+        ).payload
         for price in result.prices:
             assert result.phase1_increases_with_difficulty(price)
             assert result.phase2_increases_with_difficulty(price)
@@ -120,12 +131,14 @@ class TestFig5ab:
 
 class TestFig5c:
     def test_opt_beats_heuristic(self):
-        result = fig5c_experiment(
-            budgets=(600, 800, 1000), n_samples=400, seed=0
-        )
+        result = Session(RunConfig(seed=0)).run(
+            Fig5cSpec(budgets=(600, 800, 1000), n_samples=400)
+        ).payload
         assert result.opt_beats_heuristic
 
     def test_overall_series_lengths(self):
-        result = fig5c_experiment(budgets=(600, 1000), n_samples=200, seed=0)
+        result = Session(RunConfig(seed=0)).run(
+            Fig5cSpec(budgets=(600, 1000), n_samples=200)
+        ).payload
         assert len(result.overall("opt")) == 2
         assert len(result.overall("heu")) == 2

@@ -1,6 +1,6 @@
 """Acceptance tests for the family/one-pass sweep refactor.
 
-The hard contract: routing ``fig2_experiment`` / ``run_budget_sweep``
+The hard contract: routing ``Fig2Spec`` / ``run_budget_sweep``
 through :class:`~repro.workloads.families.ProblemFamily` and the
 one-pass DP sweep must produce **byte-identical** results to the
 historical per-budget rebuild path, for every scenario and scoring
@@ -24,12 +24,9 @@ from repro.core import (
     utopia_point,
     utopia_point_sweep,
 )
+from repro.api import Fig2Spec, RunConfig, Session
 from repro.errors import InfeasibleAllocationError
-from repro.experiments import (
-    budget_latency_frontier,
-    fig2_experiment,
-    run_budget_sweep,
-)
+from repro.experiments import budget_latency_frontier, run_budget_sweep
 from repro.workloads import (
     heterogeneous_family,
     heterogeneous_workload,
@@ -117,15 +114,14 @@ class TestSweepByteIdentity:
 
     @pytest.mark.parametrize("scenario", ["repe", "heter"])
     def test_fig2_byte_identical_across_engines(self, scenario):
-        base = fig2_experiment(
-            scenario, case="a", budgets=(800, 1600), n_tasks=12,
-            n_samples=150, seed=3,
+        spec = Fig2Spec(
+            scenario=scenario, case="a", budgets=(800, 1600), n_tasks=12,
+            n_samples=150,
         )
+        base = Session(RunConfig(seed=3)).run(spec).payload
         for engine in ("batch", "chunked-batch"):
-            other = fig2_experiment(
-                scenario, case="a", budgets=(800, 1600), n_tasks=12,
-                n_samples=150, seed=3, engine=engine,
-            )
+            config = RunConfig(seed=3, engine=engine)
+            other = Session(config).run(spec).payload
             assert other.series == base.series
 
 

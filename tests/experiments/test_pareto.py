@@ -136,10 +136,8 @@ class TestDeadlineCostFrontier:
             deadline_cost_frontier(family, [2.0], comparator="bogus")
 
     def test_sweep_rejects_duplicate_confidence_labels(self, family):
-        from repro.experiments import (
-            deadline_frontier_experiment,
-            run_deadline_sweep,
-        )
+        from repro.api import DeadlineFrontierSpec, Session
+        from repro.experiments import run_deadline_sweep
 
         with pytest.raises(ModelError):
             run_deadline_sweep(
@@ -148,8 +146,10 @@ class TestDeadlineCostFrontier:
         # Empty confidences are rejected with the library error even
         # when the deadline grid is auto-generated.
         with pytest.raises(ModelError):
-            deadline_frontier_experiment(
-                n_tasks=6, n_deadlines=3, confidences=(), max_price=8
+            Session().run(
+                DeadlineFrontierSpec(
+                    n_tasks=6, n_deadlines=3, confidences=(), max_price=8
+                )
             )
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import FIG2_STRATEGIES, fig2_experiment
+from repro.api import Fig2Spec, Session
+from repro.experiments import FIG2_STRATEGIES
 
 CASES = "abcdef"
 SCENARIOS = ("homo", "repe", "heter")
@@ -31,13 +32,15 @@ def _tolerance(scenario: str, case: str) -> float:
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_optimal_strategy_competitive(scenario, case):
-    result = fig2_experiment(
-        scenario,
-        case=case,
-        budgets=(1000, 3000, 5000),
-        n_tasks=20,
-        scoring="numeric",
-    )
+    result = Session().run(
+        Fig2Spec(
+            scenario=scenario,
+            case=case,
+            budgets=(1000, 3000, 5000),
+            n_tasks=20,
+            scoring="numeric",
+        )
+    ).payload
     opt = FIG2_STRATEGIES[scenario][0]
     tol = _tolerance(scenario, case)
     for baseline in result.series:
@@ -52,13 +55,15 @@ def test_optimal_strategy_competitive(scenario, case):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_latency_decreases_with_budget(scenario):
-    result = fig2_experiment(
-        scenario,
-        case="a",
-        budgets=(1000, 2000, 3000, 4000, 5000),
-        n_tasks=20,
-        scoring="numeric",
-    )
+    result = Session().run(
+        Fig2Spec(
+            scenario=scenario,
+            case="a",
+            budgets=(1000, 2000, 3000, 4000, 5000),
+            n_tasks=20,
+            scoring="numeric",
+        )
+    ).payload
     opt = FIG2_STRATEGIES[scenario][0]
     curve = result.series[opt]
     assert all(a >= b - 1e-9 for a, b in zip(curve, curve[1:]))
@@ -69,10 +74,12 @@ def test_price_sensitive_case_saturates_fastest():
     over the sweep; case (a) (λ = 1+p) a much larger one."""
     improvements = {}
     for case in ("a", "b", "c"):
-        result = fig2_experiment(
-            "homo", case=case, budgets=(1000, 5000), n_tasks=20,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="homo", case=case, budgets=(1000, 5000),
+                n_tasks=20, scoring="numeric",
+            )
+        ).payload
         lo, hi = result.series["ea"]
         improvements[case] = (lo - hi) / lo
     assert improvements["a"] > improvements["b"]

@@ -9,12 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Fig2Spec, Session
 from repro.core import STRATEGIES, expected_job_latency
-from repro.experiments import (
-    fig2_experiment,
-    motivation_example_1,
-    motivation_example_2,
-)
+from repro.experiments import motivation_example_1, motivation_example_2
 from repro.workloads import (
     heterogeneous_workload,
     homogeneity_workload,
@@ -34,10 +31,12 @@ class TestScenario1Claims:
         """§5.1.2: "optimal solution outperforms the comparisons" and
         "bias_1 produces slightly better performance than bias_2"
         (more bias = worse)."""
-        result = fig2_experiment(
-            "homo", case="a", budgets=(1000, 2500, 5000), n_tasks=50,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="homo", case="a", budgets=(1000, 2500, 5000),
+                n_tasks=50, scoring="numeric",
+            )
+        ).payload
         assert result.dominates("ea", "bias_1", slack=1e-9)
         assert result.dominates("ea", "bias_2", slack=1e-9)
         assert result.dominates("bias_1", "bias_2", slack=1e-9)
@@ -46,10 +45,12 @@ class TestScenario1Claims:
         """§5.1.2 finding 1: EA still wins for nonlinear λ(p) (cases
         e and f)."""
         for case in ("e", "f"):
-            result = fig2_experiment(
-                "homo", case=case, budgets=(1000, 3000, 5000), n_tasks=50,
-                scoring="numeric",
-            )
+            result = Session().run(
+                Fig2Spec(
+                    scenario="homo", case=case, budgets=(1000, 3000, 5000),
+                    n_tasks=50, scoring="numeric",
+                )
+            ).payload
             assert result.dominates("ea", "bias_1", slack=1e-9)
             assert result.dominates("ea", "bias_2", slack=1e-9)
 
@@ -57,18 +58,22 @@ class TestScenario1Claims:
         """§5.1.2 finding 2: when λ is sensitive to price (case b),
         latency quickly saturates — extra budget changes little because
         the processing phase dominates."""
-        result = fig2_experiment(
-            "homo", case="b", budgets=(1000, 5000), n_tasks=50,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="homo", case="b", budgets=(1000, 5000),
+                n_tasks=50, scoring="numeric",
+            )
+        ).payload
         lo, hi = result.series["ea"]
         assert (lo - hi) / lo < 0.25  # shallow improvement
 
         # Contrast: the price-responsive case (a) improves much more.
-        result_a = fig2_experiment(
-            "homo", case="a", budgets=(1000, 5000), n_tasks=50,
-            scoring="numeric",
-        )
+        result_a = Session().run(
+            Fig2Spec(
+                scenario="homo", case="a", budgets=(1000, 5000),
+                n_tasks=50, scoring="numeric",
+            )
+        ).payload
         lo_a, hi_a = result_a.series["ea"]
         assert (lo_a - hi_a) / lo_a > (lo - hi) / lo
 
@@ -76,10 +81,12 @@ class TestScenario1Claims:
 class TestScenario2Claims:
     def test_ra_beats_both_baselines(self):
         """Fig. 2 (g)-(l): opt under te and re curves."""
-        result = fig2_experiment(
-            "repe", case="a", budgets=(1000, 2500, 5000), n_tasks=50,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="repe", case="a", budgets=(1000, 2500, 5000),
+                n_tasks=50, scoring="numeric",
+            )
+        ).payload
         slack = 0.005 * max(result.series["te"])
         assert result.dominates("ra", "te", slack=slack)
         assert result.dominates("ra", "re", slack=slack)
@@ -89,10 +96,12 @@ class TestScenario3Claims:
     def test_ha_competitive_everywhere_and_beats_te(self):
         """Fig. 2 (m)-(r): HA under te; re is near-optimal on this
         symmetric workload so HA must stay within a half percent."""
-        result = fig2_experiment(
-            "heter", case="a", budgets=(1000, 2500, 5000), n_tasks=50,
-            scoring="numeric",
-        )
+        result = Session().run(
+            Fig2Spec(
+                scenario="heter", case="a", budgets=(1000, 2500, 5000),
+                n_tasks=50, scoring="numeric",
+            )
+        ).payload
         assert result.dominates("ha", "te", slack=0.005 * max(result.series["te"]))
         assert result.dominates("ha", "re", slack=0.01 * max(result.series["re"]))
 

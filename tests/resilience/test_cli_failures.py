@@ -93,3 +93,45 @@ def test_unknown_engine_or_comparator_is_a_user_error(
     is still a user error (exit 2), with the did-you-mean intact."""
     assert _run(argv) == USER_ERROR_EXIT
     assert f"did you mean {suggestion}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, code",
+    [
+        ('{"experiment": "fig3", "params": {"n_arrivals": "x"}}',
+         "model-invalid"),
+        ("{}", "model-invalid"),
+        ('{"experiment": 5}', "registry-lookup"),
+        ('{"experiment": "fig3", "params": [1]}', "model-invalid"),
+    ],
+)
+def test_run_many_malformed_inline_spec_is_a_user_error(
+    capsys, document, code
+):
+    """An inline spec document is parsed before anything runs, so a
+    bad one exits 2 just as the same mistake given by name does."""
+    assert _run(["run-many", document]) == USER_ERROR_EXIT
+    assert "error:" in capsys.readouterr().err
+    assert _run(["run-many", document, "--json"]) == USER_ERROR_EXIT
+    assert json.loads(capsys.readouterr().out)["code"] == code
+
+
+@pytest.mark.parametrize(
+    "alias, run, exit_code, message",
+    [
+        (["fig3", "--replications", "0"],
+         ["run", "fig3", "--replications", "0"],
+         USER_ERROR_EXIT, "replications must be >= 1"),
+        (["fig4", "--replications", "3"],
+         ["run", "fig4", "--replications", "3"],
+         EXECUTION_ERROR_EXIT, "single-realization"),
+    ],
+)
+def test_alias_exit_codes_match_run(capsys, alias, run, exit_code, message):
+    """Figure aliases share ``run``'s contract: 2 for a bad config,
+    3 when the run itself fails, with the same ``error:`` line."""
+    assert _run(alias) == exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert _run(run) == exit_code
+    assert capsys.readouterr().err == err

@@ -101,9 +101,3 @@ class TestReplicationSeeds:
             replication_seeds(0, 0)
         with pytest.raises(ModelError):
             replication_seeds(0, -2)
-
-    def test_figures_alias_points_here(self):
-        from repro.experiments import figures
-        from repro.stats.rng import replication_seeds as public
-
-        assert figures._replication_seeds is public

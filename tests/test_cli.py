@@ -4,6 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import (
+    DeadlineFrontierSpec,
+    Fig2Spec,
+    Fig3Spec,
+    Fig4Spec,
+    Fig5abSpec,
+    Fig5cSpec,
+    RunConfig,
+    Session,
+    Table1Spec,
+)
 from repro.cli import build_parser, main
 
 
@@ -34,6 +45,10 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("table1", "fig2", "fig3", "fig4", "fig5ab", "fig5c"):
             assert name in out
+        # Only the figure aliases: not `serve`, `run` or the other tools.
+        assert out.splitlines() == [
+            "deadline", "fig2", "fig3", "fig4", "fig5ab", "fig5c", "table1",
+        ]
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -127,6 +142,93 @@ class TestCommands:
             build_parser().parse_args(["deadline", "--comparator", "bogus"])
 
 
+#: Each legacy alias invocation next to the spec and config it stands
+#: for, written out in full: this pins the flag → parameter names, the
+#: legacy defaults (fig2 --samples 1000, engine "scalar") and seeding.
+ALIAS_CASES = [
+    (["table1"], Table1Spec(), RunConfig(seed=0)),
+    (
+        ["fig2", "--scenario", "homo", "--tasks", "6", "--samples", "40"],
+        Fig2Spec(scenario="homo", case="a", n_tasks=6, n_samples=40),
+        RunConfig(seed=0, engine="scalar"),
+    ),
+    (
+        ["fig2", "--scenario", "repe", "--case", "b", "--tasks", "6",
+         "--samples", "40"],
+        Fig2Spec(scenario="repe", case="b", n_tasks=6, n_samples=40),
+        RunConfig(seed=0, engine="scalar"),
+    ),
+    (
+        ["--seed", "3", "fig2", "--scenario", "heter", "--case", "c",
+         "--tasks", "6", "--samples", "40", "--scoring", "numeric",
+         "--engine", "batch"],
+        Fig2Spec(
+            scenario="heter", case="c", n_tasks=6, n_samples=40,
+            scoring="numeric",
+        ),
+        RunConfig(seed=3, engine="batch"),
+    ),
+    (
+        ["fig2", "--tasks", "4"],
+        Fig2Spec(scenario="homo", case="a", n_tasks=4, n_samples=1000),
+        RunConfig(seed=0, engine="scalar"),
+    ),
+    (
+        ["fig3", "--arrivals", "5"],
+        Fig3Spec(n_arrivals=5),
+        RunConfig(seed=0, replications=1, engine=None),
+    ),
+    (
+        ["--seed", "2", "fig3", "--arrivals", "5", "--replications", "3",
+         "--engine", "agent-batch"],
+        Fig3Spec(n_arrivals=5),
+        RunConfig(seed=2, replications=3, engine="agent-batch"),
+    ),
+    (["fig4"], Fig4Spec(), RunConfig(seed=0, replications=1, engine=None)),
+    (
+        ["--seed", "1", "fig4", "--engine", "agent-batch",
+         "--replications", "2"],
+        Fig4Spec(),
+        RunConfig(seed=1, replications=2, engine="agent-batch"),
+    ),
+    (["fig5ab"], Fig5abSpec(), RunConfig(seed=0, replications=1)),
+    (["--seed", "5", "fig5c"], Fig5cSpec(), RunConfig(seed=5)),
+    (
+        ["deadline", "--tasks", "8", "--points", "3", "--max-price", "12"],
+        DeadlineFrontierSpec(
+            scenario="repe", case="a", n_tasks=8, n_deadlines=3,
+            confidences=(0.9,), max_price=12,
+        ),
+        RunConfig(seed=0, comparator="batched"),
+    ),
+    (
+        ["deadline", "--scenario", "homo", "--tasks", "8", "--points", "3",
+         "--max-price", "12", "--comparator", "reference",
+         "--confidence", "0.8", "0.9"],
+        DeadlineFrontierSpec(
+            scenario="homo", case="a", n_tasks=8, n_deadlines=3,
+            confidences=(0.8, 0.9), max_price=12,
+        ),
+        RunConfig(seed=0, comparator="reference"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, spec, config",
+    ALIAS_CASES,
+    ids=[" ".join(argv) for argv, _, _ in ALIAS_CASES],
+)
+def test_alias_prints_its_renderer_over_the_spec_run(
+    capsys, argv, spec, config
+):
+    """A legacy command is ``run`` of one spec plus a renderer."""
+    assert main(argv) == 0
+    render = build_parser().parse_args(argv).render
+    expected = render(Session(config).run(spec)) + "\n"
+    assert capsys.readouterr().out == expected
+
+
 class TestRegistryCommands:
     """The generic api-facing commands: `repro experiments` / `repro run`."""
 
@@ -175,8 +277,7 @@ class TestRegistryCommands:
     def test_run_matches_legacy_command_path(self, capsys):
         import json
 
-        from repro.experiments import fig2_experiment
-        from repro.workloads import PAPER_BUDGETS
+        from repro.api import Fig2Spec, RunConfig, Session
 
         assert (
             main(
@@ -195,10 +296,9 @@ class TestRegistryCommands:
             == 0
         )
         doc = json.loads(capsys.readouterr().out)
-        legacy = fig2_experiment(
-            "homo", "a", budgets=PAPER_BUDGETS, n_tasks=5, n_samples=30,
-            seed=2,
-        )
+        legacy = Session(RunConfig(seed=2)).run(
+            Fig2Spec(scenario="homo", case="a", n_tasks=5, n_samples=30)
+        ).payload
         assert doc["payload"]["series"]["ea"] == list(legacy.series["ea"])
 
     def test_run_deadline_frontier_with_comparator(self, capsys):
