@@ -7,8 +7,10 @@ Fig. 2-sized workload, against the seed implementations:
   event-level :class:`AggregateSimulator` ``run_job`` loop vs one
   :class:`BatchAggregateSimulator` phase-matrix draw (results are
   bit-identical seed-for-seed, which the run asserts).
-* **Allocation sampling** — ``sample_job_latencies`` scalar vs batch
-  engine (same RNG stream, reported for the perf trajectory).
+* **Allocation sampling** — the seed task-by-task sampler
+  (:func:`repro.perf.reference.reference_sample_job_latencies`) vs the
+  row-blocked sampler every engine name runs (same RNG stream,
+  bit-identity asserted).
 * **budget_indexed_dp sweep** — per-budget seed DP runs vs the
   single-pass :func:`budget_indexed_dp_sweep` (price vectors asserted
   identical).
@@ -17,9 +19,9 @@ Fig. 2-sized workload, against the seed implementations:
   before ``ProblemFamily``) vs ``repetition_algorithm_sweep`` /
   ``heterogeneous_algorithm_sweep`` over one shared family
   (allocations asserted identical).
-* **Chunked batch sampling** — the scalar sampler vs the
-  memory-bounded ``chunked-batch`` engine (bit-identity asserted for
-  several chunk sizes).
+* **Chunked batch sampling** — the seed sampler vs the row-blocked
+  sampler at several block sizes (one row, 16 rows, the default
+  block), bit-identity asserted for each.
 * **Deadline–cost frontier** — the seed scalar ``min_cost_for_deadline``
   per deadline vs the batched deadline-kernel sweep
   (``min_cost_for_deadline_sweep`` through ``deadline_cost_frontier``;
@@ -147,26 +149,26 @@ def bench_mc_sampling(n_samples: int = 1000, n_tasks: int = 100) -> dict:
 
 
 def bench_allocation_sampling(n_samples: int = 1000, n_tasks: int = 100) -> dict:
-    """sample_job_latencies: scalar engine vs batch engine."""
+    """sample_job_latencies: seed sampler vs the row-blocked sampler."""
     from repro.core.latency import sample_job_latencies
     from repro.core.problem import Allocation
-    from repro.perf import sample_job_latencies_batch
+    from repro.perf.reference import reference_sample_job_latencies
 
     problem = _fig2_problem(n_tasks)
     alloc = Allocation.uniform(problem, 2)
 
     def scalar():
-        return sample_job_latencies(
+        return reference_sample_job_latencies(
             problem, alloc, n_samples, rng=np.random.default_rng(0)
         )
 
     def batch():
-        return sample_job_latencies_batch(
+        return sample_job_latencies(
             problem, alloc, n_samples, rng=np.random.default_rng(0)
         )
 
     if not np.array_equal(scalar(), batch()):
-        raise AssertionError("batch sampler diverged from scalar engine")
+        raise AssertionError("row-blocked sampler diverged from the seed")
     t_scalar = _time(scalar)
     t_batch = _time(batch)
     return {
@@ -295,45 +297,44 @@ def bench_one_pass_sweep(n_tasks: int = 100, n_budgets: int = 9) -> dict:
 
 
 def bench_chunked_sampling(n_samples: int = 1000, n_tasks: int = 100) -> dict:
-    """Scalar sampler vs the memory-bounded chunked-batch engine."""
-    from repro.core.latency import sample_job_latencies
+    """Seed sampler vs the row-blocked sampler at several block sizes."""
+    from unittest import mock
+
     from repro.core.problem import Allocation
+    from repro.perf import batch as perf_batch
     from repro.perf import sample_job_latencies_batch
+    from repro.perf.reference import reference_sample_job_latencies
 
     problem = _fig2_problem(n_tasks)
     alloc = Allocation.uniform(problem, 2)
 
     def scalar():
-        return sample_job_latencies(
+        return reference_sample_job_latencies(
             problem, alloc, n_samples, rng=np.random.default_rng(0)
         )
 
-    chunk_rows = 64
-
     def chunked():
         return sample_job_latencies_batch(
-            problem,
-            alloc,
-            n_samples,
-            rng=np.random.default_rng(0),
-            chunk_rows=chunk_rows,
+            problem, alloc, n_samples, rng=np.random.default_rng(0)
         )
 
+    block_rows = max(1, perf_batch._BLOCK_DOUBLES // n_samples)
     reference = scalar()
-    for rows in (1, 16, chunk_rows):
-        out = sample_job_latencies_batch(
-            problem, alloc, n_samples, rng=np.random.default_rng(0),
-            chunk_rows=rows,
-        )
+    for rows in (1, 16, block_rows):
+        with mock.patch.object(
+            perf_batch, "_BLOCK_DOUBLES", rows * n_samples
+        ):
+            out = chunked()
         if not np.array_equal(reference, out):
             raise AssertionError(
-                f"chunked sampler (chunk_rows={rows}) diverged from scalar"
+                f"row-blocked sampler ({rows}-row blocks) diverged from "
+                "the seed sampler"
             )
     t_scalar = _time(scalar)
     t_chunked = _time(chunked)
     return {
         "workload": f"{n_samples} samples x {n_tasks} tasks, "
-        f"chunk_rows={chunk_rows}",
+        f"block_rows={block_rows}",
         "scalar_seconds": t_scalar,
         "chunked_seconds": t_chunked,
         "scalar_samples_per_sec": n_samples / t_scalar,

@@ -9,7 +9,10 @@ frozen, serializable object:
 * **engine** — Monte-Carlo / replication engine (a name registered in
   :mod:`repro.perf.engine`, an
   :class:`~repro.perf.engine.EvaluationEngine` instance, or ``None``
-  for the default).  Experiments whose historical ``engine=None``
+  for the default).  Every registered name runs the same sampler and
+  replication fan-out, so the name never changes a payload; it labels
+  the ``engine.sample`` fault site and retry fallback chains.
+  Experiments whose historical ``engine=None``
   means "the seed aggregate path" (Fig. 4 / Fig. 5ab) read the raw
   field, so ``None`` and ``"aggregate"`` give the seed figures.
 * **comparator** — deadline comparator (name, callable, or ``None``).

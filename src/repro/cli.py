@@ -864,8 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(available_engines()),
         default=DEFAULT_ENGINE,
         help="Monte-Carlo sampling engine (resolved through the "
-        "repro.perf.engine registry; all engines produce the same "
-        "curves seed-for-seed — they differ in speed and memory)",
+        "repro.perf.engine registry; every name runs the same sampler, "
+        "so the curves are identical seed-for-seed)",
     )
     deadline = alias(
         "deadline", "deadline-frontier", _render_deadline,
@@ -908,9 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=list(available_engines()),
         default=None,
-        help="replication engine (registry name; 'agent-batch' runs "
-        "all replications in lock-step — figures are byte-identical "
-        "for every engine)",
+        help="replication engine (registry name; figures are "
+        "byte-identical for every engine)",
     )
     fig4 = alias("fig4", "fig4", _render_fig4, help="reward vs latency")
     fig5ab = alias(
@@ -930,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="'aggregate' (default, the seed path) or a "
             "replication-engine name to run the cells on the agent "
-            "market ('agent-batch' = lock-step)",
+            "market",
         )
     alias("fig5c", "fig5c", _render_fig5c, help="OPT vs heuristic")
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..stats.order_statistics import expected_max_erlang_iid
-from ..stats.rng import RandomState, ensure_rng
+from ..stats.rng import RandomState
 from .problem import Allocation, HTuningProblem, TaskGroup
 
 __all__ = [
@@ -231,34 +231,6 @@ def _expected_max_on_grid(
 # ---------------------------------------------------------------------------
 
 
-def _sample_job_latencies_scalar(
-    problem: HTuningProblem,
-    allocation: Allocation,
-    n_samples: int,
-    rng: RandomState = None,
-    include_processing: bool = True,
-) -> np.ndarray:
-    """The seed sampler: stream task by task (each task contributes the
-    sum of its phase draws, the job latency is the max across tasks).
-    This is the body of the ``"scalar"`` engine in
-    :mod:`repro.perf.engine` and the stream-layout reference every
-    batch engine must reproduce bit-for-bit."""
-    if n_samples < 1:
-        raise ModelError(f"n_samples must be >= 1, got {n_samples}")
-    problem.validate_allocation(allocation)
-    gen = ensure_rng(rng)
-    job = np.zeros(n_samples)
-    for task in problem.tasks:
-        total = np.zeros(n_samples)
-        for price in allocation[task.task_id]:
-            rate_o = task.onhold_rate(price)
-            total += gen.exponential(1.0 / rate_o, size=n_samples)
-            if include_processing:
-                total += gen.exponential(1.0 / task.processing_rate, size=n_samples)
-        np.maximum(job, total, out=job)
-    return job
-
-
 def sample_job_latencies(
     problem: HTuningProblem,
     allocation: Allocation,
@@ -271,10 +243,11 @@ def sample_job_latencies(
 
     ``engine`` is an :class:`repro.perf.engine.EvaluationEngine`
     instance or a registered name (``"scalar"``, ``"batch"``,
-    ``"chunked-batch"``, ...); ``None`` uses the default engine.  All
-    registered engines consume the RNG stream identically, so results
-    are bit-identical seed-for-seed — they differ only in speed and
-    memory shape (see :mod:`repro.perf.engine`).
+    ``"chunked-batch"``, ``"agent-batch"``); ``None`` uses the default.
+    Every registered name runs the same row-blocked sampler
+    (:func:`repro.perf.batch.sample_job_latencies_batch`), so the name
+    never changes the draws; it only labels the fault site and retry
+    fallbacks (see :mod:`repro.perf.engine`).
     """
     from ..perf.engine import resolve_engine
 

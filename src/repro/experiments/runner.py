@@ -185,13 +185,12 @@ def evaluate_allocation(
 ) -> float:
     """Score one allocation's expected job latency.
 
-    ``engine`` selects the Monte-Carlo sampler — a registered name
-    (``"scalar"``, ``"batch"``, ``"chunked-batch"``) or an
-    :class:`repro.perf.engine.EvaluationEngine` instance.  All
-    registered engines consume the RNG stream identically, so the
-    score is the same whichever is picked — they differ in speed and
-    memory shape.  Numeric scoring ignores the engine (it is already
-    kernel-cached).
+    ``engine`` is a registered name (``"scalar"``, ``"batch"``,
+    ``"chunked-batch"``, ``"agent-batch"``) or an
+    :class:`repro.perf.engine.EvaluationEngine` instance.  Every name
+    runs the same row-blocked Monte-Carlo sampler, so the score is the
+    same whichever is picked.  Numeric scoring ignores the engine (it
+    is already kernel-cached).
     """
     if scoring == "mc":
         return simulate_job_latency(
@@ -224,9 +223,9 @@ def evaluate_allocation_with_ci(
     at the default sample counts (job latencies are light-tailed
     maxima of phase-type sums).  The replication fan-out goes through
     the engine registry: ``engine`` is a registered name or an
-    :class:`~repro.perf.engine.EvaluationEngine`, and every engine
-    consumes the stream identically, so the interval is byte-identical
-    whichever is picked.
+    :class:`~repro.perf.engine.EvaluationEngine`, and every name runs
+    the same sampler, so the interval is byte-identical whichever is
+    picked.
     """
     from scipy import stats as sps
 

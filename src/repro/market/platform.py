@@ -164,9 +164,10 @@ class CrowdPlatform:
         figure harnesses).  ``seeds``/``recorders``/``engine`` are the
         :meth:`AgentSimulator.run_replications
         <repro.market.simulator.AgentSimulator.run_replications>`
-        parameters; ``engine="agent-batch"`` advances agent-market
-        replications in lock-step, and every engine returns
-        replication-for-replication identical results.
+        parameters: agent-market replications advance in lock-step
+        whenever :mod:`repro.perf.market` can drive the pool, and
+        every engine name returns replication-for-replication
+        identical results.
         """
         if not requests:
             raise SimulationError("run_replications needs at least one request")

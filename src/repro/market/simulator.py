@@ -266,10 +266,9 @@ class AggregateSimulator:
         ``seeds`` gives one :data:`~repro.stats.rng.RandomState` per
         replication; when omitted, ``n_replications`` substreams are
         spawned from the simulator's own generator.  ``engine``
-        resolves through the :mod:`repro.perf.engine` registry; every
-        registered engine produces replication-for-replication
-        identical results — the aggregate model has no lock-step fast
-        path, so all engines run the sequential reference here.
+        resolves through the :mod:`repro.perf.engine` registry; the
+        aggregate model has no lock-step fast path, so every name runs
+        the sequential reference fan-out here.
         """
         from ..perf.engine import resolve_engine
 
@@ -441,12 +440,13 @@ class AgentSimulator:
             replication.
         engine:
             An :class:`~repro.perf.engine.EvaluationEngine` or
-            registered name.  ``"agent-batch"`` advances every
-            replication in lock-step through the structure-of-arrays
-            engine (:mod:`repro.perf.market`); the default runs them
-            sequentially.  Every engine produces bit-identical
-            trajectories for the same seeds, so the choice only
-            affects speed.
+            registered name.  Every name advances the replications in
+            lock-step through the structure-of-arrays kernel
+            (:mod:`repro.perf.market`) when the pool uses a built-in
+            choice model and the base-class arrival/accuracy hooks
+            and the atomic ids are unique; any other job runs the
+            replications one after another.  Both paths produce
+            bit-identical trajectories for the same seeds.
 
         Worker ids keep incrementing across replications (exactly as
         sequential :meth:`run_job` calls against one pool would), and

@@ -16,10 +16,11 @@ makes those sweeps array-shaped:
   dense per-group cost tables, a single-pass multi-budget sweep, and
   the Algorithm-3 closeness scan.  Outputs are bit-identical to the
   seed implementations (kept in :mod:`~repro.perf.reference`).
-* :mod:`~repro.perf.engine` — the :class:`EvaluationEngine` registry:
-  scalar / batch / chunked-batch Monte-Carlo samplers behind one
-  interface, resolvable by name everywhere an ``engine=`` parameter is
-  accepted (CLI included).
+* :mod:`~repro.perf.engine` — the one :class:`EvaluationEngine` and
+  its name registry: the row-blocked Monte-Carlo sampler and the
+  replication fan-out (lock-step when :mod:`~repro.perf.market` can
+  drive the simulator), resolvable by name everywhere an ``engine=``
+  parameter is accepted (CLI included).
 * :mod:`~repro.perf.deadline` — batched kernels for the
   deadline-constrained comparator: memoized per-(group, price)
   completion terms over the shared ladders, a one-array-op greedy
@@ -27,7 +28,7 @@ makes those sweeps array-shaped:
   comparator registry (``"batched"`` / ``"reference"``) consumed by
   ``deadline_cost_frontier`` and the CLI.
 
-See ``docs/performance.md`` for when to pick which engine and how to
+See ``docs/performance.md`` for what each path costs and how to
 size the caches, and ``docs/architecture.md`` for how the engine
 registry and :class:`~repro.workloads.families.ProblemFamily` layer
 fit together.
@@ -64,25 +65,18 @@ from .dp import (
     heterogeneous_price_scan,
 )
 from .engine import (
-    BatchEngine,
-    ChunkedBatchEngine,
     EvaluationEngine,
-    ScalarEngine,
     available_engines,
     get_engine,
     register_engine,
     resolve_engine,
 )
-from .market import AgentBatchEngine, batch_agent_run_replications
+from .market import batch_agent_run_replications
 
 __all__ = [
-    "AgentBatchEngine",
     "BatchAggregateSimulator",
-    "BatchEngine",
-    "ChunkedBatchEngine",
     "DeadlineKernel",
     "EvaluationEngine",
-    "ScalarEngine",
     "available_deadline_comparators",
     "available_engines",
     "batch_agent_run_replications",

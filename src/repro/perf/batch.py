@@ -1,14 +1,16 @@
 """Batched Monte-Carlo and numeric evaluation of job latencies.
 
-Three entry points, all array-shaped where the scalar engines are
+Three entry points, all array-shaped where the seed code was
 loop-shaped:
 
-* :func:`sample_job_latencies_batch` — the drop-in batch counterpart of
-  :func:`repro.core.latency.sample_job_latencies`.  All phases of all
-  tasks are drawn as one ``(n_phases, n_samples)`` standard-exponential
-  matrix (a single RNG call), scaled per phase and reduced per task.
-  The matrix rows are laid out in exactly the order the scalar sampler
-  consumes the stream, so results are **bit-identical seed-for-seed**.
+* :func:`sample_job_latencies_batch` — the Monte-Carlo sampler behind
+  :func:`repro.core.latency.sample_job_latencies` and every registered
+  evaluation engine.  All phases of all tasks form one
+  ``(n_phases, n_samples)`` standard-exponential matrix, drawn in
+  bounded row blocks, scaled per phase and reduced per task.  The
+  matrix rows are laid out in exactly the order the seed's task-by-task
+  sampler consumed the stream, so results are **bit-identical to it
+  seed-for-seed**.
 * :class:`BatchAggregateSimulator` — batch counterpart of
   :class:`repro.market.simulator.AggregateSimulator` for latency
   studies: one ``(n_samples, n_phases)`` matrix replaces ``n_samples``
@@ -38,25 +40,23 @@ __all__ = [
 
 
 def _segment_sum_sequential(
-    matrix: np.ndarray, starts: np.ndarray, axis: int
+    matrix: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
-    """Per-segment sums accumulated strictly left-to-right.
+    """Per-segment column sums accumulated strictly left-to-right.
 
     ``np.add.reduceat`` reassociates (pairwise/SIMD) and so drifts from
-    the scalar engines' ``total += phase`` accumulation in the last
-    ulp; summing one phase row at a time keeps the batch results
+    the seed simulator's ``total += phase`` accumulation in the last
+    ulp; summing one phase column at a time keeps the batch results
     bit-identical while staying vectorized across samples.
     """
-    matrix = np.moveaxis(matrix, axis, 0)
-    n_phases = matrix.shape[0]
-    bounds = list(starts) + [n_phases]
-    out = np.empty((len(starts),) + matrix.shape[1:])
+    bounds = list(starts) + [matrix.shape[1]]
+    out = np.empty((matrix.shape[0], len(starts)))
     for k in range(len(starts)):
-        acc = matrix[bounds[k]].copy()
-        for r in range(bounds[k] + 1, bounds[k + 1]):
-            acc += matrix[r]
-        out[k] = acc
-    return np.moveaxis(out, 0, axis)
+        acc = matrix[:, bounds[k]].copy()
+        for c in range(bounds[k] + 1, bounds[k + 1]):
+            acc += matrix[:, c]
+        out[:, k] = acc
+    return out
 
 
 def _allocation_phase_layout(
@@ -76,62 +76,51 @@ def _allocation_phase_layout(
     return np.asarray(scales), np.asarray(starts)
 
 
+#: Doubles per drawn block of the phase matrix (512 KiB): the sampler
+#: draws ``max(1, _BLOCK_DOUBLES // n_samples)`` phase rows at a time,
+#: so peak memory stays bounded whatever the job size.
+_BLOCK_DOUBLES = 1 << 16
+
+
 def sample_job_latencies_batch(
     problem: HTuningProblem,
     allocation: Allocation,
     n_samples: int,
     rng: RandomState = None,
     include_processing: bool = True,
-    chunk_rows: Optional[int] = None,
 ) -> np.ndarray:
-    """Draw *n_samples* iid job-latency realizations in one RNG call.
+    """Draw *n_samples* iid job-latency realizations.
 
-    Equivalent to :func:`repro.core.latency.sample_job_latencies` —
-    bit-identical given the same seed — but the per-task python loop is
-    replaced by one ``(n_phases, n_samples)`` matrix draw, a per-row
-    scale, a sequential left-to-right segment sum (NOT ``reduceat``,
-    which reassociates and would break bit-identity) and a max.
-    Memory is ``O(n_phases · n_samples)`` (the scalar path streams
-    task by task).
-
-    ``chunk_rows`` streams the matrix in blocks of at most that many
-    phase rows, capping peak memory at ``chunk_rows × n_samples``
-    doubles.  The full matrix is filled row-major by the generator, so
-    drawing row blocks in order consumes the stream identically —
-    results are **bit-identical to the unchunked draw for every chunk
-    size** (each task's phases still accumulate strictly left to
-    right, even across block boundaries).
+    The sampler behind every registered evaluation engine.  The
+    ``(n_phases, n_samples)`` standard-exponential phase matrix is
+    drawn in row blocks of at most :data:`_BLOCK_DOUBLES` doubles,
+    scaled per phase, summed per task strictly left to right (a task
+    may straddle a block edge) and reduced by a running max over tasks.
+    The generator fills the matrix row-major, so drawing row blocks in
+    order consumes the stream exactly as the seed's task-by-task loop
+    (:func:`repro.perf.reference.reference_sample_job_latencies`)
+    does: results are **bit-identical to it seed-for-seed**, for every
+    block size.
     """
     if n_samples < 1:
         raise ModelError(f"n_samples must be >= 1, got {n_samples}")
-    if chunk_rows is not None and chunk_rows < 1:
-        raise ModelError(f"chunk_rows must be >= 1, got {chunk_rows}")
     problem.validate_allocation(allocation)
     gen = ensure_rng(rng)
     scales, starts = _allocation_phase_layout(
         problem, allocation, include_processing
     )
     n_rows = len(scales)
-    if chunk_rows is None or chunk_rows >= n_rows:
-        draws = gen.standard_exponential((n_rows, n_samples))
-        draws *= scales[:, None]
-        totals = _segment_sum_sequential(draws, starts, axis=0)
-        return totals.max(axis=0)
-
-    # Chunked path: stream row blocks, keeping one accumulator for the
-    # task currently being summed (tasks may straddle block edges) and
-    # folding finished tasks into the running job max.
+    block_rows = max(1, _BLOCK_DOUBLES // n_samples)
     is_start = np.zeros(n_rows, dtype=bool)
     is_start[starts] = True
     job = np.full(n_samples, -np.inf)
     acc: Optional[np.ndarray] = None
-    for r0 in range(0, n_rows, chunk_rows):
-        r1 = min(r0 + chunk_rows, n_rows)
+    for r0 in range(0, n_rows, block_rows):
+        r1 = min(r0 + block_rows, n_rows)
         block = gen.standard_exponential((r1 - r0, n_samples))
         block *= scales[r0:r1, None]
-        for r in range(r0, r1):
-            row = block[r - r0]
-            if is_start[r]:
+        for row, first in zip(block, is_start[r0:r1].tolist()):
+            if first:
                 if acc is not None:
                     np.maximum(job, acc, out=job)
                 acc = row.copy()
@@ -249,7 +238,7 @@ class BatchAggregateSimulator:
         if repetition_mode == "sequential":
             # A repetition publishes when the previous one finishes, so
             # the task completes at the sum of its phase draws.
-            totals = _segment_sum_sequential(draws, starts, axis=1)
+            totals = _segment_sum_sequential(draws, starts)
         else:
             # All repetitions run at once; each chain is onhold +
             # processing and the task completes at the max chain.

@@ -1,26 +1,27 @@
-"""First-class Monte-Carlo evaluation engines + a name registry.
+"""The Monte-Carlo evaluation engine + its name registry.
 
-The experiment stack used to thread a stringly ``engine="scalar"``
-parameter from the CLI through the runner and figure harnesses down to
-:mod:`repro.core.latency`, where an ``if engine == ...`` chain picked
-the sampler.  Engines are now objects:
+One :class:`EvaluationEngine` class does the sampling work behind
+every ``engine=`` parameter:
 
-* :class:`ScalarEngine` — the seed's task-by-task streaming sampler;
-  smallest memory footprint, the default.
-* :class:`BatchEngine` — one ``(n_phases, n_samples)`` matrix draw
-  (:func:`repro.perf.batch.sample_job_latencies_batch`); bit-identical
-  to scalar seed-for-seed.
-* :class:`ChunkedBatchEngine` — the batch draw streamed in phase-row
-  blocks, capping memory at ``chunk_rows × n_samples`` while staying
-  bit-identical to the unchunked batch (and therefore to scalar) for
-  every chunk size.
+* :meth:`EvaluationEngine.sample` draws job latencies through the
+  row-blocked sampler
+  :func:`repro.perf.batch.sample_job_latencies_batch`;
+* :meth:`EvaluationEngine.run_replications` runs R seeded simulator
+  replications, in lock-step
+  (:func:`repro.perf.market.batch_agent_run_replications`) when the
+  simulator is an agent market that kernel can drive and one by one
+  otherwise.
 
-String names keep working everywhere an ``engine=`` parameter is
-accepted — they resolve through the engine
-:class:`~repro.registry.Registry` (:func:`resolve_engine`), so the
-CLI and any existing caller passing ``"scalar"``/``"batch"`` is
-unaffected, and new engines become available to every sweep path at
-once via :func:`register_engine`.
+The input picks each path, never the engine's name.  The registered
+names ``"scalar"`` (the default), ``"batch"``, ``"chunked-batch"`` and
+``"agent-batch"`` each bind an instance of this one class: stored
+configs, fingerprints and retry policies carry them, and the
+``engine.sample`` fault site and
+:class:`~repro.resilience.policy.RetryPolicy` fallback chains key on
+:attr:`EvaluationEngine.name`.  Names resolve through the engine
+:class:`~repro.registry.Registry` (:func:`resolve_engine`), and
+:func:`register_engine` makes a new binding available to every sweep
+path at once.
 """
 
 from __future__ import annotations
@@ -29,17 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ModelError
 from ..registry import Registry
-from ..resilience.faults import active_fault_state, site_check
+from ..resilience.faults import site_check
 from ..stats.rng import RandomState
-from ..stats.rng import ensure_rng as _ensure_rng
+from .batch import sample_job_latencies_batch
 
 __all__ = [
     "EvaluationEngine",
-    "ScalarEngine",
-    "BatchEngine",
-    "ChunkedBatchEngine",
     "register_engine",
     "get_engine",
     "resolve_engine",
@@ -49,16 +46,15 @@ __all__ = [
 
 
 class EvaluationEngine:
-    """Strategy interface: draw job-latency realizations of an allocation.
+    """Draw job-latency realizations and run simulator replications.
 
-    Concrete engines differ only in *how* the phase exponentials are
-    drawn (streaming loop vs matrix vs chunked matrix); all registered
-    engines consume the RNG stream in the same order, so swapping
-    engines never changes an experiment's numbers.
+    Every instance computes the same numbers seed-for-seed; ``name`` is
+    the registry name the instance answers to (fault-site coordinates
+    and retry fallbacks are keyed on it).
     """
 
-    #: Registry name; subclasses must set it.
-    name: str = ""
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def sample(
         self,
@@ -69,21 +65,9 @@ class EvaluationEngine:
         include_processing: bool = True,
     ) -> np.ndarray:
         """Return *n_samples* iid job-latency draws."""
-        raise NotImplementedError
-
-    def mean_latency(
-        self,
-        problem,
-        allocation,
-        n_samples: int,
-        rng: RandomState = None,
-        include_processing: bool = True,
-    ) -> float:
-        """Monte-Carlo mean of :meth:`sample`."""
-        return float(
-            self.sample(
-                problem, allocation, n_samples, rng, include_processing
-            ).mean()
+        site_check("engine.sample", engine=self.name)
+        return sample_job_latencies_batch(
+            problem, allocation, n_samples, rng, include_processing
         )
 
     def run_replications(
@@ -98,15 +82,14 @@ class EvaluationEngine:
     ) -> list:
         """Run R independent market-simulator replications.
 
-        The reference fan-out: one sequential seeded run per
-        replication against any simulator exposing the
-        ``_run_job_with_rng`` protocol
-        (:class:`~repro.market.simulator.AgentSimulator`,
-        :class:`~repro.market.simulator.AggregateSimulator`).  Engines
-        with a lock-step fast path (``"agent-batch"``) override this;
-        every engine must produce bit-identical trajectories for the
-        same seeds, so — as with :meth:`sample` — swapping engines
-        never changes an experiment's numbers.
+        A plain :class:`~repro.market.simulator.AgentSimulator` the
+        lock-step kernel can drive (a built-in choice model on a
+        base-class pool, unique atomic ids, no *run_kwargs*; see
+        :func:`repro.perf.market.lockstep_supported`) advances
+        all replications at once; any other simulator exposing the
+        ``_run_job_with_rng`` protocol runs one seeded replication
+        after another.  Both paths produce bit-identical trajectories
+        for the same seeds.
 
         ``replication_offset`` is the global index of ``seeds[0]`` when
         the caller hands this engine a *shard* of a larger ensemble
@@ -115,106 +98,28 @@ class EvaluationEngine:
         global index ``offset + k``, so an injected fault or a timeout
         lands on the same replication no matter how the ensemble was
         split across executors.
-
-        A :class:`~repro.errors.SimulationError` raised inside one
-        replication (e.g. ``max_sim_time`` exceeded) is re-raised with
-        its replication index prefixed (and set as ``.replication``),
-        so callers can tell *which* world failed regardless of the
-        engine's execution order.
         """
-        from ..errors import SimulationError
+        from . import market
 
-        if recorders is None:
-            recorders = [None] * len(seeds)
-        offset = int(replication_offset)
-        fault_state = active_fault_state()
-        results = []
-        for k, (seed, rec) in enumerate(zip(seeds, recorders)):
-            site_check("market.replication", replication=offset + k)
-            if fault_state is not None:
-                fault_state.enter_replication(offset + k)
-            try:
-                results.append(
-                    simulator._run_job_with_rng(
-                        orders, _ensure_rng(seed), rec, start_time,
-                        **run_kwargs,
-                    )
-                )
-            except SimulationError as exc:
-                wrapped = SimulationError(
-                    f"replication {offset + k}: {exc}"
-                )
-                wrapped.replication = offset + k
-                raise wrapped from exc
-        return results
+        orders = list(orders)
+        if not run_kwargs and market.lockstep_supported(simulator, orders):
+            return market.batch_agent_run_replications(
+                simulator, orders, seeds, recorders, start_time,
+                replication_offset=replication_offset,
+            )
+        return market.sequential_run_replications(
+            simulator, orders, seeds, recorders, start_time,
+            replication_offset=replication_offset,
+            **run_kwargs,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class ScalarEngine(EvaluationEngine):
-    """The seed sampler: stream task by task, O(n_samples) memory."""
-
-    name = "scalar"
-
-    def sample(
-        self, problem, allocation, n_samples, rng=None, include_processing=True
-    ) -> np.ndarray:
-        from ..core.latency import _sample_job_latencies_scalar
-
-        site_check("engine.sample", engine=self.name)
-        return _sample_job_latencies_scalar(
-            problem, allocation, n_samples, rng, include_processing
-        )
-
-
-class BatchEngine(EvaluationEngine):
-    """One phase-matrix draw per call; bit-identical to scalar.
-
-    ``chunk_rows`` streams the matrix in row blocks (see
-    :func:`repro.perf.batch.sample_job_latencies_batch`); ``None``
-    materializes the full matrix.
-    """
-
-    name = "batch"
-
-    def __init__(self, chunk_rows: Optional[int] = None) -> None:
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ModelError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self.chunk_rows = chunk_rows
-
-    def sample(
-        self, problem, allocation, n_samples, rng=None, include_processing=True
-    ) -> np.ndarray:
-        from .batch import sample_job_latencies_batch
-
-        site_check("engine.sample", engine=self.name)
-        return sample_job_latencies_batch(
-            problem,
-            allocation,
-            n_samples,
-            rng,
-            include_processing,
-            chunk_rows=self.chunk_rows,
-        )
-
-
-class ChunkedBatchEngine(BatchEngine):
-    """Batch sampling with bounded memory (default 64 phase rows).
-
-    Peak extra memory is ``chunk_rows × n_samples`` doubles instead of
-    ``n_phases × n_samples`` — the engine to pick when the full phase
-    matrix would not fit.  Results are bit-identical to ``batch`` (and
-    ``scalar``) for every chunk size.
-    """
-
-    name = "chunked-batch"
-
-    def __init__(self, chunk_rows: int = 64) -> None:
-        super().__init__(chunk_rows=chunk_rows)
-        if self.chunk_rows is None:
-            raise ModelError("ChunkedBatchEngine needs a chunk_rows value")
-
+#: Former per-strategy class names, bound to the one class because the
+#: tracing launcher in ``perfbench/launcher.py`` still imports them.
+ScalarEngine = BatchEngine = EvaluationEngine
 
 #: Name of the engine used when callers pass nothing.
 DEFAULT_ENGINE = "scalar"
@@ -238,7 +143,7 @@ def register_engine(
 
     Registered names are what ``--engine`` on the CLI and every
     ``engine=`` parameter accept.  Pass ``replace=True`` to override an
-    existing binding (e.g. to re-tune the default chunk size).
+    existing binding.
     """
     return _REGISTRY.register(name or engine.name, engine, replace=replace)
 
@@ -252,6 +157,7 @@ resolve_engine = get_engine = _REGISTRY.resolve
 available_engines = _REGISTRY.names
 
 
-register_engine(ScalarEngine())
-register_engine(BatchEngine())
-register_engine(ChunkedBatchEngine())
+register_engine(EvaluationEngine("scalar"))
+register_engine(EvaluationEngine("batch"))
+register_engine(EvaluationEngine("chunked-batch"))
+register_engine(EvaluationEngine("agent-batch"))

@@ -1,4 +1,4 @@
-"""Vectorized multi-replication agent-market engine (``"agent-batch"``).
+"""Replication fan-outs: lock-step agent markets and the sequential loop.
 
 Replication studies — the Fig. 3/4/5(a)(b) harnesses, CI estimation,
 and every engine-agreement check of the paper's modelling assumption —
@@ -24,12 +24,14 @@ replications **in lock-step** instead:
   end; with a :class:`~repro.market.trace.NullTraceRecorder` the
   event/record materialization is skipped entirely.
 
-The engine covers the three built-in choice models
+The lock-step kernel covers the three built-in choice models
 (price-proportional, softmax, greedy) on a plain
-:class:`~repro.market.worker.WorkerPool`; custom choice models,
-subclassed pools (e.g. nonstationary arrivals), and duplicate atomic
-ids fall back to the sequential reference fan-out — same results,
-reference speed.  The seed scalar loop is preserved verbatim as
+:class:`~repro.market.worker.WorkerPool` (:func:`lockstep_supported`);
+:meth:`repro.perf.engine.EvaluationEngine.run_replications` sends
+custom choice models, subclassed pools (e.g. nonstationary arrivals),
+duplicate atomic ids and every other simulator to
+:func:`sequential_run_replications` instead — same results, reference
+speed.  The seed scalar loop is preserved verbatim as
 :func:`repro.perf.reference.reference_agent_run_job` and the
 equivalence is certified in ``tests/perf/test_market_replications.py``.
 """
@@ -54,9 +56,18 @@ from ..market.worker import (
 )
 from ..resilience.faults import active_fault_state, site_check
 from ..stats.rng import ensure_rng
-from .engine import ScalarEngine, register_engine
+from .engine import EvaluationEngine
 
-__all__ = ["AgentBatchEngine", "batch_agent_run_replications"]
+__all__ = [
+    "batch_agent_run_replications",
+    "lockstep_supported",
+    "sequential_run_replications",
+]
+
+#: The former ``"agent-batch"`` class name, bound to the one engine
+#: class because the tracing launcher in ``perfbench/launcher.py``
+#: still imports it.
+AgentBatchEngine = EvaluationEngine
 
 _WEIGHTED, _SOFTMAX, _GREEDY = 0, 1, 2
 
@@ -107,6 +118,67 @@ def _trace_mode(recorder) -> int:
     return _TRACE_FULL
 
 
+def lockstep_supported(simulator, orders) -> bool:
+    """True when :func:`batch_agent_run_replications` can drive *orders*.
+
+    That takes a plain :class:`AgentSimulator` (exact type, like the
+    choice-model check) whose pool uses a built-in choice model and
+    the base-class RNG hooks, and a non-empty job with unique atomic
+    ids.
+    """
+    if type(simulator) is not AgentSimulator or not orders:
+        return False
+    pool = simulator.pool
+    ids = [o.atomic_task_id for o in orders]
+    return (
+        _builtin_kind(pool.choice_model) is not None
+        and _pool_is_lockstep_safe(pool)
+        and len(set(ids)) == len(ids)
+    )
+
+
+def sequential_run_replications(
+    simulator,
+    orders,
+    seeds,
+    recorders=None,
+    start_time: float = 0.0,
+    replication_offset: int = 0,
+    **run_kwargs,
+) -> list:
+    """One seeded ``simulator._run_job_with_rng`` run per replication.
+
+    The reference fan-out for any simulator exposing that protocol
+    (:class:`~repro.market.simulator.AgentSimulator`,
+    :class:`~repro.market.simulator.AggregateSimulator`,
+    :class:`~repro.perf.batch.BatchAggregateSimulator`).  A
+    :class:`~repro.errors.SimulationError` raised inside one
+    replication (e.g. ``max_sim_time`` exceeded) is re-raised with its
+    global replication index ``replication_offset + k`` prefixed (and
+    set as ``.replication``).
+    """
+    if recorders is None:
+        recorders = [None] * len(seeds)
+    offset = int(replication_offset)
+    fault_state = active_fault_state()
+    results = []
+    for k, (seed, rec) in enumerate(zip(seeds, recorders)):
+        site_check("market.replication", replication=offset + k)
+        if fault_state is not None:
+            fault_state.enter_replication(offset + k)
+        try:
+            results.append(
+                simulator._run_job_with_rng(
+                    orders, ensure_rng(seed), rec, start_time, **run_kwargs
+                )
+            )
+        except SimulationError as exc:
+            wrapped = SimulationError(f"replication {offset + k}: {exc}")
+            wrapped.replication = offset + k
+            raise wrapped from exc
+    return results
+
+
 def batch_agent_run_replications(
     simulator: AgentSimulator,
     orders,
@@ -122,30 +194,25 @@ def batch_agent_run_replications(
     makespan, and trace content per replication (task ``uid`` /
     ``worker_id`` values come from the same global counters, assigned
     in replication order).  Callers normally reach this through
-    ``run_replications(engine="agent-batch")``.
+    ``run_replications``, which checks :func:`lockstep_supported`
+    first; an input that fails that check raises here.
 
     ``replication_offset`` is the global index of ``seeds[0]`` when the
     seeds are a shard of a larger ensemble — fault-site coordinates and
-    error labels use the global index, matching the base engine.
+    error labels use the global index, matching the sequential loop.
     """
     orders = list(orders)
-    if not orders:
-        raise SimulationError("job must contain at least one atomic task")
+    if not lockstep_supported(simulator, orders):
+        raise SimulationError(
+            "the lock-step kernel drives a non-empty AgentSimulator job "
+            "with unique atomic ids, a built-in choice model and a "
+            "base-class worker pool; use run_replications for others"
+        )
     offset = int(replication_offset)
     pool = simulator.pool
     model = pool.choice_model
     kind = _builtin_kind(model)
     ids = [o.atomic_task_id for o in orders]
-    if (
-        kind is None
-        or not _pool_is_lockstep_safe(pool)
-        or len(set(ids)) != len(ids)
-    ):
-        # Sequential reference fan-out (bit-identical by definition).
-        return ScalarEngine.run_replications(
-            ScalarEngine(), simulator, orders, seeds, recorders, start_time,
-            replication_offset=offset,
-        )
 
     R = len(seeds)
     if recorders is None:
@@ -623,42 +690,3 @@ def _finalize(
             )
         )
     return results
-
-
-class AgentBatchEngine(ScalarEngine):
-    """``"agent-batch"``: lock-step SoA replication fan-out.
-
-    Monte-Carlo allocation sampling (:meth:`sample`) is inherited from
-    the scalar engine — all registered engines are stream-compatible
-    there — while :meth:`run_replications` advances agent-market
-    replications in lock-step.  Workloads the lock-step kernel cannot
-    drive (custom choice models, overridden pools, aggregate
-    simulators, duplicate atomic ids) transparently fall back to the
-    sequential reference fan-out.
-    """
-
-    name = "agent-batch"
-
-    def run_replications(
-        self,
-        simulator,
-        orders,
-        seeds,
-        recorders=None,
-        start_time: float = 0.0,
-        replication_offset: int = 0,
-        **run_kwargs,
-    ) -> list:
-        if run_kwargs or not isinstance(simulator, AgentSimulator):
-            return super().run_replications(
-                simulator, orders, seeds, recorders, start_time,
-                replication_offset=replication_offset,
-                **run_kwargs,
-            )
-        return batch_agent_run_replications(
-            simulator, orders, seeds, recorders, start_time,
-            replication_offset=replication_offset,
-        )
-
-
-register_engine(AgentBatchEngine())

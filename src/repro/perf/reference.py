@@ -13,9 +13,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..errors import InfeasibleAllocationError, ModelError, SimulationError
+from ..stats.rng import ensure_rng
 
 __all__ = [
+    "reference_sample_job_latencies",
     "reference_budget_indexed_dp",
     "reference_heterogeneous_prices",
     "reference_completion_probability",
@@ -25,6 +29,36 @@ __all__ = [
     "reference_poisson_mix_windows",
     "reference_sf_from_weights",
 ]
+
+
+def reference_sample_job_latencies(
+    problem,
+    allocation,
+    n_samples: int,
+    rng=None,
+    include_processing: bool = True,
+):
+    """Seed ``sample_job_latencies``: stream task by task.
+
+    Each task contributes the sum of its phase draws and the job
+    latency is the max across tasks.  The stream-layout oracle the
+    row-blocked :func:`repro.perf.batch.sample_job_latencies_batch`
+    must reproduce bit-for-bit.
+    """
+    if n_samples < 1:
+        raise ModelError(f"n_samples must be >= 1, got {n_samples}")
+    problem.validate_allocation(allocation)
+    gen = ensure_rng(rng)
+    job = np.zeros(n_samples)
+    for task in problem.tasks:
+        total = np.zeros(n_samples)
+        for price in allocation[task.task_id]:
+            rate_o = task.onhold_rate(price)
+            total += gen.exponential(1.0 / rate_o, size=n_samples)
+            if include_processing:
+                total += gen.exponential(1.0 / task.processing_rate, size=n_samples)
+        np.maximum(job, total, out=job)
+    return job
 
 
 def reference_agent_run_job(
@@ -37,8 +71,8 @@ def reference_agent_run_job(
     """Seed ``AgentSimulator.run_job``: one event-queue Python loop.
 
     Verbatim copy of the scalar agent-market loop the lock-step
-    ``"agent-batch"`` engine (:mod:`repro.perf.market`) replaced as the
-    replication fan-out path.  ``rng`` defaults to the simulator's own
+    kernel (:mod:`repro.perf.market`) replaced as the replication
+    fan-out path.  ``rng`` defaults to the simulator's own
     generator (exactly the seed method); certification tests pass one
     explicit seeded generator per replication.
     """

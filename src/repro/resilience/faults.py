@@ -24,9 +24,9 @@ The ``market.abandon`` site is special: instead of raising, it makes
 an arriving worker *abandon* a task they just chose — the task stays
 open for a later worker, no processing time is drawn, no worker id is
 consumed.  Both the scalar :class:`~repro.market.simulator.AgentSimulator`
-event loop and the lock-step ``agent-batch`` engine consult the same
+event loop and the lock-step replication kernel consult the same
 per-replication acceptance counters, so an abandonment plan produces
-bit-identical trajectories on every engine.
+bit-identical trajectories on either path.
 """
 
 from __future__ import annotations
@@ -276,8 +276,7 @@ class FaultState:
 
     Counters key on ``(rule index, replication)`` so the per-replication
     occurrence streams are identical whether replications run
-    sequentially (scalar engines) or interleaved (the lock-step
-    ``agent-batch`` engine).
+    sequentially or interleaved (the lock-step replication kernel).
     """
 
     __slots__ = (

@@ -144,13 +144,10 @@ class TestSerialization:
         assert config.to_dict()["engine"] == "chunked-batch"
 
     def test_unregistered_engine_instance_rejected(self):
-        from repro.perf.engine import ScalarEngine
-
-        class Unregistered(ScalarEngine):
-            name = "not-in-registry"
+        from repro.perf.engine import EvaluationEngine
 
         with pytest.raises(ModelError):
-            RunConfig(engine=Unregistered()).to_dict()
+            RunConfig(engine=EvaluationEngine("not-in-registry")).to_dict()
 
     def test_registered_comparator_callable_serializes_by_name(self):
         config = RunConfig(comparator=get_deadline_comparator("reference"))

@@ -1,7 +1,7 @@
 """Engine-equivalence tests: batch vs scalar Monte-Carlo samplers.
 
-The batch engines are designed to consume the RNG stream in exactly
-the order their scalar counterparts do, so agreement is checked
+The batch samplers are designed to consume the RNG stream in exactly
+the order their seed scalar counterparts do, so agreement is checked
 seed-for-seed (bitwise) where that contract holds, and
 distributionally (KS) across engines that cannot share a stream.
 """
@@ -20,6 +20,7 @@ from repro.market import LinearPricing, MarketModel, TaskType
 from repro.market.simulator import AggregateSimulator, AtomicTaskOrder
 from repro.perf import BatchAggregateSimulator, sample_job_latencies_batch
 from repro.perf.batch import evaluate_allocations
+from repro.perf.reference import reference_sample_job_latencies
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ def mixed_problem(linear_pricing):
 class TestBatchSampler:
     def test_bitwise_equal_to_scalar(self, mixed_problem):
         alloc = Allocation.uniform(mixed_problem, 2)
-        scalar = sample_job_latencies(
+        scalar = reference_sample_job_latencies(
             mixed_problem, alloc, 400, rng=np.random.default_rng(7)
         )
         batch = sample_job_latencies_batch(
@@ -44,7 +45,7 @@ class TestBatchSampler:
 
     def test_bitwise_equal_without_processing(self, mixed_problem):
         alloc = Allocation.uniform(mixed_problem, 3)
-        scalar = sample_job_latencies(
+        scalar = reference_sample_job_latencies(
             mixed_problem, alloc, 200,
             rng=np.random.default_rng(1), include_processing=False,
         )
@@ -78,6 +79,12 @@ class TestBatchSampler:
         alloc = Allocation.uniform(mixed_problem, 2)
         with pytest.raises(ModelError):
             sample_job_latencies_batch(mixed_problem, alloc, 0)
+
+    def test_rejects_invalid_allocation(self, mixed_problem):
+        prices = {t.task_id: [2] * t.repetitions for t in mixed_problem.tasks}
+        prices[0] = [2] * (mixed_problem.tasks[0].repetitions + 1)
+        with pytest.raises(ModelError):
+            sample_job_latencies_batch(mixed_problem, Allocation(prices), 10)
 
 
 class TestBatchAggregateSimulator:

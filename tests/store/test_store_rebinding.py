@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.api import RunConfig, Session
 from repro.api.specs import BudgetSweepSpec
+from repro.perf.engine import EvaluationEngine, get_engine, register_engine
 from repro.resilience.faults import _PLANS, FaultPlan, register_fault_plan
 from repro.store.envelope import registry_contents_hash
 from repro.workloads.families import get_family_builder, register_family
@@ -36,6 +37,36 @@ def test_rebinding_a_family_quarantines_entries_as_stale(store):
         assert session.runs_completed == 2
     finally:
         register_family("homo", original, replace=True)
+    assert registry_contents_hash() == before
+
+
+def test_rebinding_an_engine_to_a_subclass_quarantines_entries_as_stale(
+    store,
+):
+    """Every engine name binds the one ``EvaluationEngine`` class, so
+    the envelope tells bindings apart by type: a subclass bound under
+    ``"scalar"`` must not be served entries the base class wrote."""
+
+    class Subclassed(EvaluationEngine):
+        pass
+
+    spec = BudgetSweepSpec(
+        family="homo", n_tasks=4, budgets=(800,), n_samples=20
+    )
+    session = Session(RunConfig(engine="scalar"))
+    computed = session.run(spec, store=store)
+    original = get_engine("scalar")
+    before = registry_contents_hash()
+    register_engine(Subclassed("scalar"), replace=True)
+    try:
+        assert registry_contents_hash() != before
+        rebound = session.run(spec, store=store)
+        assert session.runs_completed == 2  # recomputed, not served
+        assert rebound.to_dict()["payload"] == computed.to_dict()["payload"]
+        reasons = store.quarantined()
+        assert [reason["code"] for reason in reasons] == ["store-stale"]
+    finally:
+        register_engine(original, replace=True)
     assert registry_contents_hash() == before
 
 
