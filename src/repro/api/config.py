@@ -15,7 +15,9 @@ frozen, serializable object:
   Experiments whose historical ``engine=None``
   means "the seed aggregate path" (Fig. 4 / Fig. 5ab) read the raw
   field, so ``None`` and ``"aggregate"`` give the seed figures.
-* **comparator** — deadline comparator (name, callable, or ``None``).
+* **comparator** — deadline comparator name (``None`` for the
+  default).  Every builtin name runs the one grid solver, so the name
+  never changes a payload beyond its ``comparator`` echo.
 * **recorder** — trace policy: ``None`` (each experiment's own
   default), ``"trace"`` (full per-replication traces), or ``"null"``
   (the no-op :data:`~repro.market.trace.NULL_RECORDER`).
@@ -98,7 +100,7 @@ class RunConfig:
     """
 
     engine: Union[str, None, object] = None
-    comparator: Union[str, Callable, None] = None
+    comparator: Optional[str] = None
     recorder: Optional[str] = None
     seed: RandomState = 0
     replications: int = 1
@@ -117,6 +119,13 @@ class RunConfig:
         if self.replications < 1:
             raise ModelError(
                 f"replications must be >= 1, got {self.replications}"
+            )
+        if self.comparator is not None and not isinstance(
+            self.comparator, str
+        ):
+            raise ModelError(
+                f"comparator must be a registered deadline comparator "
+                f"name or None — got {self.comparator!r}"
             )
         if self.recorder not in RECORDER_POLICIES:
             raise ModelError(
@@ -180,7 +189,7 @@ class RunConfig:
         names fail here, before any work runs.
         """
         from ..perf.deadline import (
-            deadline_comparator_name,
+            DEFAULT_DEADLINE_COMPARATOR,
             get_deadline_comparator,
         )
         from ..perf.engine import resolve_engine
@@ -190,7 +199,7 @@ class RunConfig:
             engine=engine,
             engine_name=engine.name,
             comparator=get_deadline_comparator(self.comparator),
-            comparator_name=deadline_comparator_name(self.comparator),
+            comparator_name=self.comparator or DEFAULT_DEADLINE_COMPARATOR,
             recorder=self.recorder,
             seed=self.seed,
             replications=self.replications,
@@ -204,8 +213,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """JSON-able form; raises :class:`ModelError` on unserializable
-        members (engine/comparator instances resolve to their
-        registered names, generator seeds cannot be serialized).  The
+        members (engine instances resolve to their registered names,
+        generator seeds cannot be serialized).  The
         resilience fields are emitted only when set, so default configs
         keep their historical five-key layout and fingerprints.  The
         ``executor`` field is deliberately never emitted: payloads are
@@ -214,7 +223,7 @@ class RunConfig:
         runs inline — no recursive pool)."""
         out = {
             "engine": _engine_token(self.engine),
-            "comparator": _comparator_token(self.comparator),
+            "comparator": self.comparator,
             "recorder": self.recorder,
             "seed": _seed_token(self.seed),
             "replications": int(self.replications),
@@ -306,22 +315,6 @@ def _engine_token(engine) -> Optional[str]:
     raise ModelError(
         f"engine {engine!r} is not serializable; register it "
         "(repro.perf.engine.register_engine) and reference it by name"
-    )
-
-
-def _comparator_token(comparator) -> Optional[str]:
-    if comparator is None or isinstance(comparator, str):
-        return comparator
-    if callable(comparator):
-        from ..perf.deadline import _COMPARATORS
-
-        for name, bound in sorted(_COMPARATORS.items()):
-            if bound is comparator:
-                return name
-    raise ModelError(
-        f"comparator {comparator!r} is not serializable; register it "
-        "(repro.perf.deadline.register_deadline_comparator) and "
-        "reference it by name"
     )
 
 

@@ -892,9 +892,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--comparator",
         choices=list(available_deadline_comparators()),
         default=DEFAULT_DEADLINE_COMPARATOR,
-        help="min-cost-for-deadline implementation (resolved through "
-        "the repro.perf.deadline registry; all comparators produce "
-        "identical curves — 'batched' shares kernels across the grid)",
+        help="deadline comparator name, echoed in the output (resolved "
+        "through the repro.perf.deadline registry; every builtin name "
+        "runs the one grid solver)",
     )
     fig3 = alias("fig3", "fig3", _render_fig3, help="worker arrival moments")
     fig3.add_argument("--arrivals", dest="n_arrivals", type=int, default=20)

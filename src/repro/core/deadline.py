@@ -343,17 +343,10 @@ def _min_cost_with_kernel(
     return result_at(prices)
 
 
-#: Sweep capability marker the frontier harness looks up: a comparator
-#: with a ``deadline_sweep`` attribute can tune a whole grid with
-#: shared tables (see :func:`repro.experiments.pareto.deadline_cost_frontier`).
-min_cost_for_deadline.deadline_sweep = min_cost_for_deadline_sweep
-
-
-# The builtin comparators.  Bound here rather than in repro.perf.deadline
-# so that kernel module imports no core module; ``import repro`` always
-# runs this.
+# Every comparator name binds the sweep solver.  Bound here rather than
+# in repro.perf.deadline so that kernel module imports no core module;
+# ``import repro`` always runs this.
 from ..perf.deadline import register_deadline_comparator  # noqa: E402
-from ..perf.reference import reference_min_cost_for_deadline  # noqa: E402
 
-register_deadline_comparator("batched", min_cost_for_deadline)
-register_deadline_comparator("reference", reference_min_cost_for_deadline)
+register_deadline_comparator("batched", min_cost_for_deadline_sweep)
+register_deadline_comparator("reference", min_cost_for_deadline_sweep)

@@ -14,9 +14,8 @@ This is the "crowd-powered database with primitive tuning ability"
 the paper's conclusion describes.
 
 The platform decides which market engine serves the query
-(``"aggregate"``, ``"agent"``, or the vectorized ``"batch"`` engine —
-answer sampling included, so crowd queries no longer require the
-scalar event loop); :class:`QueryOutcome` records which one ran.
+(``"aggregate"`` or ``"agent"``); :class:`QueryOutcome` records which
+one ran.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class QueryOutcome:
     allocation: Allocation
     job: JobResult
     strategy: str
-    #: Market engine that served the query ("aggregate"/"agent"/"batch").
+    #: Market engine that served the query ("aggregate"/"agent").
     engine: str = "aggregate"
 
     @property

@@ -11,10 +11,9 @@ The deadline-constrained relative [29] asks the dual question:
 :func:`deadline_cost_frontier` sweeps a deadline grid and reports the
 cheapest spend meeting each deadline at a target confidence — the
 curve [29]'s requester reads before committing to an SLA.  The sweep
-resolves its comparator through the
-:mod:`repro.perf.deadline` registry (``"batched"`` shares ladders and
-profile tables across the whole grid; ``"reference"`` is the preserved
-seed comparator) and both produce identical curves.
+resolves its comparator through the :mod:`repro.perf.deadline`
+registry; both builtin names bind one grid solver, which shares
+ladders and profile tables across the whole grid.
 
 :func:`min_budget_for_latency` bridges the two framings: the cheapest
 budget whose *tuned expected latency* meets a target.
@@ -241,7 +240,7 @@ def deadline_cost_frontier(
     confidence: float = 0.9,
     max_price: int = 1_000,
     include_processing: bool = True,
-    comparator: Union[str, Callable, None] = None,
+    comparator: Union[str, None, object] = None,
 ) -> DeadlineCostFrontier:
     """Cheapest spend per deadline — the dual of the budget frontier.
 
@@ -252,12 +251,11 @@ def deadline_cost_frontier(
     ``comparator`` resolves through the
     :func:`repro.perf.deadline.get_deadline_comparator` registry — a
     registered name (``"batched"``, ``"reference"``, or anything added
-    via :func:`~repro.perf.deadline.register_deadline_comparator`) or
-    a callable with the :func:`~repro.core.deadline.min_cost_for_deadline`
-    signature.  A comparator carrying a ``deadline_sweep`` attribute
-    (the default batched one does) tunes the whole grid in one sweep
-    with shared ladders and profile tables; results are identical to
-    per-deadline calls either way.
+    via :func:`~repro.perf.deadline.register_deadline_comparator`),
+    ``None`` for the default, or a :class:`repro.api.RunConfig`.  The
+    resolved solver tunes the whole grid in one call (the builtins
+    share ladders and profile tables across deadlines); each point is
+    bit-identical to a single-deadline solve.
     """
     from ..perf.deadline import get_deadline_comparator
 
@@ -269,28 +267,14 @@ def deadline_cost_frontier(
         else tuple(workload)
     )
     grid = sorted(float(d) for d in deadlines)
-    fn = get_deadline_comparator(comparator)
-    sweep = getattr(fn, "deadline_sweep", None)
-    if sweep is not None:
-        by_deadline = sweep(
-            tasks,
-            grid,
-            confidence=confidence,
-            max_price=max_price,
-            include_processing=include_processing,
-        )
-        results = [by_deadline[d] for d in grid]
-    else:
-        results = [
-            fn(
-                tasks,
-                deadline=d,
-                confidence=confidence,
-                max_price=max_price,
-                include_processing=include_processing,
-            )
-            for d in grid
-        ]
+    by_deadline = get_deadline_comparator(comparator)(
+        tasks,
+        grid,
+        confidence=confidence,
+        max_price=max_price,
+        include_processing=include_processing,
+    )
+    results = [by_deadline[d] for d in grid]
     points = tuple(
         DeadlineFrontierPoint(
             deadline=d,

@@ -128,23 +128,21 @@ def run_deadline_sweep(
     at fixed budgets and scoring latency, it fixes deadlines (one
     curve per target *confidence*) and reports the cheapest spend
     meeting each ([29]'s problem).  ``comparator`` is a registered
-    deadline-comparator name or callable, resolved exactly as engine
-    strings are (see
-    :func:`repro.perf.deadline.get_deadline_comparator`); the batched
-    default shares kernels across the whole grid.
+    deadline-comparator name, ``None`` for the default, or a config,
+    resolved exactly as engine strings are (see
+    :func:`repro.perf.deadline.get_deadline_comparator`); the result
+    echoes the name.  Every builtin name runs the one grid solver,
+    which shares kernels across the whole grid.
     """
-    from ..perf.deadline import (
-        deadline_comparator_name,
-        get_deadline_comparator,
-    )
+    from ..perf.deadline import _COMPARATORS
     from .pareto import deadline_cost_frontier
 
     if not deadlines:
         raise ModelError("deadline sweep needs at least one deadline")
     if not confidences:
         raise ModelError("deadline sweep needs at least one confidence")
-    get_deadline_comparator(comparator)  # fail fast on unknown names
-    comparator_name = deadline_comparator_name(comparator)
+    _COMPARATORS.resolve(comparator)  # fail fast on unknown names
+    comparator_name = _COMPARATORS.unwrap(comparator) or _COMPARATORS.default
     grid = tuple(sorted(float(d) for d in deadlines))
     series: dict[str, tuple[int, ...]] = {}
     feasible: dict[str, tuple[bool, ...]] = {}

@@ -50,15 +50,12 @@ class CrowdPlatform:
     Parameters
     ----------
     market:
-        Pricing environment (used by the aggregate and batch engines).
+        Pricing environment (used by the aggregate engine).
     engine:
-        ``"aggregate"`` (default — the paper's model sampled exactly),
-        ``"agent"`` (explicit worker stream; requires *pool*), or
-        ``"batch"`` (:class:`repro.perf.batch.BatchAggregateSimulator`
-        — the aggregate model with every phase drawn as one vector;
-        answers included, so crowd-DB queries can leave the scalar
-        event loop.  Deterministic per seed but not stream-compatible
-        with ``"aggregate"``).
+        ``"aggregate"`` (default — the paper's model sampled exactly)
+        or ``"agent"`` (explicit worker stream; requires *pool*).
+        Latency-only replication batches of the aggregate model go
+        through :func:`repro.perf.batch.sample_makespans`.
     pool:
         Worker pool for the agent engine.
     budget:
@@ -76,9 +73,9 @@ class CrowdPlatform:
         budget: Optional[int] = None,
         seed: RandomState = None,
     ) -> None:
-        if engine not in ("aggregate", "agent", "batch"):
+        if engine not in ("aggregate", "agent"):
             raise ModelError(
-                f"engine must be 'aggregate', 'agent' or 'batch', got {engine!r}"
+                f"engine must be 'aggregate' or 'agent', got {engine!r}"
             )
         if engine == "agent" and pool is None:
             raise ModelError("the agent engine requires a WorkerPool")
@@ -93,10 +90,6 @@ class CrowdPlatform:
         self._next_atomic_id = 0
         if engine == "aggregate":
             self._engine: Any = AggregateSimulator(market, seed=self._rng)
-        elif engine == "batch":
-            from ..perf.batch import BatchAggregateSimulator
-
-            self._engine = BatchAggregateSimulator(market, seed=self._rng)
         else:
             self._engine = AgentSimulator(pool, seed=self._rng)
 

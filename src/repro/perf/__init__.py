@@ -5,7 +5,7 @@ of (allocation → expected/simulated latency) pairs.  This subsystem
 makes those sweeps array-shaped:
 
 * :mod:`~repro.perf.batch` — batched Monte-Carlo sampling
-  (:func:`sample_job_latencies_batch`, :class:`BatchAggregateSimulator`)
+  (:func:`sample_job_latencies_batch`, :func:`sample_makespans`)
   and multi-allocation scoring (:func:`evaluate_allocations`).  The
   batch samplers are stream-compatible with their scalar counterparts:
   same seed, bit-identical draws.
@@ -25,8 +25,8 @@ makes those sweeps array-shaped:
   deadline-constrained comparator: memoized per-(group, price)
   completion terms over the shared ladders, a one-array-op greedy
   candidate scan, array-bisection quantiles, and the deadline
-  comparator registry (``"batched"`` / ``"reference"``) consumed by
-  ``deadline_cost_frontier`` and the CLI.
+  comparator registry (``"batched"`` and ``"reference"`` both bind the
+  one grid solver) consumed by ``deadline_cost_frontier`` and the CLI.
 
 See ``docs/performance.md`` for what each path costs and how to
 size the caches, and ``docs/architecture.md`` for how the engine
@@ -35,9 +35,9 @@ fit together.
 """
 
 from .batch import (
-    BatchAggregateSimulator,
     evaluate_allocations,
     sample_job_latencies_batch,
+    sample_makespans,
 )
 from .cache import (
     cached_hypoexponential_cdf,
@@ -52,7 +52,6 @@ from .cache import (
 from .deadline import (
     DeadlineKernel,
     available_deadline_comparators,
-    deadline_comparator_name,
     deadline_quantile_bisection,
     get_deadline_comparator,
     register_deadline_comparator,
@@ -74,7 +73,6 @@ from .engine import (
 from .market import batch_agent_run_replications
 
 __all__ = [
-    "BatchAggregateSimulator",
     "DeadlineKernel",
     "EvaluationEngine",
     "available_deadline_comparators",
@@ -87,7 +85,6 @@ __all__ = [
     "cached_hypoexponential_sf_many",
     "clear_phase_caches",
     "configure_phase_cache",
-    "deadline_comparator_name",
     "deadline_quantile_bisection",
     "evaluate_allocations",
     "get_deadline_comparator",
@@ -100,6 +97,7 @@ __all__ = [
     "register_engine",
     "resolve_engine",
     "sample_job_latencies_batch",
+    "sample_makespans",
     "shared_ladder_sf",
     "survival_weights",
 ]

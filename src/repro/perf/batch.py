@@ -11,11 +11,12 @@ loop-shaped:
   matrix rows are laid out in exactly the order the seed's task-by-task
   sampler consumed the stream, so results are **bit-identical to it
   seed-for-seed**.
-* :class:`BatchAggregateSimulator` — batch counterpart of
+* :func:`sample_makespans` — batch counterpart of
   :class:`repro.market.simulator.AggregateSimulator` for latency
-  studies: one ``(n_samples, n_phases)`` matrix replaces ``n_samples``
-  event-by-event ``run_job`` calls (again stream-compatible, so sample
-  ``j`` equals the ``j``-th scalar ``run_job`` makespan bit-for-bit).
+  studies: one ``(n_samples, n_phases)`` matrix, drawn in bounded
+  sample blocks, replaces ``n_samples`` event-by-event ``run_job``
+  calls (again stream-compatible, so sample ``j`` equals the ``j``-th
+  scalar ``run_job`` makespan bit-for-bit).
 * :func:`evaluate_allocations` — score many candidate allocations of
   one problem in a single call; the numeric backend shares one
   evaluation grid across all candidates so the process-level kernel
@@ -24,7 +25,7 @@ loop-shaped:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from ..stats.rng import RandomState, ensure_rng
 
 __all__ = [
     "sample_job_latencies_batch",
-    "BatchAggregateSimulator",
+    "sample_makespans",
     "evaluate_allocations",
 ]
 
@@ -46,16 +47,16 @@ def _segment_sum_sequential(
 
     ``np.add.reduceat`` reassociates (pairwise/SIMD) and so drifts from
     the seed simulator's ``total += phase`` accumulation in the last
-    ulp; summing one phase column at a time keeps the batch results
-    bit-identical while staying vectorized across samples.
+    ulp; adding the ``k``-th column of every segment still that long at
+    step ``k`` keeps each segment's additions in column order (batch
+    results stay bit-identical) while vectorizing across samples and
+    segments, so the loop runs once per column of the longest segment.
     """
-    bounds = list(starts) + [matrix.shape[1]]
-    out = np.empty((matrix.shape[0], len(starts)))
-    for k in range(len(starts)):
-        acc = matrix[:, bounds[k]].copy()
-        for c in range(bounds[k] + 1, bounds[k + 1]):
-            acc += matrix[:, c]
-        out[:, k] = acc
+    lengths = np.diff(np.append(starts, matrix.shape[1]))
+    out = matrix[:, starts]
+    for k in range(1, int(lengths.max())):
+        live = lengths > k
+        out[:, live] += matrix[:, starts[live] + k]
     return out
 
 
@@ -76,9 +77,9 @@ def _allocation_phase_layout(
     return np.asarray(scales), np.asarray(starts)
 
 
-#: Doubles per drawn block of the phase matrix (512 KiB): the sampler
-#: draws ``max(1, _BLOCK_DOUBLES // n_samples)`` phase rows at a time,
-#: so peak memory stays bounded whatever the job size.
+#: Doubles per drawn block of the phase matrix (512 KiB): the samplers
+#: draw ``max(1, _BLOCK_DOUBLES // row_length)`` rows at a time, so peak
+#: memory stays bounded whatever the job size.
 _BLOCK_DOUBLES = 1 << 16
 
 
@@ -130,110 +131,67 @@ def sample_job_latencies_batch(
     return job
 
 
-class BatchAggregateSimulator:
-    """Vectorized replication engine for the aggregate (HPU) model.
+def _order_layout(market, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Per-phase scales (1/rate) of *orders* in scalar draw order —
+    on-hold then processing per repetition — plus task column starts."""
+    scales: list[float] = []
+    starts: list[int] = []
+    for order in orders:
+        if order.payload is not None and hasattr(
+            order.payload, "sample_answer"
+        ):
+            raise SimulationError(
+                "sample_makespans is latency-only; payloads with "
+                "sample_answer need AggregateSimulator"
+            )
+        starts.append(len(scales))
+        rate_p = order.task_type.processing_rate
+        for price in order.prices:
+            scales.append(1.0 / market.onhold_rate(order.task_type, price))
+            scales.append(1.0 / rate_p)
+    return np.asarray(scales), np.asarray(starts)
 
-    Samples whole replication batches of a job at once: the phase
-    matrix has one row per simulated job and one column per
-    (repetition × phase), so ``n_samples`` makespans cost one
-    ``standard_exponential`` call instead of ``n_samples`` event-loop
-    runs.  The column layout mirrors the order in which
-    :class:`~repro.market.simulator.AggregateSimulator` consumes its
-    RNG stream, so with equal seeds sample ``j`` is bit-identical to
-    the ``j``-th scalar ``run_job`` makespan.
 
-    The replication sampler (:meth:`sample_makespans`) is a *latency*
-    engine: per-repetition answer sampling (payloads exposing
+def sample_makespans(
+    market,
+    orders: Sequence,
+    n_samples: int,
+    rng: RandomState = None,
+    repetition_mode: str = "sequential",
+) -> np.ndarray:
+    """*n_samples* iid job makespans of *orders* on the aggregate model.
+
+    The vectorized replication sampler for
+    :class:`~repro.market.simulator.AggregateSimulator`: one row per
+    simulated job and one column per (repetition × phase), in exactly
+    the order the scalar simulator consumes its stream, so with equal
+    seeds sample ``j`` is **bit-identical** to the ``j``-th
+    ``AggregateSimulator(market, seed).run_job(orders).makespan``.
+    The matrix is drawn in sample-major blocks of
+    ``max(1, _BLOCK_DOUBLES // n_phases)`` rows; the generator fills
+    rows in order, so every block size consumes the stream alike.
+
+    Latency only: per-repetition answer sampling (payloads exposing
     ``sample_answer``) would interleave with the phase draws in the
-    scalar stream and is rejected there.  :meth:`run_job` is the
-    answer-capable single-realization entry point: it draws every
-    phase of the job as one vector, then samples answers in task
-    order, so crowd-DB queries and quality-aware payloads can leave
-    the scalar event loop (its RNG stream layout is its own — it is
-    deterministic seed-for-seed but not stream-compatible with
-    :class:`~repro.market.simulator.AggregateSimulator`).
+    scalar stream and is rejected.
     """
-
-    def __init__(self, market, seed: RandomState = None) -> None:
-        self.market = market
-        self._rng = ensure_rng(seed)
-
-    def _order_layout(
-        self, orders, allow_payloads: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        scales: list[float] = []
-        starts: list[int] = []
-        for order in orders:
-            payload = order.payload
-            if (
-                not allow_payloads
-                and payload is not None
-                and hasattr(payload, "sample_answer")
-            ):
-                raise SimulationError(
-                    "sample_makespans is latency-only; payloads with "
-                    "sample_answer need AggregateSimulator or "
-                    "BatchAggregateSimulator.run_job"
-                )
-            starts.append(len(scales))
-            rate_p = order.task_type.processing_rate
-            for price in order.prices:
-                rate_o = self.market.onhold_rate(order.task_type, price)
-                scales.append(1.0 / rate_o)
-                scales.append(1.0 / rate_p)
-        return np.asarray(scales), np.asarray(starts)
-
-    def sample_makespans(
-        self,
-        orders: Sequence,
-        n_samples: int,
-        repetition_mode: str = "sequential",
-        chunk_samples: Optional[int] = None,
-    ) -> np.ndarray:
-        """*n_samples* iid job makespans for *orders* (one matrix draw).
-
-        ``chunk_samples`` streams the replication matrix in blocks of
-        at most that many samples (rows), capping memory at
-        ``chunk_samples × n_phases`` doubles.  Rows are filled in
-        sample-major order, so chunking consumes the RNG stream
-        identically — makespans are bit-identical to the unchunked
-        draw for every chunk size.
-        """
-        if repetition_mode not in ("sequential", "parallel"):
-            raise SimulationError(
-                f"repetition_mode must be 'sequential' or 'parallel', got "
-                f"{repetition_mode!r}"
-            )
-        orders = list(orders)
-        if not orders:
-            raise SimulationError("job must contain at least one atomic task")
-        if n_samples < 1:
-            raise SimulationError(f"n_samples must be >= 1, got {n_samples}")
-        if chunk_samples is not None and chunk_samples < 1:
-            raise SimulationError(
-                f"chunk_samples must be >= 1, got {chunk_samples}"
-            )
-        scales, starts = self._order_layout(orders)
-        if chunk_samples is None or chunk_samples >= n_samples:
-            return self._makespan_block(
-                scales, starts, n_samples, repetition_mode
-            )
-        out = np.empty(n_samples)
-        for s0 in range(0, n_samples, chunk_samples):
-            s1 = min(s0 + chunk_samples, n_samples)
-            out[s0:s1] = self._makespan_block(
-                scales, starts, s1 - s0, repetition_mode
-            )
-        return out
-
-    def _makespan_block(
-        self,
-        scales: np.ndarray,
-        starts: np.ndarray,
-        n_samples: int,
-        repetition_mode: str,
-    ) -> np.ndarray:
-        draws = self._rng.standard_exponential((n_samples, len(scales)))
+    if repetition_mode not in ("sequential", "parallel"):
+        raise SimulationError(
+            f"repetition_mode must be 'sequential' or 'parallel', got "
+            f"{repetition_mode!r}"
+        )
+    orders = list(orders)
+    if not orders:
+        raise SimulationError("job must contain at least one atomic task")
+    if n_samples < 1:
+        raise SimulationError(f"n_samples must be >= 1, got {n_samples}")
+    gen = ensure_rng(rng)
+    scales, starts = _order_layout(market, orders)
+    block = max(1, _BLOCK_DOUBLES // len(scales))
+    out = np.empty(n_samples)
+    for s0 in range(0, n_samples, block):
+        s1 = min(s0 + block, n_samples)
+        draws = gen.standard_exponential((s1 - s0, len(scales)))
         draws *= scales[None, :]
         if repetition_mode == "sequential":
             # A repetition publishes when the previous one finishes, so
@@ -244,145 +202,8 @@ class BatchAggregateSimulator:
             # processing and the task completes at the max chain.
             chains = draws[:, 0::2] + draws[:, 1::2]
             totals = np.maximum.reduceat(chains, starts // 2, axis=1)
-        return totals.max(axis=1)
-
-    def run_job(
-        self,
-        orders: Sequence,
-        recorder=None,
-        start_time: float = 0.0,
-        repetition_mode: str = "sequential",
-    ):
-        """Run one realization of a job, answers included.
-
-        Drop-in counterpart of
-        :meth:`repro.market.simulator.AggregateSimulator.run_job`: all
-        phase latencies are drawn as one vector, then answers are
-        sampled per repetition in task order (through each payload's
-        ``sample_answer`` at the task type's accuracy).  Deterministic
-        given the simulator seed, but the stream layout differs from
-        the scalar simulator's per-repetition interleaving, so the two
-        engines' realizations are *statistically* (not bitwise)
-        equivalent.
-        """
-        return self._run_job_with_rng(
-            orders, self._rng, recorder, start_time, repetition_mode
-        )
-
-    def run_replications(
-        self,
-        orders: Sequence,
-        n_replications=None,
-        *,
-        seeds=None,
-        recorders=None,
-        start_time: float = 0.0,
-        repetition_mode: str = "sequential",
-        engine=None,
-    ) -> list:
-        """Run *orders* as R independent seeded replications.
-
-        Same protocol as
-        :meth:`repro.market.simulator.AgentSimulator.run_replications`;
-        each replication draws its phase vector from its own stream
-        (this engine's own layout — deterministic per seed).
-        """
-        from ..market.simulator import (
-            _resolve_replication_recorders,
-            _resolve_replication_seeds,
-        )
-        from .engine import resolve_engine
-
-        seeds = _resolve_replication_seeds(self._rng, n_replications, seeds)
-        recorders = _resolve_replication_recorders(recorders, len(seeds))
-        return resolve_engine(engine).run_replications(
-            self, orders, seeds, recorders, start_time,
-            repetition_mode=repetition_mode,
-        )
-
-    def _run_job_with_rng(
-        self,
-        orders: Sequence,
-        rng,
-        recorder=None,
-        start_time: float = 0.0,
-        repetition_mode: str = "sequential",
-    ):
-        """The :meth:`run_job` body against an explicit generator."""
-        from ..market.simulator import JobResult, _draw_answer
-        from ..market.task import PublishedTask
-        from ..market.trace import TraceRecorder
-
-        if repetition_mode not in ("sequential", "parallel"):
-            raise SimulationError(
-                f"repetition_mode must be 'sequential' or 'parallel', got "
-                f"{repetition_mode!r}"
-            )
-        orders = list(orders)
-        if not orders:
-            raise SimulationError("job must contain at least one atomic task")
-        scales, starts = self._order_layout(orders, allow_payloads=True)
-        draws = rng.standard_exponential(len(scales))
-        draws *= scales
-
-        trace = recorder if recorder is not None else TraceRecorder()
-        record = not getattr(trace, "is_null", False)
-        per_atomic: dict[int, float] = {}
-        answers: dict[int, list[Any]] = {}
-        total_paid = 0
-        for i, order in enumerate(orders):
-            row = int(starts[i])
-            collected: list[Any] = []
-            clock = float(start_time)
-            finish = float(start_time)
-            for rep_index, price in enumerate(order.prices):
-                onhold = float(draws[row])
-                processing = float(draws[row + 1])
-                row += 2
-                publish_at = (
-                    clock if repetition_mode == "sequential" else float(start_time)
-                )
-                answer = _draw_answer(order, rng, order.task_type.accuracy)
-                done = publish_at + onhold + processing
-                if record:
-                    task = PublishedTask(
-                        task_type=order.task_type,
-                        price=price,
-                        atomic_task_id=order.atomic_task_id,
-                        repetition_index=rep_index,
-                        payload=order.payload,
-                    )
-                    task.mark_published(publish_at)
-                    task.mark_accepted(publish_at + onhold)
-                    task.mark_completed(done, answer=answer)
-                    trace.on_task_done(task)
-                collected.append(answer)
-                total_paid += price
-                clock = done
-                finish = max(finish, done)
-            per_atomic[order.atomic_task_id] = (
-                clock if repetition_mode == "sequential" else finish
-            )
-            answers[order.atomic_task_id] = collected
-        makespan = max(per_atomic.values()) - float(start_time)
-        return JobResult(
-            trace=trace,
-            makespan=makespan,
-            per_atomic_completion=per_atomic,
-            answers=answers,
-            total_paid=total_paid,
-        )
-
-    def mean_latency(
-        self,
-        orders: Sequence,
-        n_samples: int,
-        repetition_mode: str = "sequential",
-    ) -> float:
-        """Monte-Carlo mean job latency over *n_samples* replications."""
-        return float(
-            self.sample_makespans(orders, n_samples, repetition_mode).mean()
-        )
+        out[s0:s1] = totals.max(axis=1)
+    return out
 
 
 def evaluate_allocations(
@@ -432,8 +253,7 @@ def evaluate_allocations(
         if repetition_mode != "sequential":
             raise ModelError(
                 "mc scoring models sequential repetitions only; use "
-                "BatchAggregateSimulator.sample_makespans for parallel "
-                "repetition batches"
+                "sample_makespans for parallel repetition batches"
             )
         gen = ensure_rng(rng)
         return np.array(

@@ -23,11 +23,13 @@ to the seed comparator:
   single confidence degenerates to length-1 vectors, which follow the
   exact float path of the scalar bisection — results are bit-identical.
 * the **comparator registry** (:func:`get_deadline_comparator`, a
-  :class:`~repro.registry.Registry`): ``"batched"`` resolves to the
-  kernel-backed :func:`repro.core.deadline.min_cost_for_deadline`,
-  ``"reference"`` to the preserved seed implementation in
-  :mod:`repro.perf.reference`; custom comparators are registrable and
-  immediately usable by the frontier sweep and the CLI.
+  :class:`~repro.registry.Registry`): ``"batched"`` and
+  ``"reference"`` both resolve to the kernel-backed grid solver
+  :func:`repro.core.deadline.min_cost_for_deadline_sweep` (the names
+  survive in stored configs and CLI flags; the seed implementation
+  stays in :mod:`repro.perf.reference` as the test oracle).  Custom
+  solvers with the sweep signature are registrable and immediately
+  usable by the frontier sweep and the CLI.
 
 Bit-identity rests on two facts certified by tests: a shared ladder's
 weights are independent of its extension history, and a length-1 grid
@@ -38,7 +40,7 @@ same float operations as the scalar one-shot evaluation.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +54,6 @@ __all__ = [
     "processing_ceilings",
     "register_deadline_comparator",
     "get_deadline_comparator",
-    "deadline_comparator_name",
     "available_deadline_comparators",
     "DEFAULT_DEADLINE_COMPARATOR",
 ]
@@ -477,53 +478,35 @@ def deadline_quantile_bisection(
 #: Name resolved when callers pass ``comparator=None``.
 DEFAULT_DEADLINE_COMPARATOR = "batched"
 
-#: What every ``comparator=`` parameter resolves through (a callable,
-#: a name, ``None`` or a :class:`repro.api.RunConfig`).  The builtins
-#: are registered by :mod:`repro.core.deadline`, which ``import repro``
+#: What every ``comparator=`` parameter resolves through (a name,
+#: ``None`` or a :class:`repro.api.RunConfig`).  The builtins are
+#: registered by :mod:`repro.core.deadline`, which ``import repro``
 #: always runs.
 _COMPARATORS = Registry(
     "deadline comparator",
     default=DEFAULT_DEADLINE_COMPARATOR,
-    accepts=callable,
     unwrap="comparator",
-    hint="or a callable",
 )
 
 
 def register_deadline_comparator(
     name: str, comparator: Callable, replace: bool = False
 ) -> Callable:
-    """Register a min-cost-for-deadline implementation under *name*.
+    """Register a min-cost-for-deadline solver under *name*.
 
     Registered names are accepted wherever a ``comparator=`` parameter
     appears (``deadline_cost_frontier``, ``run_deadline_sweep``, the
     CLI ``deadline`` command).  Every comparator has the
-    :func:`repro.core.deadline.min_cost_for_deadline` signature.
+    :func:`repro.core.deadline.min_cost_for_deadline_sweep` signature:
+    it tunes a whole deadline grid and returns a ``deadline -> result``
+    dict.
     """
     return _COMPARATORS.register(name, comparator, replace=replace)
 
 
-#: Resolve a ``comparator=`` argument (a name, a callable, ``None`` or
-#: a config object) to a callable.
+#: Resolve a ``comparator=`` argument (a name, ``None`` or a config
+#: object) to the registered solver.
 get_deadline_comparator = _COMPARATORS.resolve
 
 #: Registered comparator names, sorted (CLI choices come from here).
 available_deadline_comparators = _COMPARATORS.names
-
-
-def deadline_comparator_name(
-    comparator: Union[str, Callable, None, object],
-) -> str:
-    """Display name of a ``comparator=`` argument.
-
-    The name reported in sweep results and CLI titles: a registered
-    name is itself, ``None`` is the default's name, and a bare callable
-    falls back to its ``__name__`` (or ``"custom"``).  Accepts config
-    objects exactly as :func:`get_deadline_comparator` does.
-    """
-    comparator = _COMPARATORS.unwrap(comparator)
-    if comparator is None:
-        return DEFAULT_DEADLINE_COMPARATOR
-    if isinstance(comparator, str):
-        return comparator
-    return getattr(comparator, "__name__", "custom")

@@ -150,8 +150,7 @@ def sequential_run_replications(
 
     The reference fan-out for any simulator exposing that protocol
     (:class:`~repro.market.simulator.AgentSimulator`,
-    :class:`~repro.market.simulator.AggregateSimulator`,
-    :class:`~repro.perf.batch.BatchAggregateSimulator`).  A
+    :class:`~repro.market.simulator.AggregateSimulator`).  A
     :class:`~repro.errors.SimulationError` raised inside one
     replication (e.g. ``max_sim_time`` exceeded) is re-raised with its
     global replication index ``replication_offset + k`` prefixed (and

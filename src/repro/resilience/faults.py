@@ -61,8 +61,8 @@ __all__ = [
 #:   (reached by every experiment);
 #: * ``engine.sample`` — entry of every registered engine's Monte-Carlo
 #:   ``sample`` (context: engine name);
-#: * ``comparator.min_cost`` — entry of the registered deadline
-#:   comparators (context: comparator name);
+#: * ``comparator.min_cost`` — entry of the deadline solver (context:
+#:   ``comparator="batched"``, whichever registered name selected it);
 #: * ``market.replication`` — before each market-simulator replication
 #:   (context: replication index), on the sequential and lock-step
 #:   fan-outs alike;

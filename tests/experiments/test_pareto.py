@@ -13,6 +13,7 @@ from repro.experiments import (
     deadline_cost_frontier,
     min_budget_for_latency,
 )
+from repro.perf.reference import reference_min_cost_for_deadline
 from repro.workloads import homogeneity_workload, repetition_family
 
 
@@ -71,23 +72,31 @@ class TestDeadlineCostFrontier:
 
     def test_comparators_produce_identical_curves(self, family):
         deadlines = [2.5, 4.0, 7.0, 10.0]
-        batched = deadline_cost_frontier(
-            family, deadlines, confidence=0.85, max_price=20
-        )
-        reference = deadline_cost_frontier(
-            family,
-            deadlines,
-            confidence=0.85,
-            max_price=20,
-            comparator="reference",
-        )
-        assert batched.costs == reference.costs
-        assert [p.achieved_probability for p in batched.points] == [
-            p.achieved_probability for p in reference.points
+        oracle = [
+            reference_min_cost_for_deadline(
+                family.tasks, deadline, confidence=0.85, max_price=20
+            )
+            for deadline in deadlines
         ]
-        assert [p.group_prices for p in batched.points] == [
-            p.group_prices for p in reference.points
-        ]
+        for comparator in (None, "batched", "reference"):
+            frontier = deadline_cost_frontier(
+                family,
+                deadlines,
+                confidence=0.85,
+                max_price=20,
+                comparator=comparator,
+            )
+            assert frontier.deadlines == tuple(deadlines)
+            assert frontier.costs == tuple(r.cost for r in oracle)
+            assert [p.achieved_probability for p in frontier.points] == [
+                r.achieved_probability for r in oracle
+            ]
+            assert [p.feasible for p in frontier.points] == [
+                r.feasible for r in oracle
+            ]
+            assert [p.group_prices for p in frontier.points] == [
+                r.group_prices for r in oracle
+            ]
 
     def test_task_list_workload_equals_family(self, family):
         deadlines = [3.0, 6.0]

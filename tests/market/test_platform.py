@@ -30,6 +30,10 @@ class TestConstruction:
         with pytest.raises(ModelError):
             CrowdPlatform(MarketModel(LinearPricing(1.0, 1.0)), engine="quantum")
 
+    def test_batch_engine_rejected(self):
+        with pytest.raises(ModelError, match="'aggregate'"):
+            CrowdPlatform(MarketModel(LinearPricing(1.0, 1.0)), engine="batch")
+
     def test_agent_engine_requires_pool(self):
         with pytest.raises(ModelError):
             CrowdPlatform(MarketModel(LinearPricing(1.0, 1.0)), engine="agent")

@@ -18,7 +18,7 @@ from repro.core.problem import Allocation
 from repro.errors import ModelError, SimulationError
 from repro.market import LinearPricing, MarketModel, TaskType
 from repro.market.simulator import AggregateSimulator, AtomicTaskOrder
-from repro.perf import BatchAggregateSimulator, sample_job_latencies_batch
+from repro.perf import sample_job_latencies_batch, sample_makespans
 from repro.perf.batch import evaluate_allocations
 from repro.perf.reference import reference_sample_job_latencies
 
@@ -88,6 +88,9 @@ class TestBatchSampler:
 
 
 class TestBatchAggregateSimulator:
+    """:func:`repro.perf.batch.sample_makespans`, the batch aggregate
+    (HPU) sampler."""
+
     @pytest.fixture
     def orders(self):
         tt = TaskType("vote", processing_rate=2.0)
@@ -106,22 +109,17 @@ class TestBatchAggregateSimulator:
                 for _ in range(60)
             ]
         )
-        ms_batch = BatchAggregateSimulator(market, seed=11).sample_makespans(
-            orders, 60, repetition_mode=mode
+        ms_batch = sample_makespans(
+            market, orders, 60, rng=11, repetition_mode=mode
         )
         assert np.array_equal(ms_scalar, ms_batch)
 
     def test_distributional_agreement_ks(self, market, orders):
         # Independent seeds: the engines must agree in distribution.
-        a = BatchAggregateSimulator(market, seed=1).sample_makespans(orders, 4000)
+        a = sample_makespans(market, orders, 4000, rng=1)
         scalar = AggregateSimulator(market, seed=2)
         b = np.array([scalar.run_job(orders).makespan for _ in range(800)])
         assert sps.ks_2samp(a, b).pvalue > 0.01
-
-    def test_mean_latency(self, market, orders):
-        sim = BatchAggregateSimulator(market, seed=0)
-        mean = sim.mean_latency(orders, 500)
-        assert mean > 0
 
     def test_rejects_answer_payloads(self, market):
         class Payload:
@@ -131,14 +129,15 @@ class TestBatchAggregateSimulator:
         tt = TaskType("vote", processing_rate=2.0)
         orders = [AtomicTaskOrder(tt, (1,), 0, payload=Payload())]
         with pytest.raises(SimulationError):
-            BatchAggregateSimulator(market, seed=0).sample_makespans(orders, 10)
+            sample_makespans(market, orders, 10, rng=0)
 
     def test_rejects_empty_job_and_bad_mode(self, market, orders):
-        sim = BatchAggregateSimulator(market, seed=0)
         with pytest.raises(SimulationError):
-            sim.sample_makespans([], 10)
+            sample_makespans(market, [], 10, rng=0)
         with pytest.raises(SimulationError):
-            sim.sample_makespans(orders, 10, repetition_mode="warp")
+            sample_makespans(market, orders, 10, rng=0, repetition_mode="warp")
+        with pytest.raises(SimulationError):
+            sample_makespans(market, orders, 0, rng=0)
 
 
 class TestEvaluateAllocations:

@@ -194,28 +194,29 @@ class TestDeadlineKernel:
 
 class TestComparatorRegistry:
     def test_builtins_resolve(self):
-        assert get_deadline_comparator(None) is min_cost_for_deadline
-        assert get_deadline_comparator("batched") is min_cost_for_deadline
+        assert get_deadline_comparator(None) is min_cost_for_deadline_sweep
+        assert (
+            get_deadline_comparator("batched") is min_cost_for_deadline_sweep
+        )
         assert (
             get_deadline_comparator("reference")
-            is reference_min_cost_for_deadline
+            is min_cost_for_deadline_sweep
         )
         assert {"batched", "reference"} <= set(
             available_deadline_comparators()
         )
 
-    def test_callable_passes_through(self):
-        def custom(*args, **kwargs):  # pragma: no cover - never called
-            raise AssertionError
-
-        assert get_deadline_comparator(custom) is custom
+    def test_callable_rejected(self):
+        with pytest.raises(ModelError):
+            get_deadline_comparator(min_cost_for_deadline_sweep)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ModelError):
             get_deadline_comparator("nope")
 
     def test_register_and_replace(self):
-        def custom(*args, **kwargs):  # pragma: no cover - never called
+        def custom(problem_tasks, deadlines, confidence=0.9, max_price=1_000,
+                   include_processing=True):  # pragma: no cover - never called
             raise AssertionError
 
         name = "test-custom-comparator"
@@ -232,10 +233,6 @@ class TestComparatorRegistry:
             from repro.perf import deadline as deadline_mod
 
             deadline_mod._COMPARATORS.pop(name, None)
-
-    def test_default_comparator_advertises_sweep(self):
-        comparator = get_deadline_comparator("batched")
-        assert comparator.deadline_sweep is min_cost_for_deadline_sweep
 
 
 class TestQuantileWindowModes:

@@ -172,23 +172,44 @@ class TestBlockBoundaries:
 
 
 class TestChunkedMakespans:
-    def test_chunk_samples_bit_identical(self):
+    """``sample_makespans`` draws its replication matrix in sample
+    blocks; every block size, from one sample to the whole matrix,
+    must reproduce the scalar simulator's ``run_job`` stream."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        block_rows=st.integers(min_value=1, max_value=45),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n_samples=st.integers(min_value=1, max_value=40),
+        mode=st.sampled_from(["sequential", "parallel"]),
+    )
+    def test_sample_blocks_bit_identical_to_scalar_run_jobs(
+        self, block_rows, seed, n_samples, mode
+    ):
         from repro.market import LinearPricing, MarketModel
-        from repro.perf import BatchAggregateSimulator
+        from repro.market.simulator import AggregateSimulator
 
         market_model = MarketModel(LinearPricing(slope=1.0, intercept=1.0))
         task_type = TaskType("t", processing_rate=2.0)
         orders = [
             AtomicTaskOrder(task_type, (2,) * (1 + i % 3), i) for i in range(6)
         ]
-        ref = BatchAggregateSimulator(
-            market_model, seed=3
-        ).sample_makespans(orders, 200)
-        for chunk in (1, 7, 50, 199, 200, 500):
-            out = BatchAggregateSimulator(
-                market_model, seed=3
-            ).sample_makespans(orders, 200, chunk_samples=chunk)
-            assert np.array_equal(ref, out), chunk
+        n_phases = 2 * sum(len(order.prices) for order in orders)
+        scalar = AggregateSimulator(market_model, seed=seed)
+        ref = np.array(
+            [
+                scalar.run_job(orders, repetition_mode=mode).makespan
+                for _ in range(n_samples)
+            ]
+        )
+        with mock.patch.object(
+            batch, "_BLOCK_DOUBLES", block_rows * n_phases
+        ):
+            out = batch.sample_makespans(
+                market_model, orders, n_samples, rng=seed,
+                repetition_mode=mode,
+            )
+        assert np.array_equal(ref, out)
 
 
 def _orders(n_tasks=6):

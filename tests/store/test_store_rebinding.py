@@ -8,7 +8,12 @@ entries written under the old binding stale.
 from __future__ import annotations
 
 from repro.api import RunConfig, Session
-from repro.api.specs import BudgetSweepSpec
+from repro.api.specs import BudgetSweepSpec, DeadlineSweepSpec
+from repro.core.deadline import min_cost_for_deadline_sweep
+from repro.perf.deadline import (
+    get_deadline_comparator,
+    register_deadline_comparator,
+)
 from repro.perf.engine import EvaluationEngine, get_engine, register_engine
 from repro.resilience.faults import _PLANS, FaultPlan, register_fault_plan
 from repro.store.envelope import registry_contents_hash
@@ -67,6 +72,35 @@ def test_rebinding_an_engine_to_a_subclass_quarantines_entries_as_stale(
         assert [reason["code"] for reason in reasons] == ["store-stale"]
     finally:
         register_engine(original, replace=True)
+    assert registry_contents_hash() == before
+
+
+def test_rebinding_a_comparator_quarantines_entries_as_stale(store):
+    """Both comparator names bind one solver, so a run fingerprints by
+    the name alone; rebinding the name must make its entries stale."""
+
+    def wrapped_sweep(*args, **kwargs):
+        return min_cost_for_deadline_sweep(*args, **kwargs)
+
+    spec = DeadlineSweepSpec(
+        family="repe", n_tasks=4, deadlines=(3.0, 6.0), max_price=12
+    )
+    session = Session(RunConfig(comparator="reference"))
+    computed = session.run(spec, store=store)
+    original = get_deadline_comparator("reference")
+    before = registry_contents_hash()
+    register_deadline_comparator("reference", wrapped_sweep, replace=True)
+    try:
+        assert registry_contents_hash() != before
+        rebound = session.run(spec, store=store)
+        assert session.runs_completed == 2  # recomputed, not served
+        assert rebound.fingerprint == computed.fingerprint
+        assert rebound.to_dict()["payload"] == computed.to_dict()["payload"]
+        reasons = store.quarantined()
+        assert [reason["code"] for reason in reasons] == ["store-stale"]
+        assert "registries" in reasons[0]["message"]
+    finally:
+        register_deadline_comparator("reference", original, replace=True)
     assert registry_contents_hash() == before
 
 
