@@ -562,8 +562,8 @@ def bench_session_resilience(
     the resilience runtime never activates, every ``site_check`` is
     one global load and a ``None`` test), and the *armed* path — an
     empty :class:`~repro.resilience.FaultPlan` plus a retry policy,
-    which routes the run through ``Session._run_resilient`` and keeps
-    the fault-site checks live (rule matching against an empty rule
+    which activates a fault state in ``Session.run``'s attempt loop and
+    keeps the fault-site checks live (rule matching against an empty rule
     set) at ``run.start``, ``engine.sample`` and friends.  Payloads
     are asserted identical — the armed executor must be a pure
     pass-through when no rule fires — and the headline number is

@@ -11,10 +11,10 @@ frozen, serializable object:
   :class:`~repro.perf.engine.EvaluationEngine` instance, or ``None``
   for the default).  Every registered name runs the same sampler and
   replication fan-out, so the name never changes a payload; it labels
-  the ``engine.sample`` fault site and retry fallback chains.
-  Experiments whose historical ``engine=None``
-  means "the seed aggregate path" (Fig. 4 / Fig. 5ab) read the raw
-  field, so ``None`` and ``"aggregate"`` give the seed figures.
+  the ``engine.sample`` fault site.  Experiments whose historical
+  ``engine=None`` means "the seed aggregate path" (Fig. 4 / Fig. 5ab)
+  read the raw field, so ``None`` and ``"aggregate"`` give the seed
+  figures.
 * **comparator** — deadline comparator name (``None`` for the
   default).  Every builtin name runs the one grid solver, so the name
   never changes a payload beyond its ``comparator`` echo.
@@ -28,9 +28,8 @@ frozen, serializable object:
 * **faults** — a :class:`~repro.resilience.FaultPlan` (registered
   name, inline plan, or its dict form) deterministically injected
   while the run executes; ``None`` (the default) injects nothing.
-* **retry** — a :class:`~repro.resilience.RetryPolicy` (attempts,
-  deterministic capped backoff, fallback-engine chain); ``None`` means
-  one attempt, no fallback.
+* **retry** — a :class:`~repro.resilience.RetryPolicy` (attempts and
+  deterministic capped backoff); ``None`` means one attempt.
 * **timeout** — a :class:`~repro.resilience.TimeoutPolicy` (or bare
   seconds) checked cooperatively at the fault sites.
 * **executor** — where ``Session.run_many`` batches execute: ``None``

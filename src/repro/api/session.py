@@ -17,13 +17,12 @@ audits; payloads are identical either way because every cache in the
 library is bit-exact.
 
 ``run`` is the **resilient executor**: it interprets the config's
-fault plan, retry policy and timeout (:mod:`repro.resilience`),
-walking the engine fallback chain attempt by attempt and recording
-anything non-default in the result's
+fault plan, retry policy and timeout (:mod:`repro.resilience`) in one
+attempt loop, recording any failed attempt in the result's
 :class:`~repro.resilience.policy.ExecutionRecord`.  With no faults and
-default policies the wrapping is a few attribute reads — payloads (and
-their serialized documents) are byte-identical to the direct path, as
-the ``session_resilience`` bench section certifies.
+default policies the loop runs once and installs nothing — payloads
+(and their serialized documents) are byte-identical to a direct
+``spec.run``, as the ``session_resilience`` bench section certifies.
 """
 
 from __future__ import annotations
@@ -93,8 +92,8 @@ class RunResult:
     :class:`~repro.resilience.policy.ExecutionRecord`.  Every
     :meth:`Session.run` attaches one (it always carries the run's
     ``started_at``/``elapsed`` timing), but it only *serializes* when
-    the record is significant — the executor retried or degraded onto
-    a fallback engine — so default-path documents keep their
+    the record is significant — an attempt failed before the one
+    that produced the payload — so default-path documents keep their
     historical layout byte-for-byte; ``to_dict(include_timing=True)``
     (the ``repro run --json`` path) opts the timing in.
     """
@@ -113,12 +112,6 @@ class RunResult:
         return fingerprint(
             {"spec": self.spec.to_dict(), "config": self.config.to_dict()}
         )
-
-    @property
-    def degraded(self) -> bool:
-        """Whether a fallback engine (not the configured one) produced
-        the payload."""
-        return bool(self.execution is not None and self.execution.degraded)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         """JSON-able document: spec + config + fingerprint + payload
@@ -216,14 +209,14 @@ class _BatchBook:
             if entry is not None:
                 outcome = SpecOutcome(
                     spec=spec,
-                    status=entry["status"],
+                    status="succeeded",
                     result=RunResult.from_document(entry["result"]),
                     restored=True,
                 )
                 if self.store is not None and token not in self.store:
                     # Journal line wins; backfill the evicted store
                     # entry so future batches hit without a journal.
-                    self._put(token, entry["status"], entry["result"])
+                    self._put(token, entry["result"])
                 return outcome
         if self.store is not None:
             lookup = self.store.lookup(token, fault_state=self.state)
@@ -232,31 +225,29 @@ class _BatchBook:
             if lookup.hit:
                 self.counts["hits"] += 1
                 if self.journal is not None:
-                    self.journal.append(token, lookup.status, lookup.result)
+                    self.journal.append(token, lookup.result)
                 return SpecOutcome(
                     spec=spec,
-                    status=lookup.status,
+                    status="succeeded",
                     result=RunResult.from_document(lookup.result),
                     served=True,
                 )
             self.counts["misses"] += 1
         return None
 
-    def record(self, token: str, status: str, result_doc: dict) -> None:
+    def record(self, token: str, result_doc: dict) -> None:
         """Journal a completed spec, then write it to the store."""
         if self.journal is not None:
-            self.journal.append(token, status, result_doc)
+            self.journal.append(token, result_doc)
         if self.store is not None:
-            self._put(token, status, result_doc)
+            self._put(token, result_doc)
 
-    def _put(self, token: str, status: str, result_doc: dict) -> None:
+    def _put(self, token: str, result_doc: dict) -> None:
         """Best-effort store write: failures are counted, never raised."""
         from ..errors import StoreError
 
         try:
-            self.store.put(
-                token, result_doc, status=status, fault_state=self.state
-            )
+            self.store.put(token, result_doc, fault_state=self.state)
         except StoreError:
             self.counts["write_failures"] += 1
 
@@ -353,11 +344,7 @@ class Session:
         if outcome is not None:
             return outcome.result
         result = self._run_normalized(spec)
-        book.record(
-            token,
-            "degraded" if result.degraded else "succeeded",
-            result.to_dict(),
-        )
+        book.record(token, result.to_dict())
         return result
 
     def _store_fault_state(self):
@@ -373,51 +360,17 @@ class Session:
         return plan.activate() if plan is not None else None
 
     def _run_normalized(self, spec: ExperimentSpec) -> RunResult:
-        config = self.config
-        if (
-            config.faults is None
-            and config.retry is None
-            and config.timeout is None
-        ):
-            # Fast path: nothing to inject, nothing to retry — one
-            # direct execution, exactly the pre-resilience behavior
-            # (the timing-only ExecutionRecord never serializes by
-            # default, so documents are unchanged).
-            from ..resilience.policy import ExecutionRecord
+        """Run *spec* attempt by attempt under the config's policies.
 
-            started_at = time.time()
-            t0 = time.monotonic()
-            payload = self._execute_once(self, spec)
-            elapsed = time.monotonic() - t0
-            self.runs_completed += 1
-            return RunResult(
-                spec=spec,
-                config=config,
-                payload=payload,
-                execution=ExecutionRecord(
-                    started_at=started_at, elapsed=elapsed
-                ),
-            )
-        return self._run_resilient(spec)
-
-    def _execute_once(self, session: "Session", spec: ExperimentSpec):
-        if self.isolated:
-            from ..perf.cache import clear_phase_caches
-
-            clear_phase_caches()
-        return spec.run(session)
-
-    def _run_resilient(self, spec: ExperimentSpec) -> RunResult:
-        """Walk the engine fallback chain, attempt by attempt.
-
-        The configured engine gets ``retry.attempts`` tries, then each
-        fallback engine gets the same; every attempt activates a fresh
-        fault state (same deterministic fault sequence unless a rule's
-        ``on_attempts`` says otherwise) and its own cooperative timeout
-        deadline.  Failed attempts are logged into the result's
-        :class:`~repro.resilience.policy.ExecutionRecord`; exhausting
-        the chain re-raises the last failure with its
-        :class:`~repro.resilience.document.ErrorDocument` attached.
+        ``retry.attempts`` tries (one by default), each with a fresh
+        fault state (the same deterministic fault sequence unless a
+        rule's ``on_attempts`` says otherwise) and its own cooperative
+        timeout deadline.  With no faults and no timeout,
+        ``runtime_scope(None, None)`` installs nothing, so the default
+        path is one direct execution.  Failed attempts are logged into
+        the result's :class:`~repro.resilience.policy.ExecutionRecord`;
+        when every attempt fails, the last failure is re-raised with
+        its :class:`~repro.resilience.document.ErrorDocument` attached.
         """
         from ..resilience.document import ErrorDocument
         from ..resilience.faults import resolve_fault_plan, runtime_scope, site_check
@@ -430,64 +383,51 @@ class Session:
             config.timeout.seconds if config.timeout is not None else None
         )
 
-        stages: list = [None, *retry.fallback_engines]
         attempts_log: list[dict] = []
-        attempt_index = 0
-        last_exc: Optional[ReproError] = None
         started_at = time.time()
         t0 = time.monotonic()
-        for stage, engine_name in enumerate(stages):
-            if stage == 0:
-                session, stage_config = self, config
-            else:
-                stage_config = config.replace(engine=engine_name)
-                session = Session(stage_config, isolated=self.isolated)
-            for _ in range(retry.attempts):
-                state = (
-                    plan.activate(attempt=attempt_index)
-                    if plan is not None
-                    else None
+        for attempt in range(retry.attempts):
+            state = plan.activate(attempt=attempt) if plan is not None else None
+            try:
+                with runtime_scope(state, timeout):
+                    site_check("run.start")
+                    if self.isolated:
+                        from ..perf.cache import clear_phase_caches
+
+                        clear_phase_caches()
+                    payload = spec.run(self)
+            except ReproError as exc:
+                delay = retry.delay(attempt)
+                attempts_log.append(
+                    {
+                        "attempt": attempt,
+                        "code": getattr(type(exc), "code", "error"),
+                        "error": type(exc).__name__,
+                        "message": str(exc),
+                        "site": getattr(exc, "site", None),
+                        "replication": getattr(exc, "replication", None),
+                        "backoff": delay,
+                    }
                 )
-                try:
-                    with runtime_scope(state, timeout):
-                        site_check("run.start")
-                        payload = self._execute_once(session, spec)
-                except ReproError as exc:
-                    delay = retry.delay(attempt_index)
-                    attempts_log.append(
-                        {
-                            "attempt": attempt_index,
-                            "engine": engine_name,
-                            "code": getattr(type(exc), "code", "error"),
-                            "error": type(exc).__name__,
-                            "message": str(exc),
-                            "site": getattr(exc, "site", None),
-                            "replication": getattr(exc, "replication", None),
-                            "backoff": delay,
-                        }
+                if attempt + 1 == retry.attempts:
+                    exc.error_document = ErrorDocument.capture(
+                        exc, spec=spec, config=config
                     )
-                    last_exc = exc
-                    attempt_index += 1
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                self.runs_completed += 1
-                return RunResult(
-                    spec=spec,
-                    config=config,
-                    payload=payload,
-                    execution=ExecutionRecord(
-                        engine=engine_name,
-                        degraded=stage > 0,
-                        attempts=tuple(attempts_log),
-                        started_at=started_at,
-                        elapsed=time.monotonic() - t0,
-                    ),
-                )
-        last_exc.error_document = ErrorDocument.capture(
-            last_exc, spec=spec, config=config
-        )
-        raise last_exc
+                    raise
+                if delay > 0.0:
+                    time.sleep(delay)
+                continue
+            self.runs_completed += 1
+            return RunResult(
+                spec=spec,
+                config=config,
+                payload=payload,
+                execution=ExecutionRecord(
+                    attempts=tuple(attempts_log),
+                    started_at=started_at,
+                    elapsed=time.monotonic() - t0,
+                ),
+            )
 
     def run_many(
         self,
@@ -509,8 +449,8 @@ class Session:
 
         Returns a :class:`~repro.resilience.batch.BatchReport`: one
         :class:`~repro.resilience.batch.SpecOutcome` per spec
-        (``succeeded`` / ``degraded`` / ``failed``), in submission
-        order.  Per-spec failures are captured as
+        (``succeeded`` / ``failed``), in submission order.  Per-spec
+        failures are captured as
         :class:`~repro.resilience.document.ErrorDocument` entries
         instead of raising, unless ``fail_fast=True``.  Iterating the
         report yields the completed :class:`RunResult` objects, so
@@ -588,10 +528,11 @@ class Session:
                     )
                 )
                 continue
-            status = "degraded" if result.degraded else "succeeded"
-            outcomes.append(SpecOutcome(spec=spec, status=status, result=result))
+            outcomes.append(
+                SpecOutcome(spec=spec, status="succeeded", result=result)
+            )
             if token is not None:
-                book.record(token, status, result.to_dict())
+                book.record(token, result.to_dict())
         return book.report(outcomes)
 
     def _run_many_executor(
@@ -650,7 +591,7 @@ class Session:
 
         def on_complete(task, outcome) -> None:
             if outcome.ok:
-                book.record(task.fingerprint, outcome.status, outcome.result)
+                book.record(task.fingerprint, outcome.result)
 
         from ..perf.cache import export_ladder_state
 
@@ -674,7 +615,7 @@ class Session:
             if outcome.ok:
                 outcomes[outcome.index] = SpecOutcome(
                     spec=spec,
-                    status=outcome.status,
+                    status="succeeded",
                     result=RunResult.from_document(outcome.result),
                 )
             else:

@@ -242,7 +242,7 @@ def _cmd_run_many(args: argparse.Namespace) -> None:
             print(f"{label:20s} {outcome.status}{marker}")
         print(
             f"total {len(report)}  succeeded {len(report.succeeded)}  "
-            f"degraded {len(report.degraded)}  failed {len(report.failed)}"
+            f"failed {len(report.failed)}"
         )
         if report.store is not None:
             tally = report.store

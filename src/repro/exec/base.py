@@ -98,7 +98,7 @@ class TaskOutcome:
     """
 
     index: int
-    status: str  # "succeeded" | "degraded" | "failed"
+    status: str  # "succeeded" | "failed"
     result: Optional[object] = None
     error: Optional[dict] = None
     worker: Optional[int] = None
@@ -155,7 +155,8 @@ class Executor:
 
 
 def execute_task_inline(task: ExecTask) -> TaskOutcome:
-    """Run one task in the current process (the serial/degraded path).
+    """Run one task in the current process (the serial path, also the
+    pool's in-process finish).
 
     Exactly what a pool worker does with the task's wire payload, minus
     the queues: documents in, documents out.
@@ -163,14 +164,14 @@ def execute_task_inline(task: ExecTask) -> TaskOutcome:
     from .worker import _error_payload, execute_wire_payload
 
     try:
-        status, result = execute_wire_payload(task.kind, task.payload)
+        result = execute_wire_payload(task.kind, task.payload)
     except ReproError as exc:
         return TaskOutcome(
             index=task.index,
             status="failed",
             error=_error_payload(exc, task.kind, task.payload),
         )
-    return TaskOutcome(index=task.index, status=status, result=result)
+    return TaskOutcome(index=task.index, status="succeeded", result=result)
 
 
 class SerialExecutor(Executor):

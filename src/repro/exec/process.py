@@ -446,12 +446,12 @@ class _Supervision:
         if pending is None:
             return
         if kind == "done":
-            _, _, index, status, result = message
+            _, _, index, result = message
             self.complete(
                 pending,
                 TaskOutcome(
                     index=index,
-                    status=status,
+                    status="succeeded",
                     result=result,
                     worker=worker_id,
                     dispatches=pending.dispatches,

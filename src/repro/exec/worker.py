@@ -21,7 +21,7 @@ Worker → supervisor (shared result queue)
     ``("ready", worker_id)`` once after startup,
     ``("beat", worker_id)`` every heartbeat interval from a daemon
     thread, and per task either
-    ``("done", worker_id, index, status, result)`` or
+    ``("done", worker_id, index, result)`` or
     ``("error", worker_id, index, error_doc)``.
 
 ``run`` payloads execute through the ordinary
@@ -60,8 +60,7 @@ _HANG_SLEEP = 3600.0
 def run_task_document(spec_doc, config_doc):
     """Execute one serialized ``(spec, config)`` pair in this process.
 
-    Returns ``(status, result_document)`` where status is
-    ``"succeeded"`` or ``"degraded"``; raises
+    Returns the result document; raises
     :class:`~repro.errors.ReproError` exactly as a serial run would.
     """
     from ..api.config import RunConfig
@@ -70,9 +69,7 @@ def run_task_document(spec_doc, config_doc):
 
     spec = ExperimentSpec.from_dict(spec_doc)
     config = RunConfig.from_dict(config_doc)
-    result = Session(config).run(spec)
-    status = "degraded" if result.degraded else "succeeded"
-    return status, result.to_dict()
+    return Session(config).run(spec).to_dict()
 
 
 def run_replication_shard(
@@ -101,12 +98,12 @@ def run_replication_shard(
 
 
 def execute_wire_payload(kind: str, payload):
-    """Dispatch one wire payload; returns ``(status, result)``."""
+    """Dispatch one wire payload; returns its result."""
     if kind == "run":
         spec_doc, config_doc = payload
         return run_task_document(spec_doc, config_doc)
     func, args, kwargs = payload
-    return "succeeded", func(*args, **(kwargs or {}))
+    return func(*args, **(kwargs or {}))
 
 
 def _error_payload(exc: BaseException, kind: str, payload) -> dict:
@@ -182,12 +179,12 @@ def worker_main(
             time.sleep(_HANG_SLEEP)
             continue
         try:
-            status, result = execute_wire_payload(kind, payload)
+            result = execute_wire_payload(kind, payload)
         except Exception as exc:  # a ReproError, or defensively anything
             result_queue.put(
                 ("error", worker_id, index, _error_payload(exc, kind, payload))
             )
         else:
-            result_queue.put(("done", worker_id, index, status, result))
+            result_queue.put(("done", worker_id, index, result))
 
     stop_beats.set()

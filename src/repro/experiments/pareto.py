@@ -30,7 +30,6 @@ from ..core.latency import expected_job_latency
 from ..core.problem import Allocation, HTuningProblem, TaskSpec
 from ..core.tuner import Tuner, tune_budget_sweep
 from ..errors import ModelError
-from ..stats.rng import RandomState
 from ..workloads.families import ProblemFamily, as_problem_family
 
 __all__ = [

@@ -22,8 +22,8 @@ byte-identical results; the family path is just faster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 import numpy as np
 

@@ -15,7 +15,6 @@ from typing import Any, Optional, Sequence
 
 from ..errors import ModelError, SimulationError
 from ..stats.rng import RandomState, ensure_rng
-from .pricing import PricingModel
 from .simulator import (
     AggregateSimulator,
     AgentSimulator,

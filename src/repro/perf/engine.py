@@ -15,13 +15,11 @@ every ``engine=`` parameter:
 The input picks each path, never the engine's name.  The registered
 names ``"scalar"`` (the default), ``"batch"``, ``"chunked-batch"`` and
 ``"agent-batch"`` each bind an instance of this one class: stored
-configs, fingerprints and retry policies carry them, and the
-``engine.sample`` fault site and
-:class:`~repro.resilience.policy.RetryPolicy` fallback chains key on
-:attr:`EvaluationEngine.name`.  Names resolve through the engine
-:class:`~repro.registry.Registry` (:func:`resolve_engine`), and
-:func:`register_engine` makes a new binding available to every sweep
-path at once.
+configs and fingerprints carry them, and the ``engine.sample`` fault
+site keys on :attr:`EvaluationEngine.name`.  Names resolve through
+the engine :class:`~repro.registry.Registry` (:func:`resolve_engine`),
+and :func:`register_engine` makes a new binding available to every
+sweep path at once.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class EvaluationEngine:
 
     Every instance computes the same numbers seed-for-seed; ``name`` is
     the registry name the instance answers to (fault-site coordinates
-    and retry fallbacks are keyed on it).
+    are keyed on it).
     """
 
     def __init__(self, name: str) -> None:

@@ -2,12 +2,12 @@
 
 ``Session.run_many`` returns a :class:`BatchReport` instead of raising
 on the first failing spec: every spec gets a :class:`SpecOutcome` with
-status ``succeeded``, ``degraded`` (completed on a fallback engine),
-or ``failed`` (carrying the :class:`~repro.resilience.document.
-ErrorDocument`).  Iterating the report yields the completed
-:class:`~repro.api.session.RunResult` objects in submission order, so
-existing ``[r.payload for r in session.run_many(...)]`` callers are
-unaffected when nothing fails.
+status ``succeeded`` or ``failed`` (carrying the
+:class:`~repro.resilience.document.ErrorDocument`).  Iterating the
+report yields the completed :class:`~repro.api.session.RunResult`
+objects in submission order, so existing
+``[r.payload for r in session.run_many(...)]`` callers are unaffected
+when nothing fails.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class SpecOutcome:
     """
 
     spec: object
-    status: str  # "succeeded" | "degraded" | "failed"
+    status: str  # "succeeded" | "failed"
     result: Optional[object] = None
     error: Optional[object] = None
     restored: bool = False
@@ -84,10 +84,6 @@ class BatchReport:
         return tuple(o for o in self.outcomes if o.status == "succeeded")
 
     @property
-    def degraded(self) -> tuple:
-        return tuple(o for o in self.outcomes if o.status == "degraded")
-
-    @property
     def failed(self) -> tuple:
         return tuple(o for o in self.outcomes if o.status == "failed")
 
@@ -98,7 +94,7 @@ class BatchReport:
 
     @property
     def results(self) -> list:
-        """Completed :class:`RunResult` objects (succeeded + degraded)."""
+        """Completed :class:`RunResult` objects, in submission order."""
         return [o.result for o in self.outcomes if o.result is not None]
 
     def __iter__(self) -> Iterator:
@@ -120,7 +116,6 @@ class BatchReport:
         out = {
             "total": len(self.outcomes),
             "succeeded": len(self.succeeded),
-            "degraded": len(self.degraded),
             "failed": len(self.failed),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
@@ -136,6 +131,5 @@ class BatchReport:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BatchReport(total={len(self.outcomes)}, "
-            f"succeeded={len(self.succeeded)}, "
-            f"degraded={len(self.degraded)}, failed={len(self.failed)})"
+            f"succeeded={len(self.succeeded)}, failed={len(self.failed)})"
         )

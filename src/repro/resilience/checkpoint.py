@@ -5,8 +5,8 @@ One line per completed spec::
     {"fingerprint": "<16 hex>", "status": "succeeded", "result": {...}}
 
 ``result`` is the full :meth:`~repro.api.session.RunResult.to_dict`
-document and ``status`` the batch outcome (``succeeded`` or
-``degraded``), so a resumed batch can reconstruct *exactly* the report
+document (``status`` is always ``succeeded``: only completed specs are
+journaled), so a resumed batch can reconstruct *exactly* the report
 entry the uninterrupted run would have produced — the golden test in
 ``tests/resilience/test_checkpoint.py`` asserts the two serialize
 byte-identically.
@@ -99,10 +99,14 @@ class CheckpointJournal:
                 events.append(dict(entry["event"]))
         return events
 
-    def append(self, fingerprint: str, status: str, result: dict) -> None:
+    def append(self, fingerprint: str, result: dict) -> None:
         """Durably journal one completed spec."""
         self._write_line(
-            {"fingerprint": fingerprint, "status": status, "result": result}
+            {
+                "fingerprint": fingerprint,
+                "status": "succeeded",
+                "result": result,
+            }
         )
 
     def append_event(self, event: Mapping) -> None:

@@ -136,9 +136,8 @@ class FaultRule:
     replication for market sites); ``rate`` adds seeded pseudo-random
     firing on the remaining occurrences.  ``replication`` / ``engine``
     / ``comparator`` restrict the rule to matching contexts, and
-    ``on_attempts`` restricts it to specific retry attempts (0-based
-    across the whole fallback chain) — the lever that makes
-    retry-then-succeed and fallback-chain recovery testable
+    ``on_attempts`` restricts it to specific retry attempts (0-based)
+    — the lever that makes retry-then-succeed recovery testable
     deterministically.
     """
 

@@ -14,11 +14,11 @@ results deterministic:
   a timed-out attempt never leaves partial state behind.
 
 :class:`ExecutionRecord` is the durable account of what the executor
-actually did — which engine produced the payload, whether the run was
-degraded onto a fallback engine, and every failed attempt along the
-way.  It is attached to the :class:`~repro.api.session.RunResult` only
-when something non-default happened, so default-path result documents
-are byte-identical to the pre-resilience layout.
+actually did: every failed attempt before the one that produced the
+payload.  It serializes into the
+:class:`~repro.api.session.RunResult` document only when an attempt
+failed, so default-path result documents are byte-identical to the
+pre-resilience layout.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ __all__ = ["RetryPolicy", "TimeoutPolicy", "ExecutionRecord", "DEFAULT_RETRY"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many attempts each engine gets, and what to fall back to.
+    """How many times a run is attempted, and how long to wait between.
 
-    The executor tries the configured engine ``attempts`` times, then
-    walks ``fallback_engines`` in order, giving each ``attempts``
-    tries.  ``backoff``/``backoff_cap`` define the deterministic
+    The executor runs the spec up to ``attempts`` times.
+    ``backoff``/``backoff_cap`` define the deterministic
     capped-exponential delay (seconds) between attempts — delay *k* is
     ``min(backoff * 2**k, backoff_cap)``; the default ``backoff=0``
     retries immediately.
@@ -46,7 +45,6 @@ class RetryPolicy:
     attempts: int = 1
     backoff: float = 0.0
     backoff_cap: float = 60.0
-    fallback_engines: tuple = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.attempts, int) or isinstance(
@@ -62,16 +60,6 @@ class RetryPolicy:
             )
         object.__setattr__(self, "backoff", float(self.backoff))
         object.__setattr__(self, "backoff_cap", float(self.backoff_cap))
-        engines = self.fallback_engines
-        if isinstance(engines, str):
-            engines = (engines,)
-        engines = tuple(engines)
-        if not all(isinstance(e, str) and e for e in engines):
-            raise ModelError(
-                f"fallback_engines must be registered engine names, got "
-                f"{self.fallback_engines!r}"
-            )
-        object.__setattr__(self, "fallback_engines", engines)
 
     def delay(self, attempt: int) -> float:
         """Deterministic backoff before retry *attempt* (0-based)."""
@@ -84,26 +72,22 @@ class RetryPolicy:
             "attempts": self.attempts,
             "backoff": self.backoff,
             "backoff_cap": self.backoff_cap,
-            "fallback_engines": list(self.fallback_engines),
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RetryPolicy":
-        known = {"attempts", "backoff", "backoff_cap", "fallback_engines"}
+        known = {"attempts", "backoff", "backoff_cap"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ModelError(
                 f"unknown RetryPolicy keys {unknown}; expected a subset of "
                 f"{sorted(known)}"
             )
-        data = dict(payload)
-        if "fallback_engines" in data:
-            data["fallback_engines"] = tuple(data["fallback_engines"])
-        return cls(**data)
+        return cls(**payload)
 
 
-#: The policy in force when a config carries none: one attempt, no
-#: fallback — failures propagate exactly as they did pre-resilience.
+#: The policy in force when a config carries none: one attempt —
+#: failures propagate exactly as they did pre-resilience.
 DEFAULT_RETRY = RetryPolicy()
 
 
@@ -143,25 +127,20 @@ class TimeoutPolicy:
 class ExecutionRecord:
     """What the resilient executor did to produce a payload.
 
-    ``engine`` is the registry name of the engine that succeeded
-    (``None`` means the configured engine — the primary); ``degraded``
-    marks a payload produced by a fallback engine; ``attempts`` lists
-    every failed attempt as a small dict (engine label, attempt index,
-    error code/message, fault site/replication, backoff applied).
+    ``attempts`` lists every failed attempt as a small dict (attempt
+    index, error code/message, fault site/replication, backoff
+    applied).
 
     ``started_at`` / ``elapsed`` are wall-clock observability — the
     ``time.time()`` instant the run began and its ``time.monotonic()``
     duration in seconds.  Every :meth:`repro.api.Session.run` attaches
     them, but they never enter the default serialized form: a record is
-    :attr:`significant` only when the *resilience* fields are
-    non-default, and :meth:`to_dict` omits timing unless
+    :attr:`significant` only when an attempt failed, and :meth:`to_dict` omits timing unless
     ``include_timing=True`` (the ``repro run --json`` path), so result
     documents — and therefore checkpoints, fingerprint goldens, and
     serial-vs-parallel merges — stay byte-identical across runs.
     """
 
-    engine: Optional[str] = None
-    degraded: bool = False
     attempts: tuple = ()
     started_at: Optional[float] = None
     elapsed: Optional[float] = None
@@ -171,19 +150,11 @@ class ExecutionRecord:
 
     @property
     def significant(self) -> bool:
-        """True when something non-default happened (timing excluded)."""
-        return (
-            self.engine is not None
-            or self.degraded
-            or bool(self.attempts)
-        )
+        """True when an attempt failed (timing excluded)."""
+        return bool(self.attempts)
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "engine": self.engine,
-            "degraded": bool(self.degraded),
-            "attempts": [dict(entry) for entry in self.attempts],
-        }
+        out = {"attempts": [dict(entry) for entry in self.attempts]}
         if include_timing:
             out["started_at"] = self.started_at
             out["elapsed"] = self.elapsed
@@ -192,8 +163,6 @@ class ExecutionRecord:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExecutionRecord":
         return cls(
-            engine=payload.get("engine"),
-            degraded=bool(payload.get("degraded", False)),
             attempts=tuple(payload.get("attempts", ())),
             started_at=payload.get("started_at"),
             elapsed=payload.get("elapsed"),

@@ -87,7 +87,7 @@ class _RunRecord:
 
     @property
     def done(self) -> bool:
-        return self.status in ("succeeded", "degraded", "failed")
+        return self.status in ("succeeded", "failed")
 
     def status_document(self) -> dict:
         doc = {
@@ -268,7 +268,7 @@ class ReproService:
                 # run, byte-identical to computing it (Session.run's
                 # store-first contract) — compute is never touched.
                 self.tally["store_hits"] += 1
-                record.status = lookup.status or "succeeded"
+                record.status = "succeeded"
                 record.served = True
                 record.result_doc = lookup.result
                 return 200, record.status_document()
@@ -300,7 +300,6 @@ class ReproService:
                     self.store.put(
                         record.run_id,
                         outcome.result,
-                        status=outcome.status,
                         fault_state=self._fault_state,
                     )
                 except StoreError:

@@ -63,9 +63,6 @@ _ENTRY_KEYS = frozenset(
     {"fingerprint", "status", "result", "checksum", "envelope"}
 )
 
-#: Batch outcome statuses an entry may legitimately store.
-_SERVABLE_STATUSES = frozenset({"succeeded", "degraded"})
-
 _tmp_counter = itertools.count()
 
 
@@ -93,7 +90,6 @@ class StoreLookup:
 
     fingerprint: str
     hit: bool
-    status: Optional[str] = None
     result: Optional[dict] = None
     quarantined: bool = False
     code: Optional[str] = None
@@ -183,23 +179,17 @@ class ResultStore:
         self,
         token: str,
         result_document: Mapping,
-        status: str = "succeeded",
         fault_state=None,
     ) -> Path:
         """Atomically store *result_document* under *token*.
 
-        *result_document* is a :meth:`RunResult.to_dict` document;
-        *status* the batch outcome it completed with.  Raises
+        *result_document* is a completed :meth:`RunResult.to_dict`
+        document; the entry records it with status ``succeeded``.  Raises
         :class:`~repro.errors.StoreWriteError` when the entry cannot be
         written durably (callers treat that as "memoization lost", not
         as a run failure).
         """
         token = _check_token(token)
-        if status not in _SERVABLE_STATUSES:
-            raise ModelError(
-                f"cannot store status {status!r}; expected one of "
-                f"{sorted(_SERVABLE_STATUSES)}"
-            )
         if fault_state is not None:
             fired = fault_state.fires("store.write")
             if fired is not None:
@@ -212,7 +202,7 @@ class ResultStore:
                 )
         entry = {
             "fingerprint": token,
-            "status": status,
+            "status": "succeeded",
             "result": result_document,
             "checksum": _checksum(result_document),
             "envelope": self.envelope(),
@@ -314,7 +304,6 @@ class ResultStore:
         return StoreLookup(
             fingerprint=token,
             hit=True,
-            status=entry["status"],
             result=entry["result"],
         )
 
@@ -343,7 +332,7 @@ class ResultStore:
                 f"filed under {token!r}",
                 None,
             )
-        if entry["status"] not in _SERVABLE_STATUSES:
+        if entry["status"] != "succeeded":
             return (
                 StoreCorruptError.code,
                 f"entry status {entry['status']!r} is not servable",

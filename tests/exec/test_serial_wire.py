@@ -159,5 +159,4 @@ class TestSerialBatch:
 
     def test_outcome_ok_property(self):
         assert TaskOutcome(index=0, status="succeeded").ok
-        assert TaskOutcome(index=0, status="degraded").ok
         assert not TaskOutcome(index=0, status="failed").ok

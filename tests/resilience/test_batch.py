@@ -57,20 +57,6 @@ def test_fail_fast_raises_on_first_failure():
         Session(config).run_many([tiny_spec("fig2")], fail_fast=True)
 
 
-def test_degraded_outcome_is_counted_separately():
-    config = RunConfig(
-        engine="batch",
-        faults={"rules": [{"site": "engine.sample", "engine": "batch",
-                           "rate": 1.0}]},
-        retry={"attempts": 1, "fallback_engines": ["scalar"]},
-    )
-    report = Session(config).run_many([tiny_spec("fig2")])
-    assert report.ok
-    assert [o.status for o in report.outcomes] == ["degraded"]
-    assert len(report.degraded) == 1
-    assert report.results[0].execution.degraded
-
-
 def test_report_serializes_with_counts():
     config = RunConfig(
         faults={"rules": [{"site": "run.start", "at": [0]}]}

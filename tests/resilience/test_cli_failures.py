@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.api import RunConfig, Session, make_spec
 from repro.cli import EXECUTION_ERROR_EXIT, USER_ERROR_EXIT, main
+from repro.errors import InfeasibleAllocationError
 from repro.resilience import ErrorDocument
 
 _FAULT = '{"rules": [{"site": "run.start", "at": [0]}]}'
@@ -62,6 +64,29 @@ def test_json_failure_emits_error_document(capsys):
     assert doc.spec["experiment"] == "fig3"
     assert doc.config["faults"]["rules"][0]["site"] == "run.start"
     assert doc.fingerprint
+
+
+def test_default_path_failure_attaches_the_printed_document(capsys):
+    # No faults, retry or timeout: the one attempt loop runs once, and
+    # its failure carries the document `repro run --json` prints.
+    params = {"n_tasks": 4, "n_samples": 10, "budgets": [1]}
+    spec = make_spec("fig2", **params)
+    config = RunConfig()
+    with pytest.raises(InfeasibleAllocationError) as exc:
+        Session(config).run(spec)
+    attached = exc.value.error_document
+    # The attached document must equal a capture of the bare
+    # exception, so `repro run --json` prints the same bytes whether
+    # or not the executor attached one.
+    del exc.value.error_document
+    assert attached == ErrorDocument.capture(exc.value, spec=spec, config=config)
+    assert attached.code == "budget-infeasible"
+    assert attached.fingerprint == "fd0195bc83bc9b6c"
+    argv = ["run", "fig2", "--json"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={json.dumps(value)}"]
+    assert _run(argv) == EXECUTION_ERROR_EXIT
+    assert capsys.readouterr().out == attached.to_json(indent=2) + "\n"
 
 
 def test_json_user_error_emits_error_document(capsys):

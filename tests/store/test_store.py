@@ -8,6 +8,7 @@ contains, only that it round-trips canonically.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -41,7 +42,6 @@ class TestRoundTrip:
         put_one(store)
         lookup = store.lookup(TOKEN)
         assert lookup.hit
-        assert lookup.status == "succeeded"
         assert lookup.result == DOC
         assert not lookup.quarantined and lookup.code is None
 
@@ -49,10 +49,6 @@ class TestRoundTrip:
         put_one(store)
         assert store.get(TOKEN) == DOC
         assert store.get(OTHER) is None
-
-    def test_degraded_status_round_trips(self, store):
-        put_one(store, status="degraded")
-        assert store.lookup(TOKEN).status == "degraded"
 
     def test_entry_file_is_canonical_json(self, store):
         path = put_one(store)
@@ -105,8 +101,11 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_rejects_unservable_status(self, store):
-        with pytest.raises(ModelError):
+        # put takes no status: every entry it writes is "succeeded".
+        with pytest.raises(TypeError):
             store.put(TOKEN, DOC, status="failed")
+        entry = json.loads(put_one(store).read_bytes())
+        assert entry["status"] == "succeeded"
 
     @pytest.mark.parametrize(
         "token", ["", "a/b", "a.json", "../escape", 42, None]
@@ -187,6 +186,40 @@ class TestCorruptionQuarantine:
         reason = store.quarantined()[0]
         assert reason["code"] == "store-stale"
         assert "package" in reason["message"]
+
+    def test_degraded_entry_is_quarantined_never_served(self, store):
+        # Older releases also stored runs completed on a fallback engine,
+        # as intact entries with status "degraded". No run can produce
+        # that status now, so such an entry is never served.
+        def write_degraded(token):
+            entry = {
+                "fingerprint": token,
+                "status": "degraded",
+                "result": DOC,
+                "checksum": hashlib.sha256(
+                    json.dumps(
+                        DOC, sort_keys=True, separators=(",", ":")
+                    ).encode("utf-8")
+                ).hexdigest(),
+                "envelope": current_envelope(),
+            }
+            path = store.path_for(token)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(
+                json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            )
+
+        write_degraded(TOKEN)
+        lookup = store.lookup(TOKEN)
+        assert not lookup.hit and lookup.result is None
+        assert lookup.quarantined and lookup.code == StoreCorruptError.code
+        assert TOKEN not in store
+        assert "'degraded' is not servable" in store.quarantined()[0]["message"]
+
+        write_degraded(OTHER)
+        report = store.verify()
+        assert not report.ok
+        assert [t for t, _, _ in report.quarantined] == [OTHER]
 
     def test_quarantine_slots_never_collide(self, store):
         for _ in range(3):
