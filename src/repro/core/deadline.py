@@ -11,8 +11,11 @@ faithful reproduction needs the comparator:
   found by binary search on a uniform price plus marginal refinement
   (the completion probability is monotone in every price, making the
   search exact on the group-uniform lattice up to one unit).
+* :func:`min_cost_for_deadline_sweep` — the same over a whole
+  deadline grid; :func:`min_cost_for_deadline` is its one-deadline
+  case.
 * :func:`completion_probability` — ``P(job latency <= deadline)``
-  evaluated exactly from the per-group phase-type cdfs.
+  evaluated exactly as the product of the groups' completion terms.
 * :func:`latency_quantile` — inverse: the deadline achievable at a
   given confidence under a given allocation;
   :func:`latency_quantile_batch` evaluates a whole confidence vector
@@ -22,11 +25,12 @@ Together with :mod:`repro.core.repetition` this exposes the paper's
 framing: [29] fixes the deadline and spends; H-Tuning fixes the spend
 and races.
 
-All hot paths route through the batched kernels of
-:mod:`repro.perf.deadline`: per-(group, price) completion terms are
-memoized over the process-level shared weight ladders, the greedy
-candidate scan is one array op per step, and quantile bisection is
-array-shaped.  Results are **bit-identical** to the seed scalar
+Every completion term — a group's ``P(all n members finish by t)`` —
+comes from the one batched helper of :mod:`repro.perf.deadline`
+(:func:`~repro.perf.deadline.completion_terms` over the process-level
+shared weight ladders): the solver memoizes them per (group, price),
+its candidate scan is one array op per step, and quantile bisection
+is array-shaped.  Results are **bit-identical** to the seed scalar
 comparator, which is preserved as
 :func:`repro.perf.reference.reference_min_cost_for_deadline` and
 certified equal in ``tests/perf/test_deadline_kernel.py``.
@@ -53,43 +57,32 @@ __all__ = [
 ]
 
 
-def _group_cdf_at(group, price: int, deadline: float,
-                  include_processing: bool = True) -> float:
-    """``P(every task of the group finishes by deadline)``.
-
-    One member task is a chain of k on-hold + k processing phases;
-    members are independent, so the group cdf is the member cdf to the
-    n-th power.  Evaluated through the process-level shared ladders
-    (bit-identical to a fresh scalar kernel).
-    """
-    from ..perf.cache import shared_ladder_sf
-
-    rates = [group.onhold_rate(price)] * group.repetitions
-    if include_processing:
-        rates += [group.processing_rate] * group.repetitions
-    member = 1.0 - float(shared_ladder_sf(rates, np.array([deadline]))[0])
-    if member <= 0.0:
-        return 0.0
-    return member**group.size
-
-
 def completion_probability(
     problem: HTuningProblem,
     group_prices: dict[tuple, int],
     deadline: float,
     include_processing: bool = True,
 ) -> float:
-    """Exact ``P(job latency <= deadline)`` at group-uniform prices."""
+    """Exact ``P(job latency <= deadline)`` at group-uniform prices.
+
+    The product of every group's completion term, all evaluated in one
+    :func:`repro.perf.deadline.completion_terms` call.
+    """
+    from ..perf.deadline import completion_terms, group_rate_row
+
     if deadline < 0:
         raise ModelError(f"deadline must be >= 0, got {deadline}")
-    prob = 1.0
-    for group in problem.groups():
-        prob *= _group_cdf_at(
-            group, group_prices[group.key], deadline, include_processing
+    groups = problem.groups()
+    return math.prod(
+        completion_terms(
+            [
+                group_rate_row(g, group_prices[g.key], include_processing)
+                for g in groups
+            ],
+            [g.size for g in groups],
+            deadline,
         )
-        if prob == 0.0:
-            return 0.0
-    return prob
+    )
 
 
 def latency_quantile(
@@ -184,29 +177,19 @@ def min_cost_for_deadline(
     decrement stays feasible — a minimal feasible point; tests compare
     it against exhaustive search on small instances.
 
-    The ascent runs on a :class:`repro.perf.deadline.DeadlineKernel`:
-    every ``(group, price)`` completion term is computed once (through
-    the shared weight ladders) and the candidate scan scores all
-    groups' increments in one array op.  The greedy trajectory, the
-    trim, and every returned number are bit-identical to the seed
-    scalar comparator
+    A sweep over the one-deadline grid
+    (:func:`min_cost_for_deadline_sweep`): the ascent runs on a
+    :class:`repro.perf.deadline.DeadlineKernel`, whose every
+    ``(group, price)`` completion term is computed once and whose
+    candidate scan scores all groups' increments in one array op.  The
+    greedy trajectory, the trim, and every returned number are
+    bit-identical to the seed scalar comparator
     (:func:`repro.perf.reference.reference_min_cost_for_deadline`).
     """
-    from ..perf.deadline import DeadlineKernel
-    from ..resilience.faults import site_check
-
-    site_check("comparator.min_cost", comparator="batched")
-    if deadline <= 0:
-        raise ModelError(f"deadline must be positive, got {deadline}")
-    if not 0.0 < confidence < 1.0:
-        raise ModelError(f"confidence must be in (0,1), got {confidence}")
-    problem, groups = _deadline_problem(problem_tasks, max_price)
-    kernel = DeadlineKernel(
-        groups, deadline, include_processing, price_cap=max_price
-    )
-    return _min_cost_with_kernel(
-        problem, groups, kernel, confidence, max_price
-    )
+    (result,) = min_cost_for_deadline_sweep(
+        problem_tasks, [deadline], confidence, max_price, include_processing
+    ).values()
+    return result
 
 
 def min_cost_for_deadline_sweep(
@@ -218,12 +201,13 @@ def min_cost_for_deadline_sweep(
 ) -> dict[float, DeadlineResult]:
     """:func:`min_cost_for_deadline` over a whole deadline grid.
 
-    Each deadline's result is **bit-identical** to the single-deadline
-    call; what is shared across the grid is everything that does not
+    Each deadline's result is the greedy ascent + trim at that deadline
+    alone; what is shared across the grid is everything that does not
     depend on the deadline — the problem/group construction, the
-    per-(group, price) rate-profile table, and (via the process-level
-    cache) the uniformization weight ladders, which dominate a cold
-    comparator run.  Deadlines are processed largest-first so the
+    per-(group, price) rate-profile table, one batched pass for every
+    feasibility ceiling, and (via the process-level cache) the
+    uniformization weight ladders, which dominate a cold comparator
+    run.  Deadlines are processed largest-first so the
     ladders are sized once at their widest need instead of being
     rebuilt as the grid tightens; the returned dict is keyed by the
     requested deadlines in their given order.

@@ -17,6 +17,11 @@ Supervisor → worker (per-worker task queue)
     batched recurrence before its first task, so small batches don't
     pay per-worker cold cache builds.
 
+A worker never outlives its supervisor: a daemon thread polls
+``os.getppid()`` and calls ``os._exit`` once the worker has been
+reparented, which also reaps a worker blocked on its task queue or
+wedged by a ``hang`` directive after a SIGKILLed supervisor.
+
 Worker → supervisor (shared result queue)
     ``("ready", worker_id)`` once after startup,
     ``("beat", worker_id)`` every heartbeat interval from a daemon
@@ -37,6 +42,7 @@ the supervisor side.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -55,6 +61,9 @@ CRASH_EXIT_CODE = 13
 #: How long a fault-injected hang sleeps; the supervisor kills the
 #: worker long before this elapses.
 _HANG_SLEEP = 3600.0
+
+#: Seconds between a worker's checks that its supervisor still lives.
+_ORPHAN_POLL = 0.25
 
 
 def run_task_document(spec_doc, config_doc):
@@ -123,6 +132,17 @@ def _error_payload(exc: BaseException, kind: str, payload) -> dict:
     return ErrorDocument.capture(exc, spec=spec, config=config).to_dict()
 
 
+def _exit_when_orphaned(supervisor_pid: int) -> None:
+    """Poll until this process is reparented, then exit at once.
+
+    Runs on a daemon thread of its own, so neither a blocking
+    ``task_queue.get()`` nor a stopped heartbeat thread delays it.
+    """
+    while os.getppid() == supervisor_pid:
+        time.sleep(_ORPHAN_POLL)
+    os._exit(1)
+
+
 def worker_main(
     worker_id: int,
     task_queue,
@@ -135,6 +155,15 @@ def worker_main(
         # Fault-injected spawn failure: die before announcing readiness,
         # exactly like a worker whose interpreter never came up.
         os._exit(CRASH_EXIT_CODE)
+
+    # The pid recorded by the supervisor when it built this process,
+    # so a supervisor that died before this line is still noticed.
+    parent = multiprocessing.parent_process()
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid() if parent is None else parent.pid,),
+        daemon=True,
+    ).start()
 
     stop_beats = threading.Event()
 

@@ -29,7 +29,7 @@ import numpy as np
 from ..core.latency import expected_job_latency
 from ..core.problem import Allocation, HTuningProblem, TaskSpec
 from ..core.tuner import Tuner, tune_budget_sweep
-from ..errors import ModelError
+from ..errors import InfeasibleAllocationError, ModelError
 from ..workloads.families import ProblemFamily, as_problem_family
 
 __all__ = [
@@ -322,7 +322,7 @@ def min_budget_for_latency(
         mid = (lo + hi) // 2
         try:
             ok = latency_at(mid) <= target_latency
-        except Exception:
+        except InfeasibleAllocationError:
             ok = False  # infeasible mid (below the one-unit floor)
         if ok:
             hi = mid

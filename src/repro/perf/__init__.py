@@ -46,7 +46,6 @@ from .cache import (
     clear_phase_caches,
     configure_phase_cache,
     phase_cache_stats,
-    shared_ladder_sf,
     survival_weights,
 )
 from .deadline import (
@@ -98,6 +97,5 @@ __all__ = [
     "resolve_engine",
     "sample_job_latencies_batch",
     "sample_makespans",
-    "shared_ladder_sf",
     "survival_weights",
 ]

@@ -40,7 +40,6 @@ __all__ = [
     "cached_hypoexponential_sf",
     "cached_hypoexponential_sf_many",
     "cached_hypoexponential_cdf",
-    "shared_ladder_sf",
     "shared_ladder_sf_batch",
     "survival_weights",
     "phase_cache_stats",
@@ -171,57 +170,32 @@ def cached_hypoexponential_cdf(rates: Sequence[float], grid: np.ndarray) -> np.n
     return 1.0 - cached_hypoexponential_sf(rates, grid)
 
 
-def shared_ladder_sf(rates: Sequence[float], grid: np.ndarray) -> np.ndarray:
-    """sf on *grid* through the shared ladder, without the grid LRU.
+def _install_ladders(needs: dict) -> int:
+    """Batch-build the ladders *needs* asks for, install them, trim the
+    table (lock held); returns how many were built.
 
-    The deadline kernels (:mod:`repro.perf.deadline`) probe one rate
-    profile at thousands of *distinct* scalar deadlines (greedy price
-    ascent, quantile bisection midpoints).  Those grids never repeat,
-    so storing each in the bounded cdf LRU would only evict useful
-    entries; what *does* pay is reusing the profile's weight ladder,
-    the dominant per-probe cost.  This entry point shares the ladder
-    (extending it in place like every other caller) and skips the grid
-    cache.  Values are bit-identical to :func:`hypoexponential_sf` on
-    the same points — the ladder recurrence is deterministic and
-    per-call term counts depend only on the grid.
+    *needs* maps a rate profile to the number of terms its ladder must
+    hold; a profile whose installed ladder already holds that many is
+    left untouched.  A too-short ladder is rebuilt rather than
+    extended: the recurrence is deterministic in (profile, n_terms),
+    so the rebuild's prefix is bitwise the ladder it replaces, and one
+    lock-step rebuild (:func:`~repro.stats.phase_type.batch_weight_ladders`)
+    beats the per-term scalar extension it avoids.
     """
-    grid = np.asarray(grid, dtype=float)
-    with _lock:
-        ladder = _ladder_for(_rates_key(rates))
-        w = ladder.get(_sf_terms(ladder.q, grid))
-    return _sf_from_weights([ladder.q], [w], grid)[0]
-
-
-def _build_for_t(keys, ts, _mix_terms) -> int:
-    """Build missing/short ladders for *keys* at times *ts* (lock held).
-
-    Each key's requirement is sized from its own ``q·t`` — the exact
-    bound the sf evaluation will request — so a ladder already long
-    enough is never touched.  A too-short ladder is rebuilt rather
-    than extended: the recurrence is deterministic, so the rebuild's
-    prefix is bitwise the ladder it replaces, and one batched rebuild
-    (:func:`~repro.stats.phase_type.batch_weight_ladders`) beats the
-    per-term scalar extension it avoids.
-    """
-    needs: dict[tuple, int] = {}
-    for key, t in zip(keys, ts):
-        if t <= 0:
-            continue
+    build = []
+    for key, need in needs.items():
         ladder = _ladders.get(key)
-        need = _mix_terms(max(key) * t) + 1
         if ladder is None or ladder.n_computed < need:
-            if needs.get(key, 0) < need:
-                needs[key] = need
-    if needs:
-        build = list(needs)
-        for key, ladder in zip(
-            build, batch_weight_ladders(build, max(needs.values()))
-        ):
-            _stats["ladder_misses"] += 1
-            _ladders[key] = ladder
-        while len(_ladders) > _max_ladders:
-            _ladders.popitem(last=False)
-    return len(needs)
+            build.append(key)
+    if not build:
+        return 0
+    n_terms = max(needs[key] for key in build)
+    for key, ladder in zip(build, batch_weight_ladders(build, n_terms)):
+        _stats["ladder_misses"] += 1
+        _ladders[key] = ladder
+    while len(_ladders) > _max_ladders:
+        _ladders.popitem(last=False)
+    return len(build)
 
 
 def shared_ladder_sf_batch(
@@ -232,8 +206,12 @@ def shared_ladder_sf_batch(
     """sf of many (profile, time) rows through the shared ladders.
 
     One padded-window pass (:func:`repro.stats.phase_type._sf_rows_at`)
-    instead of one :func:`shared_ladder_sf` call per profile; row *i*
-    is bit-identical to ``shared_ladder_sf(profiles[i], [t_i])[0]``.
+    for every row; row *i* is bit-identical to the one-shot
+    :func:`~repro.stats.phase_type.hypoexponential_sf` of
+    ``profiles[i]`` at ``t_i``.  The deadline kernels probe profiles at
+    thousands of *distinct* times that never repeat, so this path
+    shares the weight ladders — the dominant per-probe cost — and
+    skips the grid LRU, whose entries such probes would only evict.
     *t* is a scalar shared by all rows or an array with one entry per
     profile (a deadline sweep's ceiling terms batch the whole grid
     this way).
@@ -252,7 +230,14 @@ def shared_ladder_sf_batch(
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (len(keys),))
     with _lock:
         if warm:
-            _build_for_t(keys, t_arr.tolist(), _mix_terms)
+            needs: dict[tuple, int] = {}
+            for key, t_i in zip(keys, t_arr.tolist()):
+                if t_i <= 0:
+                    continue
+                need = _mix_terms(max(key) * t_i) + 1
+                if needs.get(key, 0) < need:
+                    needs[key] = need
+            _install_ladders(needs)
         ladders = [_ladder_for(k) for k in keys]
         return _sf_rows_at(ladders, t_arr)
 
@@ -321,24 +306,8 @@ def warm_ladders(state) -> int:
             continue
         if needs.get(key, 0) < need:
             needs[key] = need
-    if not needs:
-        return 0
     with _lock:
-        for key in [k for k in needs]:
-            ladder = _ladders.get(key)
-            if ladder is not None and ladder.n_computed >= needs[key]:
-                del needs[key]
-        if not needs:
-            return 0
-        build = list(needs)
-        for key, ladder in zip(
-            build, batch_weight_ladders(build, max(needs.values()))
-        ):
-            _stats["ladder_misses"] += 1
-            _ladders[key] = ladder
-        while len(_ladders) > _max_ladders:
-            _ladders.popitem(last=False)
-    return len(build)
+        return _install_ladders(needs)
 
 
 def configure_phase_cache(max_sf_entries: int | None = None) -> None:

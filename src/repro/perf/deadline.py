@@ -1,27 +1,27 @@
 """Batched kernels for the deadline-constrained comparator ([29]).
 
 :mod:`repro.core.deadline` answers the dual question — cheapest spend
-meeting a deadline — by a greedy price ascent whose every probe is a
-phase-type cdf at one scalar deadline.  The seed implementation rebuilt
-a :class:`~repro.stats.phase_type.WeightLadder` per probe and re-probed
-the same ``(group, price)`` pairs many times (the candidate scan
-touches every group at every step; the minimality trim re-evaluates
-the whole price vector per candidate decrement).  This module makes
-those probes array-shaped and memoized while staying **bit-identical**
-to the seed comparator:
+meeting a deadline — through one quantity: a group's completion term
+``P(all n members finish by t) = (1 − sf)^n``.  This module is the only
+place that turns ``(group, price, t)`` rows into those terms:
 
+* :func:`group_rate_row` — one member task's phase-rate row at a price
+  (``price=None`` is instant acceptance: the processing phases alone).
+* :func:`completion_terms` — the guarded ``(1 − sf)^n`` terms of many
+  rows in one :func:`repro.perf.cache.shared_ladder_sf_batch` call
+  over the process-level shared weight ladders.
 * :class:`DeadlineKernel` — per-(group, price) completion terms at one
-  deadline, computed once through the process-level shared ladders
-  (:func:`repro.perf.cache.shared_ladder_sf`) and reused by the greedy
-  ascent, the trim loop, and the achieved-probability report.  The
+  deadline, filled in doubling price blocks and reused by the greedy
+  ascent, the trim loop and the achieved-probability report.  The
   candidate scan scores **all** groups' +1 increments in one array op.
+* :func:`processing_ceilings` — every deadline's feasibility ceiling
+  (instant acceptance) in one batched call.
 * :func:`deadline_quantile_bisection` — array bisection for
   :func:`repro.core.deadline.latency_quantile`: one vector of
-  midpoints (one per requested confidence) per iteration, each group's
-  sf evaluated on the whole midpoint vector via the
-  :func:`~repro.stats.phase_type._sf_from_ladder` array path.  A
-  single confidence degenerates to length-1 vectors, which follow the
-  exact float path of the scalar bisection — results are bit-identical.
+  midpoints (one per requested confidence) per iteration, every
+  group's term on the whole vector in one batched call.  A single
+  confidence follows the exact float path of the seed's scalar
+  bisection — results are bit-identical.
 * the **comparator registry** (:func:`get_deadline_comparator`, a
   :class:`~repro.registry.Registry`): ``"batched"`` and
   ``"reference"`` both resolve to the kernel-backed grid solver
@@ -31,10 +31,12 @@ to the seed comparator:
   solvers with the sweep signature are registrable and immediately
   usable by the frontier sweep and the CLI.
 
-Bit-identity rests on two facts certified by tests: a shared ladder's
-weights are independent of its extension history, and a length-1 grid
-through :func:`~repro.stats.phase_type._sf_from_ladder` performs the
-same float operations as the scalar one-shot evaluation.
+Bit-identity with the seed's fresh-ladder scalar terms rests on two
+facts certified by tests: a shared ladder's weights are independent of
+its extension history, and each row of
+:func:`~repro.stats.phase_type._sf_rows_at` performs the same float
+operations as the scalar one-shot evaluation at that row's time,
+whatever else shares its batch.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ import numpy as np
 
 from ..errors import ModelError
 from ..registry import Registry
-from .cache import shared_ladder_sf, shared_ladder_sf_batch
+from .cache import shared_ladder_sf_batch
 
 __all__ = [
     "DeadlineKernel",
+    "completion_terms",
+    "group_rate_row",
     "deadline_quantile_bisection",
     "processing_ceilings",
     "register_deadline_comparator",
@@ -69,16 +73,56 @@ def _safe_log(x: float) -> float:
     return math.log(x)
 
 
+def group_rate_row(
+    group, price: Optional[int], include_processing: bool = True
+) -> tuple:
+    """One member task's phase rates: k on-hold phases at *price*, then
+    (with *include_processing*) k processing phases.
+
+    ``price=None`` is instant acceptance (price → ∞): the on-hold phases
+    vanish and only the processing phases remain — the feasibility
+    ceiling's row.
+    """
+    rates = (
+        [] if price is None else [group.onhold_rate(int(price))]
+    ) * group.repetitions
+    if include_processing:
+        rates += [group.processing_rate] * group.repetitions
+    return tuple(map(float, rates))
+
+
+def completion_terms(
+    rows: Sequence[tuple], sizes: Sequence[int], t, warm: bool = False
+) -> list[float]:
+    """``P(all members of a group finish by t)`` for many rows at once.
+
+    Row *i* is a member's :func:`group_rate_row` and ``sizes[i]`` its
+    group's member count; *t* is a scalar shared by every row or one
+    time per row.  Members are independent, so a term is the member
+    cdf to the n-th power, 0.0 where that cdf is not positive.  One
+    :func:`~repro.perf.cache.shared_ladder_sf_batch` call evaluates
+    every row (``warm=True`` batch-builds missing ladders first).  The
+    power runs through python's float pow: numpy's vectorized pow
+    differs from libm in the last ulp, which would break bit-identity
+    with the seed's scalar terms at knife-edge bisection midpoints.
+    """
+    sfs = shared_ladder_sf_batch(rows, t, warm=warm).tolist()
+    return [
+        0.0 if (member := 1.0 - sf) <= 0.0 else member**size
+        for sf, size in zip(sfs, sizes)
+    ]
+
+
 class DeadlineKernel:
     """Memoized per-(group, price) completion terms at one deadline.
 
     One kernel serves one ``(groups, deadline, include_processing)``
-    triple.  Every term is computed at most once, through the
-    process-level shared weight ladders — so a frontier sweeping many
-    deadlines over the same groups re-derives *no* ladder, only the
-    cheap Poisson mixing per new ``(price, deadline)`` pair — and every
-    value is bit-identical to the seed's fresh-ladder scalar
-    evaluation.
+    triple.  Every term is computed at most once, by
+    :func:`completion_terms` in doubling price blocks — so a frontier
+    sweeping many deadlines over the same groups re-derives *no*
+    ladder, only the cheap Poisson mixing per new ``(price, deadline)``
+    pair — and every value is bit-identical to the seed's fresh-ladder
+    scalar evaluation.
     """
 
     #: Smallest price block warmed at once; blocks then double so the
@@ -102,7 +146,6 @@ class DeadlineKernel:
         self.deadline = float(deadline)
         self.include_processing = bool(include_processing)
         self.price_cap = None if price_cap is None else int(price_cap)
-        self._grid = np.array([self.deadline], dtype=float)
         self.unit_costs = np.array(
             [g.unit_cost for g in self.groups], dtype=float
         )
@@ -110,8 +153,8 @@ class DeadlineKernel:
         self._log_term: dict[tuple[int, int], float] = {}
         self._warm_hi = [0] * len(self.groups)
         # A sweep precomputes every deadline's ceiling in one batched
-        # pass (bit-identical to the per-kernel evaluation) and hands
-        # it in; a standalone kernel computes its own on first use.
+        # pass and hands it in; a standalone kernel computes its own
+        # on first use.
         self._ceiling: Optional[float] = ceiling
         self._next_buf: Optional[np.ndarray] = None
         self._gain_buf: Optional[np.ndarray] = None
@@ -121,22 +164,6 @@ class DeadlineKernel:
         # per deadline (completion terms stay per-kernel — they depend
         # on the deadline; the rate profiles do not).
         self._profiles: dict = {} if profile_table is None else profile_table
-
-    def _rates_at(self, gi: int, price: int) -> tuple:
-        key = (gi, int(price))
-        row = self._profiles.get(key)
-        if row is None:
-            g = self.groups[gi]
-            rates = [g.onhold_rate(int(price))] * g.repetitions
-            if self.include_processing:
-                rates += [g.processing_rate] * g.repetitions
-            row = tuple(float(r) for r in rates)
-            self._profiles[key] = row
-        return row
-
-    def _warm(self, gi: int, price: int) -> None:
-        """Fill the completion-term tables for one group's price block."""
-        self._warm_multi([(gi, int(price))])
 
     def _warm_multi(self, targets: Sequence[tuple[int, int]]) -> None:
         """Fill the completion-term tables for several groups at once.
@@ -148,12 +175,13 @@ class DeadlineKernel:
         lock-step matrix recurrence (phase counts padded inside
         :func:`repro.stats.phase_type.batch_weight_ladders`) and the
         Poisson mixing as one padded-window pass
-        (:func:`repro.perf.cache.shared_ladder_sf_batch`).  Every term
-        lands in the (group, price) memo, so the candidate scan and
-        the trim loop read pure table lookups.
+        (:func:`completion_terms`).  Every term lands in the (group,
+        price) memo, so the candidate scan and the trim loop read pure
+        table lookups.
         """
+        keys: list[tuple[int, int]] = []
         rows: list[tuple] = []
-        spans: list[tuple[int, int, int]] = []
+        sizes: list[int] = []
         for gi, price in targets:
             if price <= self._warm_hi[gi]:
                 continue
@@ -167,21 +195,23 @@ class DeadlineKernel:
             hi = max(hi, int(price))
             if hi < lo:
                 continue
-            spans.append((gi, lo, hi))
-            rows.extend(self._rates_at(gi, p) for p in range(lo, hi + 1))
+            group = self.groups[gi]
+            for p in range(lo, hi + 1):
+                key = (gi, p)
+                row = self._profiles.get(key)
+                if row is None:
+                    row = group_rate_row(group, p, self.include_processing)
+                    self._profiles[key] = row
+                keys.append(key)
+                rows.append(row)
+            sizes.extend([group.size] * (hi - lo + 1))
             self._warm_hi[gi] = hi
         if not rows:
             return
-        sfs = shared_ladder_sf_batch(rows, self.deadline, warm=True)
-        pos = 0
-        for gi, lo, hi in spans:
-            size = self.groups[gi].size
-            for p in range(lo, hi + 1):
-                member = 1.0 - float(sfs[pos])
-                value = 0.0 if member <= 0.0 else member**size
-                self._group_cdf[(gi, p)] = value
-                self._log_term[(gi, p)] = _safe_log(value)
-                pos += 1
+        terms = completion_terms(rows, sizes, self.deadline, warm=True)
+        for key, value in zip(keys, terms):
+            self._group_cdf[key] = value
+            self._log_term[key] = _safe_log(value)
 
     def prewarm(self, prices: Sequence[int]) -> None:
         """Warm every group's table through its current price at once.
@@ -197,22 +227,19 @@ class DeadlineKernel:
     def group_cdf(self, gi: int, price: int) -> float:
         """``P(every task of group gi finishes by the deadline)``.
 
-        Memoized; bit-identical to the seed ``_group_cdf_at``.
+        Memoized; a price past the warmed range warms its block first
+        (the memo holds every price from 1 through the warmed top).
+        Prices start at one unit, so a lower price is a
+        :class:`~repro.errors.ModelError`.
         """
         key = (gi, int(price))
         hit = self._group_cdf.get(key)
-        if hit is not None:
-            return hit
-        if price > self._warm_hi[gi]:
-            self._warm(gi, int(price))
-            hit = self._group_cdf.get(key)
-            if hit is not None:
-                return hit
-        rates = self._rates_at(gi, int(price))
-        member = 1.0 - float(shared_ladder_sf(rates, self._grid)[0])
-        value = 0.0 if member <= 0.0 else member**self.groups[gi].size
-        self._group_cdf[key] = value
-        return value
+        if hit is None:
+            if key[1] < 1:
+                raise ModelError(f"price must be >= 1, got {price}")
+            self._warm_multi([key])
+            hit = self._group_cdf[key]
+        return hit
 
     def log_term(self, gi: int, price: int) -> float:
         """``log`` of :meth:`group_cdf` with the seed's log(0) sentinel."""
@@ -314,8 +341,7 @@ class DeadlineKernel:
         """Completion probability with instant acceptance (price → ∞).
 
         The price-independent feasibility ceiling: only the processing
-        phases remain.  Matches the seed's ceiling product term for
-        term (no early exit, same member-power guard).
+        phases remain (see :func:`processing_ceilings`).
         """
         if not self.include_processing:
             raise ModelError(
@@ -323,20 +349,9 @@ class DeadlineKernel:
                 "phases are excluded"
             )
         if self._ceiling is None:
-            rows = [
-                tuple([g.processing_rate] * g.repetitions)
-                for g in self.groups
-            ]
-            # One mixing pass for all groups; the ladders themselves
-            # build (once per sweep) inside the shared cache — mixed
-            # repetition counts are fine, only the warm path needs
-            # lock-step rows.
-            sfs = shared_ladder_sf_batch(rows, self.deadline).tolist()
-            ceiling = 1.0
-            for g, sf in zip(self.groups, sfs):
-                member = 1.0 - sf
-                ceiling *= member**g.size if member > 0 else 0.0
-            self._ceiling = ceiling
+            self._ceiling = processing_ceilings(
+                self.groups, [self.deadline]
+            )[self.deadline]
         return self._ceiling
 
     def cache_stats(self) -> dict:
@@ -353,36 +368,27 @@ def processing_ceilings(
 ) -> dict[float, float]:
     """Every deadline's feasibility ceiling in one batched pass.
 
-    The per-(group, deadline) sf terms go through a single
-    :func:`~repro.perf.cache.shared_ladder_sf_batch` call (per-row
-    times), and each deadline's product is accumulated exactly like
-    :meth:`DeadlineKernel.processing_ceiling` — values are
-    bit-identical to the per-kernel evaluation, which is what lets a
-    sweep hand them to its kernels.
+    The ceiling is the completion probability with instant acceptance
+    (price → ∞): the product of the groups' processing-only terms, in
+    group order with no early exit — the seed's ceiling, term for
+    term.  All (group, deadline) terms go through one
+    :func:`completion_terms` call, which is what lets a sweep hand
+    every kernel its ceiling.
     """
     groups = tuple(groups)
     if not groups:
         raise ModelError("need at least one task group")
     deadlines = [float(d) for d in deadlines]
-    rows = [
-        tuple([g.processing_rate] * g.repetitions) for g in groups
-    ]
-    sfs = shared_ladder_sf_batch(
-        rows * len(deadlines),
-        np.repeat(np.asarray(deadlines, dtype=float), len(rows))
-        if deadlines
-        else 0.0,
+    n = len(groups)
+    terms = completion_terms(
+        [group_rate_row(g, None) for g in groups] * len(deadlines),
+        [g.size for g in groups] * len(deadlines),
+        np.repeat(np.asarray(deadlines, dtype=float), n),
     )
-    ceilings: dict[float, float] = {}
-    pos = 0
-    for deadline in deadlines:
-        ceiling = 1.0
-        for g in groups:
-            member = 1.0 - float(sfs[pos])
-            ceiling *= member**g.size if member > 0 else 0.0
-            pos += 1
-        ceilings[deadline] = ceiling
-    return ceilings
+    return {
+        deadline: math.prod(terms[i * n : (i + 1) * n])
+        for i, deadline in enumerate(deadlines)
+    }
 
 
 def deadline_quantile_bisection(
@@ -417,34 +423,26 @@ def deadline_quantile_bisection(
             f"confidences must be in (0,1), got {confidences.tolist()}"
         )
     groups = tuple(groups)
-    profiles = []
-    for g in groups:
-        rates = [g.onhold_rate(int(group_prices[g.key]))] * g.repetitions
-        if include_processing:
-            rates += [g.processing_rate] * g.repetitions
-        profiles.append((tuple(float(r) for r in rates), g.size))
+    rows = [
+        group_rate_row(g, group_prices[g.key], include_processing)
+        for g in groups
+    ]
+    sizes = [g.size for g in groups]
 
     def completion(t_vec: np.ndarray) -> np.ndarray:
-        # Product over groups in group order with the member-power
-        # guard — the same accumulation the scalar path performs (its
-        # early exit at 0.0 only skips multiplications by zero).  The
-        # n-th power runs through python's float pow: numpy's
-        # vectorized pow differs from libm in the last ulp, which
-        # would break the bit-identity contract at knife-edge
-        # midpoints; the vector is one midpoint per confidence, so the
-        # python loop is negligible next to the sf kernel.
+        # Every (group, midpoint) term in one call, each row's mixing
+        # window sized from its own q·t; then the product over groups
+        # in group order — the scalar path's accumulation (its early
+        # exit at 0.0 only skips multiplications by zero).
+        n = t_vec.size
+        terms = completion_terms(
+            [row for row in rows for _ in range(n)],
+            [size for size in sizes for _ in range(n)],
+            np.tile(t_vec, len(rows)),
+        )
         prob = np.ones_like(t_vec)
-        for rates, size in profiles:
-            # One padded-window row per midpoint, each sized from its
-            # own q·t — row i is bitwise shared_ladder_sf(rates, [t_i])[0].
-            sf = shared_ladder_sf_batch([rates] * t_vec.size, t_vec)
-            member = 1.0 - sf
-            powered = np.fromiter(
-                ((m**size if m > 0.0 else 0.0) for m in member.tolist()),
-                dtype=float,
-                count=member.size,
-            )
-            prob = prob * powered
+        for group_terms in np.array(terms).reshape(len(rows), n):
+            prob = prob * group_terms
         return prob
 
     # Bracket: sum of group means, doubled until every confidence is

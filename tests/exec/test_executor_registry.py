@@ -110,6 +110,7 @@ class TestDidYouMean:
 
     def test_fault_plan(self):
         from repro.resilience.faults import (
+            _PLANS,
             FaultPlan,
             get_fault_plan,
             register_fault_plan,
@@ -120,9 +121,14 @@ class TestDidYouMean:
             FaultPlan(rules=({"site": "run.start", "at": [0]},)),
             replace=True,
         )
-        with pytest.raises(RegistryError) as exc:
-            get_fault_plan("exec-suite-chaso")
-        assert "did you mean 'exec-suite-chaos'?" in str(exc.value)
+        try:
+            with pytest.raises(RegistryError) as exc:
+                get_fault_plan("exec-suite-chaso")
+            assert "did you mean 'exec-suite-chaos'?" in str(exc.value)
+        finally:
+            # The store envelope digests every registered plan, so a
+            # leaked plan would make later suites' entries stale.
+            _PLANS.pop("exec-suite-chaos")
 
     def test_removed_async_name_points_at_process(self):
         # "async" wrapped the process pool; the service now dispatches

@@ -128,6 +128,29 @@ class TestCheckpointResume:
         assert len(completed_lines) == 2
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of *pid* from ``/proc``; ``None`` once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children_of(pid):
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and (_proc_stat(entry) or (None, None))[1] == pid
+    ]
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 @requires_process_pool
 class TestKillAndRestart:
     """A SIGKILLed parent resumes from its journal byte-identically."""
@@ -152,12 +175,20 @@ class TestKillAndRestart:
         # kill the parent as soon as the journal shows progress (or let
         # it finish — the resume contract holds either way)
         deadline = time.monotonic() + 60.0
+        orphans = []
         while time.monotonic() < deadline and proc.poll() is None:
             if journal.exists() and journal.read_text().strip():
+                orphans = _children_of(proc.pid)
                 proc.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.05)
         proc.wait(timeout=60.0)
+        # The pool workers notice their supervisor is gone and exit,
+        # even while blocked on an empty task queue.
+        reap_by = time.monotonic() + 10.0
+        while time.monotonic() < reap_by and any(map(_alive, orphans)):
+            time.sleep(0.1)
+        assert not any(map(_alive, orphans)), orphans
 
         # restart: restored + fresh work merge into a clean report ...
         assert main([*argv, "--json"]) in (0, None)
@@ -173,3 +204,44 @@ class TestKillAndRestart:
         assert [o["result"] for o in resumed["outcomes"]] == [
             o["result"] for o in clean["outcomes"]
         ]
+
+    def test_hung_worker_exits_with_its_supervisor(self):
+        """A worker wedged by a ``hang`` directive (heartbeats stopped)
+        still exits once its SIGKILLed supervisor is gone."""
+        supervisor = (
+            "import multiprocessing, time\n"
+            "from repro.exec.worker import worker_main\n"
+            "ctx = multiprocessing.get_context('fork')\n"
+            "tasks, results = ctx.Queue(), ctx.Queue()\n"
+            "worker = ctx.Process(target=worker_main,"
+            " args=(0, tasks, results, 0.05), daemon=True)\n"
+            "worker.start()\n"
+            "while results.get(timeout=30)[0] != 'ready':\n"
+            "    pass\n"
+            "tasks.put(('task', 0, 'call', (print, (), None), 'hang'))\n"
+            "time.sleep(0.5)\n"
+            "print(worker.pid, flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", supervisor],
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            worker = int(proc.stdout.readline())
+            assert _alive(worker)
+        finally:
+            proc.kill()
+            proc.wait(timeout=60.0)
+        reap_by = time.monotonic() + 10.0
+        while time.monotonic() < reap_by and _alive(worker):
+            time.sleep(0.1)
+        assert not _alive(worker)

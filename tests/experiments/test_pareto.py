@@ -187,6 +187,31 @@ class TestMinBudgetForLatency:
         )
         assert budget is None
 
+    def test_infeasible_midpoint_counts_as_a_miss(self, factory):
+        # Budgets below the one-unit floor raise
+        # InfeasibleAllocationError; the search steps past them.
+        floor = 20  # 10 tasks x 2 repetitions at one unit each
+        target = budget_latency_frontier(factory, budgets=[floor]).latencies[0]
+        budget = min_budget_for_latency(
+            factory, target_latency=target, budget_lo=1, budget_hi=320
+        )
+        assert budget == floor
+
+    def test_other_midpoint_errors_propagate(self, factory):
+        """Only an infeasible budget is a miss: any other failure at a
+        midpoint (a bug, a fired fault) surfaces instead of silently
+        moving the answer."""
+
+        def flaky(budget):
+            if budget == (20 + 320) // 2:
+                raise ModelError("midpoint failure")
+            return factory(budget)
+
+        with pytest.raises(ModelError, match="midpoint failure"):
+            min_budget_for_latency(
+                flaky, target_latency=1e3, budget_lo=20, budget_hi=320
+            )
+
     def test_validation(self, factory):
         with pytest.raises(ModelError):
             min_budget_for_latency(factory, 0.0, 10, 20)

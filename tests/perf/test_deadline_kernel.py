@@ -9,6 +9,8 @@ the seed scalar comparator preserved in :mod:`repro.perf.reference`.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,13 @@ class TestKernelBitIdentity:
                 swept[deadline].achieved_probability
                 == oracle.achieved_probability
             )
+            single = min_cost_for_deadline(
+                tasks, deadline, 0.85, max_price=30
+            )
+            for field in dataclasses.fields(single):
+                assert getattr(single, field.name) == getattr(
+                    swept[deadline], field.name
+                ), field.name
 
 
 class TestDeadlineKernel:
@@ -190,6 +199,8 @@ class TestDeadlineKernel:
             DeadlineKernel((), 1.0)
         with pytest.raises(ModelError):
             DeadlineKernel(groups, -1.0)
+        with pytest.raises(ModelError):
+            DeadlineKernel(groups, 1.0).group_cdf(0, 0)
 
 
 class TestComparatorRegistry:

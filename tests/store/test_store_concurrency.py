@@ -21,6 +21,9 @@ from repro.store import ResultStore
 
 from store_tiny import TINY_PARAMS, requires_subprocesses
 
+#: The checkout root: the subprocesses import its ``src``.
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
 
 def batch_command(root, names):
     specs = [
@@ -53,7 +56,7 @@ class TestConcurrentBatches:
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 env=env,
-                cwd="/root/repo",
+                cwd=CHECKOUT,
                 text=True,
             )
             for group in (names, names[::-1])
