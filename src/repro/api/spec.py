@@ -19,6 +19,7 @@ experiment (property-tested in ``tests/api/test_spec_roundtrip.py``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import typing
 from typing import Any, ClassVar, Mapping, Optional, Type, Union
@@ -58,6 +59,16 @@ def _jsonable(value):
     raise ModelError(
         f"spec parameter value {value!r} is not JSON-serializable"
     )
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``typing.get_type_hints(cls)``, resolved once per spec class.
+
+    Resolving compiles every annotation string again, and
+    ``from_dict`` runs for each submitted run.
+    """
+    return typing.get_type_hints(cls)
 
 
 def _coerce(value, hint):
@@ -217,7 +228,7 @@ class ExperimentSpec:
                 f"unknown parameters {unknown} for experiment "
                 f"{cls.name!r}; expected a subset of {sorted(field_names)}"
             )
-        hints = typing.get_type_hints(cls)
+        hints = _type_hints(cls)
         kwargs = {
             key: _coerce(value, hints.get(key)) for key, value in params.items()
         }

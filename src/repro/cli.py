@@ -788,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the live crowd-market HTTP service (repro serve "
-        "--port 8765 --store ./results --executor process)",
+        "--port 8765 --store ./results)",
     )
     serve.add_argument(
         "--host",
@@ -810,16 +810,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor",
-        default="serial",
+        default="process",
         help="executor for submitted runs (registry-resolved; "
-        f"registered: {', '.join(available_executors())}); 'process' "
-        "starts a supervised pool per submitted run",
+        f"registered: {', '.join(available_executors())}); the default "
+        "'process' keeps one supervised worker pool for the service's "
+        "lifetime, started by the first run that misses the store; "
+        "'serial' computes on dispatch threads in the service process",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=2,
-        help="concurrent dispatch width for submitted runs",
+        help="how many submitted runs compute at once: the worker-pool "
+        "size (or the number of dispatch threads under --executor serial)",
     )
     serve.add_argument(
         "--faults",

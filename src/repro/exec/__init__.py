@@ -7,10 +7,11 @@ an :class:`Executor` resolved through the same kind of name registry
 engines and comparators use.  ``"serial"`` exercises the wire format
 in-process; ``"process"`` is the supervised multiprocess pool with
 crash recovery, straggler requeue and graceful degradation
-(:mod:`repro.exec.process`).  The :mod:`repro.serve` backend drives
-the same executors from its event loop, one submitted run per
-``run_tasks`` call.  Results are executor-invariant by construction —
-the certification tests live under ``tests/exec/``.
+(:mod:`repro.exec.process`).  Its :class:`WorkerPool` is long-lived:
+a batch opens one, submits, drains and closes it, and the
+:mod:`repro.serve` backend keeps one open for a service's lifetime.
+Results are executor-invariant by construction — the certification
+tests live under ``tests/exec/``.
 """
 
 from .base import (
@@ -24,7 +25,7 @@ from .base import (
     register_executor,
     resolve_executor,
 )
-from .process import ProcessExecutor
+from .process import ProcessExecutor, WorkerPool
 from .shard import sharded_run_replications, split_replications
 from .worker import run_replication_shard, run_task_document, worker_main
 
@@ -35,6 +36,7 @@ __all__ = [
     "SerialExecutor",
     "TaskOutcome",
     "ProcessExecutor",
+    "WorkerPool",
     "available_executors",
     "get_executor",
     "register_executor",

@@ -1,13 +1,19 @@
-"""``"process"``: a supervised multiprocess worker pool.
+"""``"process"``: a long-lived supervised multiprocess worker pool.
 
-The supervisor owns N child processes (fork where available, spawn
-otherwise), one task queue per worker and a shared result queue, and
-runs a poll loop with four detection paths:
+:class:`WorkerPool` owns N child processes (fork where available,
+spawn otherwise) and one supervisor thread.  Any thread may
+:meth:`~WorkerPool.submit` an :class:`~repro.exec.base.ExecTask` and
+await the :class:`concurrent.futures.Future` of its
+:class:`~repro.exec.base.TaskOutcome`; :meth:`~WorkerPool.close`
+stops the workers.  Each worker has its own task pipe and result
+pipe, so a worker killed mid-message damages only its own channel.
+The supervisor waits on every result pipe, every worker's exit
+sentinel and a wake pipe at once, with four detection paths:
 
 * **completion** — ``done``/``error`` messages retire the in-flight
   task and free the worker;
-* **crash** — a nonzero/early exit (``proc.exitcode`` set while a task
-  is in flight, or before ``ready``);
+* **crash** — an exit (the process sentinel fires, or its result pipe
+  breaks) while a task is in flight, or before ``ready``;
 * **straggler** — a task still in flight past its deadline
   (``TimeoutPolicy.seconds``, wall clock from dispatch);
 * **stall** — heartbeats stale past ``stall_timeout`` (a wedged worker
@@ -18,11 +24,17 @@ Crashed / straggling / stalled workers are killed and their task is
 dispatched at most ``1 + retry.attempts`` times before it fails with a
 :class:`~repro.errors.WorkerCrashError` document.  Dead pool members
 are respawned up to a respawn budget; when the pool collapses with the
-budget exhausted, the supervisor **degrades to serial** and finishes
-the remaining tasks in-process, so a batch always completes.  Every
-decision is emitted through ``on_event`` (→
-:attr:`~repro.resilience.batch.BatchReport.events` and the checkpoint
-journal's ``{"event": ...}`` audit lines).
+budget exhausted, the supervisor **degrades to serial** and runs every
+remaining and later task in-process on its own thread, so every
+submission still completes.  Every decision is emitted through
+``on_event`` (→ :attr:`~repro.resilience.batch.BatchReport.events` and
+the checkpoint journal's ``{"event": ...}`` audit lines).
+
+Two callers share the one supervisor:
+:meth:`ProcessExecutor.run_tasks` opens a pool per batch, submits,
+drains and closes it (``repro run-many``), and
+:class:`repro.serve.backend.ExecutorBackend` holds one pool for a
+service's lifetime.
 
 Fault injection: the supervisor — never the workers — evaluates the
 ``worker.spawn`` / ``worker.task`` / ``worker.hang`` sites against a
@@ -34,8 +46,13 @@ a *directive* the child acts out for real (``os._exit`` / wedge).
 from __future__ import annotations
 
 import multiprocessing
+import os
+import queue
+import threading
 import time
 from collections import deque
+from concurrent.futures import Future
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Optional
 
 from ..errors import ModelError, WorkerCrashError
@@ -48,7 +65,7 @@ from .base import (
 )
 from .worker import _error_payload, worker_main
 
-__all__ = ["ProcessExecutor"]
+__all__ = ["ProcessExecutor", "WorkerPool"]
 
 
 def _pick_context():
@@ -61,52 +78,67 @@ def _pick_context():
     )
 
 
+def _check_size(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ModelError(f"{what} must be an int >= 1, got {value!r}")
+    return value
+
+
 class _Member:
     """Supervisor-side record of one pool worker."""
 
     __slots__ = (
-        "id", "proc", "queue", "task", "dispatched_at", "last_beat", "ready",
+        "id", "proc", "tasks", "results", "task", "dispatched_at",
+        "last_beat", "ready", "broken",
     )
 
-    def __init__(self, worker_id, proc, queue) -> None:
+    def __init__(self, worker_id, proc, tasks, results) -> None:
         self.id = worker_id
         self.proc = proc
-        self.queue = queue
+        self.tasks = tasks  # write end of the worker's task pipe
+        self.results = results  # read end of the worker's result pipe
         self.task = None  # in-flight _Pending, or None when idle
         self.dispatched_at = None
         self.last_beat = time.monotonic()
         self.ready = False  # has sent its `ready` handshake
+        self.broken = False  # its result pipe failed; reap it
+
+    def close_pipes(self) -> None:
+        self.tasks.close()
+        self.results.close()
 
 
 class _Pending:
-    """One task plus its supervisor-side dispatch bookkeeping."""
+    """One submitted task, its future and its dispatch bookkeeping."""
 
-    __slots__ = ("task", "dispatches")
+    __slots__ = ("task", "future", "dispatches")
 
     def __init__(self, task: ExecTask) -> None:
         self.task = task
+        self.future: Future = Future()
         self.dispatches = 0
 
 
 class ProcessExecutor(Executor):
-    """Supervised worker pool (see module docstring).
+    """The ``"process"`` executor: :class:`WorkerPool` settings plus the
+    batch contract over them (see module docstring).
 
     Parameters
     ----------
     workers:
-        Pool size (>= 1).  The pool never spawns more members than
-        there are tasks.
+        Pool size (>= 1).  A batch never spawns more members than it
+        has tasks.
     heartbeat_interval:
         Seconds between worker heartbeats.
     stall_timeout:
         Heartbeat staleness that marks a live process wedged
         (default: ``max(40 × heartbeat_interval, 2.0)``).
     max_respawns:
-        Replacement-worker budget for the whole batch (default:
+        Replacement-worker budget for one pool's life (default:
         ``2 × workers``); exhausting it with no live workers degrades
-        the batch to serial in-process execution.
+        the pool to serial in-process execution.
     poll_interval:
-        Supervisor loop tick (result-queue wait), seconds.
+        Longest the supervisor waits between liveness checks, seconds.
     """
 
     name = "process"
@@ -119,9 +151,7 @@ class ProcessExecutor(Executor):
         max_respawns: Optional[int] = None,
         poll_interval: float = 0.02,
     ) -> None:
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ModelError(f"workers must be an int >= 1, got {workers!r}")
-        self.workers = workers
+        self.workers = _check_size(workers, "workers")
         self.heartbeat_interval = float(heartbeat_interval)
         self.stall_timeout = (
             float(stall_timeout)
@@ -133,7 +163,19 @@ class ProcessExecutor(Executor):
         )
         self.poll_interval = float(poll_interval)
 
-    # -- the supervisor ------------------------------------------------
+    def open_pool(self, size: Optional[int] = None, **options) -> WorkerPool:
+        """Start a :class:`WorkerPool` of *size* members (default
+        ``workers``) with this executor's supervisor timings; *options*
+        are the pool's keyword parameters (retry, timeout, fault_state,
+        on_event, warmup)."""
+        return WorkerPool(
+            self.workers if size is None else size,
+            heartbeat_interval=self.heartbeat_interval,
+            stall_timeout=self.stall_timeout,
+            max_respawns=self.max_respawns,
+            poll_interval=self.poll_interval,
+            **options,
+        )
 
     def run_tasks(
         self,
@@ -148,113 +190,248 @@ class ProcessExecutor(Executor):
         warmup=None,
     ) -> list:
         from ..resilience.faults import resolve_fault_plan
-        from ..resilience.policy import DEFAULT_RETRY
 
         tasks = list(tasks)
         if not tasks:
             return []
-        retry = retry if retry is not None else DEFAULT_RETRY
-        deadline_seconds = timeout.seconds if timeout is not None else None
         plan = resolve_fault_plan(faults)
-        # One deterministic counter stream for the whole pool: the
-        # supervisor is single-threaded, so worker.* occurrences advance
-        # in decision order regardless of which child does the work.
-        fault_state = plan.activate() if plan is not None else None
-
-        ctx = _pick_context()
-        result_queue = ctx.Queue()
-        supervisor = _Supervision(
-            executor=self,
-            ctx=ctx,
-            result_queue=result_queue,
+        # Events and completions reach this thread through one queue,
+        # in the order the supervisor made them, so the callbacks never
+        # run concurrently with each other.
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        pool = self.open_pool(
+            min(self.workers, len(tasks)),
             retry=retry,
-            deadline_seconds=deadline_seconds,
-            fault_state=fault_state,
-            on_complete=on_complete,
-            on_event=on_event,
+            timeout=timeout,
+            # One deterministic counter stream for the whole pool: only
+            # the supervisor thread evaluates worker.* occurrences.
+            fault_state=plan.activate() if plan is not None else None,
+            on_event=lambda event: inbox.put((event, None)),
             warmup=warmup,
         )
+        outcomes: list = []
         try:
-            return supervisor.run(
-                [_Pending(task) for task in tasks], fail_fast=fail_fast
-            )
+            futures: dict = {}
+            for task in tasks:
+                future = pool.submit(task)
+                futures[future] = task
+                future.add_done_callback(lambda f: inbox.put((None, f)))
+            remaining = len(futures)
+            while remaining:
+                event, future = inbox.get()
+                if future is None:
+                    if on_event is not None:
+                        on_event(event)
+                    continue
+                remaining -= 1
+                if future.cancelled():
+                    continue
+                outcome = future.result()
+                outcomes.append(outcome)
+                if on_complete is not None:
+                    on_complete(futures[future], outcome)
+                if fail_fast and not outcome.ok:
+                    for other in futures:
+                        other.cancel()  # only undispatched tasks drop
         finally:
-            supervisor.shutdown()
+            pool.close()
+        return outcomes
 
 
-class _Supervision:
-    """One batch's supervisor loop state (built per ``run_tasks`` call)."""
+class WorkerPool:
+    """A long-lived supervised worker pool (see module docstring).
+
+    Built by :meth:`ProcessExecutor.open_pool`, which supplies the
+    supervisor timings and the respawn budget (see
+    :class:`ProcessExecutor`).  The members are spawned by the
+    supervisor thread, so constructing a pool never blocks on a fork.
+
+    Parameters
+    ----------
+    size:
+        Number of worker processes (>= 1).
+    retry / timeout:
+        The requeue budget (a task is dispatched at most
+        ``1 + retry.attempts`` times) and the per-task straggler
+        deadline (a :class:`~repro.resilience.policy.TimeoutPolicy`).
+    fault_state:
+        Activated plan whose ``worker.*`` rules the supervisor turns
+        into crash / hang directives.
+    on_event:
+        Called on the supervisor thread with each event dict.
+    warmup:
+        Phase-kernel cache snapshot shipped to each worker after its
+        ready handshake (see :func:`repro.perf.cache.export_ladder_state`).
+    """
 
     def __init__(
         self,
-        executor: ProcessExecutor,
-        ctx,
-        result_queue,
-        retry,
-        deadline_seconds,
-        fault_state,
-        on_complete,
-        on_event,
+        size: int,
+        *,
+        heartbeat_interval: float,
+        stall_timeout: float,
+        max_respawns: int,
+        poll_interval: float,
+        retry=None,
+        timeout=None,
+        fault_state=None,
+        on_event: Optional[Callable] = None,
         warmup=None,
     ) -> None:
-        self.executor = executor
-        self.ctx = ctx
-        self.result_queue = result_queue
-        self.retry = retry
-        self.deadline_seconds = deadline_seconds
+        from ..resilience.policy import DEFAULT_RETRY
+
+        self.size = _check_size(size, "pool size")
+        self.heartbeat_interval = float(heartbeat_interval)
+        self.stall_timeout = float(stall_timeout)
+        self.max_respawns = int(max_respawns)
+        self.poll_interval = float(poll_interval)
+        self.retry = retry if retry is not None else DEFAULT_RETRY
+        self.deadline_seconds = timeout.seconds if timeout is not None else None
         self.fault_state = fault_state
-        self.on_complete = on_complete
         self.on_event = on_event
-        # Phase-kernel cache snapshot shipped to each worker on its
-        # ready handshake (see repro.perf.cache.export_ladder_state).
         self.warmup = list(warmup) if warmup else None
-        self.members: dict = {}  # worker_id -> _Member
-        self.next_worker_id = 0
         self.respawns_used = 0
-        self.pending: deque = deque()
-        self.outcomes: list = []
-        self.tasks_by_index: dict = {}
-        self.stopping = False  # fail_fast tripped
         self.degraded = False
+        self._ctx = _pick_context()
+        self._members: dict = {}  # worker_id -> _Member
+        self._next_worker_id = 0
+        self._pending: deque = deque()  # ready to dispatch, FIFO
+        self._inbox: deque = deque()  # submitted, not yet seen
+        # Guards _closing and the wake pipe's lifetime against submit.
+        self._lock = threading.Lock()
+        self._closing = False
+        self._wake_open = True
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        self._thread = threading.Thread(
+            target=self._supervise, name="repro-pool", daemon=True
+        )
+        self._thread.start()
+
+    # -- the public surface (any thread) -------------------------------
+
+    def submit(self, task: ExecTask) -> Future:
+        """Queue *task*; the future resolves to its :class:`TaskOutcome`.
+
+        Cancelling the future before a worker picks the task up drops
+        it; a failed task resolves to a ``failed`` outcome, not an
+        exception.
+        """
+        pending = _Pending(task)
+        with self._lock:
+            if self._closing:
+                raise ModelError("cannot submit to a closed worker pool")
+            self._inbox.append(pending)
+            self._wake()
+        return pending.future
+
+    def close(self) -> None:
+        """Stop every worker and the supervisor (idempotent).
+
+        Tasks still queued are cancelled; tasks in flight resolve to a
+        ``failed`` outcome.
+        """
+        with self._lock:
+            self._closing = True
+            owner, self._wake_open = self._wake_open, False
+            if owner:
+                self._wake()
+        self._thread.join()
+        if owner:
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+
+    def pids(self) -> list:
+        """Process ids of the current members (a snapshot)."""
+        return [member.proc.pid for member in list(self._members.values())]
+
+    def stats(self) -> dict:
+        """A JSON-able snapshot: members, spawns, respawns, degradation."""
+        return {
+            "workers": self.pids(),
+            "spawned": self._next_worker_id,
+            "respawns": self.respawns_used,
+            "degraded": self.degraded,
+        }
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except OSError:
+            pass  # pipe full (the supervisor is due to wake) or closed
 
     # -- events --------------------------------------------------------
 
-    def emit(self, event: dict) -> None:
+    def _emit(self, event: dict) -> None:
         if self.on_event is not None:
             self.on_event(dict(event))
 
+    # -- the supervisor thread -----------------------------------------
+
+    def _supervise(self) -> None:
+        failure = None
+        try:
+            for _ in range(self.size):
+                self._spawn()
+            while not self._closing:
+                self._admit()
+                if self.degraded or not self._members:
+                    self._run_inline()
+                    self._wait({}, self.poll_interval)
+                    continue
+                self._dispatch_idle()
+                self._wait_and_drain()
+                self._check_liveness()
+                self._check_deadlines()
+        except BaseException as exc:  # the futures must still resolve
+            failure = exc
+        finally:
+            self._shutdown(failure)
+
+    def _admit(self) -> None:
+        while self._inbox:
+            self._pending.append(self._inbox.popleft())
+
+    def _next_pending(self):
+        """The next task to dispatch, skipping cancelled submissions."""
+        while self._pending:
+            pending = self._pending.popleft()
+            if pending.dispatches or pending.future.set_running_or_notify_cancel():
+                return pending
+        return None
+
     # -- pool management -----------------------------------------------
 
-    def spawn_member(self) -> None:
+    def _spawn(self) -> None:
         directive = None
         if self.fault_state is not None:
             fired = self.fault_state.fires("worker.spawn")
             if fired is not None:
                 directive = "crash"
-                self.emit(
+                self._emit(
                     {
                         "type": "fault.worker",
                         "site": "worker.spawn",
                         "occurrence": fired[0],
                     }
                 )
-        worker_id = self.next_worker_id
-        self.next_worker_id += 1
-        queue = self.ctx.Queue()
-        proc = self.ctx.Process(
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
+        task_r, task_w = self._ctx.Pipe(duplex=False)
+        result_r, result_w = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
             target=worker_main,
-            args=(
-                worker_id,
-                queue,
-                self.result_queue,
-                self.executor.heartbeat_interval,
-                directive,
-            ),
+            args=(worker_id, task_r, result_w, self.heartbeat_interval, directive),
+            name=f"repro-worker-{worker_id}",
             daemon=True,
         )
         proc.start()
-        self.members[worker_id] = _Member(worker_id, proc, queue)
-        self.emit(
+        # The child owns these ends now; closing ours lets a dead
+        # child's result pipe read as EOF.
+        task_r.close()
+        result_w.close()
+        self._members[worker_id] = _Member(worker_id, proc, task_w, result_r)
+        self._emit(
             {
                 "type": "worker.spawned",
                 "worker": worker_id,
@@ -262,7 +439,7 @@ class _Supervision:
             }
         )
 
-    def reap_member(self, member: _Member, reason: str) -> None:
+    def _reap(self, member: _Member, reason: str) -> None:
         """Kill *member* (if still alive), requeue its task, respawn."""
         pending = member.task
         member.task = None
@@ -270,8 +447,9 @@ class _Supervision:
             member.proc.terminate()
             member.proc.join(timeout=5.0)
         exit_code = member.proc.exitcode
-        del self.members[member.id]
-        self.emit(
+        del self._members[member.id]
+        member.close_pipes()
+        self._emit(
             {
                 "type": reason,
                 "worker": member.id,
@@ -280,11 +458,11 @@ class _Supervision:
             }
         )
         if pending is not None:
-            self.requeue(pending, member, exit_code, reason)
-        if self.respawns_used < self.executor.max_respawns and not self.stopping:
+            self._requeue(pending, member, exit_code, reason)
+        if self.respawns_used < self.max_respawns and not self._closing:
             self.respawns_used += 1
-            self.spawn_member()
-            self.emit(
+            self._spawn()
+            self._emit(
                 {
                     "type": "worker.respawned",
                     "replaces": member.id,
@@ -292,14 +470,14 @@ class _Supervision:
                 }
             )
 
-    def requeue(self, pending: _Pending, member: _Member, exit_code, reason) -> None:
+    def _requeue(self, pending: _Pending, member: _Member, exit_code, reason) -> None:
         """Give a disrupted task another dispatch, or fail it."""
         if pending.dispatches <= self.retry.attempts:
             delay = self.retry.delay(pending.dispatches - 1)
             if delay > 0.0:
                 time.sleep(delay)
-            self.pending.appendleft(pending)
-            self.emit(
+            self._pending.appendleft(pending)
+            self._emit(
                 {
                     "type": "task.requeued",
                     "task": pending.task.index,
@@ -315,8 +493,7 @@ class _Supervision:
             worker=member.id,
             exit_code=exit_code,
         )
-        self.complete(
-            pending,
+        pending.future.set_result(
             TaskOutcome(
                 index=pending.task.index,
                 status="failed",
@@ -330,7 +507,7 @@ class _Supervision:
 
     # -- task lifecycle ------------------------------------------------
 
-    def dispatch(self, member: _Member, pending: _Pending) -> None:
+    def _dispatch(self, member: _Member, pending: _Pending) -> None:
         directive = None
         if self.fault_state is not None:
             fired = self.fault_state.fires("worker.task")
@@ -342,7 +519,7 @@ class _Supervision:
                     directive = "hang"
                     fired = hung
             if directive is not None:
-                self.emit(
+                self._emit(
                     {
                         "type": "fault.worker",
                         "site": (
@@ -360,76 +537,59 @@ class _Supervision:
         member.dispatched_at = time.monotonic()
         member.last_beat = member.dispatched_at
         task = pending.task
-        member.queue.put(("task", task.index, task.kind, task.payload, directive))
-
-    def complete(self, pending: _Pending, outcome: TaskOutcome) -> None:
-        self.outcomes.append(outcome)
-        if self.on_complete is not None:
-            self.on_complete(pending.task, outcome)
-
-    # -- the loop ------------------------------------------------------
-
-    def run(self, pendings: list, fail_fast: bool = False) -> list:
-        self.pending.extend(pendings)
-        total = len(pendings)
-        pool_size = min(self.executor.workers, total)
-        for _ in range(pool_size):
-            self.spawn_member()
-
-        while len(self.outcomes) < total:
-            if self.stopping and not self._in_flight():
-                break
-            if not self.members:
-                # Pool collapsed with the respawn budget exhausted:
-                # degrade to serial so the batch still completes.
-                self._degrade_to_serial()
-                continue
-            self._dispatch_idle()
-            self._drain_results()
-            self._check_liveness()
-            self._check_deadlines()
-            if fail_fast and not self.stopping and any(
-                not o.ok for o in self.outcomes
-            ):
-                self.stopping = True
-                self.pending.clear()
-        return self.outcomes
-
-    def _in_flight(self) -> bool:
-        return any(m.task is not None for m in self.members.values())
+        try:
+            member.tasks.send(
+                ("task", task.index, task.kind, task.payload, directive)
+            )
+        except OSError:
+            member.broken = True  # reaped next; the task is requeued
 
     def _dispatch_idle(self) -> None:
-        if self.stopping:
-            return
-        for member in list(self.members.values()):
-            if not self.pending:
-                break
+        for member in list(self._members.values()):
             # Only hand work to members that completed the `ready`
             # handshake: a spawn that dies on arrival must not consume
             # a task dispatch from the requeue budget.
-            if member.task is None and member.ready and member.proc.is_alive():
-                self.dispatch(member, self.pending.popleft())
-
-    def _drain_results(self) -> None:
-        import queue as queue_module
-
-        try:
-            message = self.result_queue.get(timeout=self.executor.poll_interval)
-        except queue_module.Empty:
-            return
-        while True:
-            self._handle(message)
-            try:
-                message = self.result_queue.get_nowait()
-            except queue_module.Empty:
+            if member.task is not None or not member.ready or member.broken:
+                continue
+            pending = self._next_pending()
+            if pending is None:
                 return
+            self._dispatch(member, pending)
 
-    def _handle(self, message) -> None:
+    def _wait(self, owners: dict, timeout: float) -> list:
+        """Block until a watched object, the wake pipe, or *timeout*;
+        returns the ready objects other than the wake pipe."""
+        ready = wait_ready([self._wake_r, *owners], timeout)
+        if self._wake_r in ready:
+            os.read(self._wake_r, 4096)
+        return [obj for obj in ready if obj != self._wake_r]
+
+    def _wait_and_drain(self) -> None:
+        owners: dict = {}
+        for member in self._members.values():
+            # An exit sentinel only wakes the loop; _check_liveness
+            # reaps the member.
+            owners[member.proc.sentinel] = None
+            if not member.broken:
+                owners[member.results] = member
+        for obj in self._wait(owners, self.poll_interval):
+            member = owners.get(obj)
+            if member is not None:
+                self._drain(member)
+
+    def _drain(self, member: _Member) -> None:
+        while not member.broken:
+            try:
+                if not member.results.poll():
+                    return
+                message = member.results.recv()
+            except (EOFError, OSError):  # the worker died, maybe mid-message
+                member.broken = True
+                return
+            self._handle(member, message)
+
+    def _handle(self, member: _Member, message) -> None:
         kind = message[0]
-        worker_id = message[1]
-        member = self.members.get(worker_id)
-        if member is None:
-            return  # a late message from an already-reaped worker
         if kind in ("beat", "ready"):
             member.last_beat = time.monotonic()
             if kind == "ready":
@@ -438,58 +598,55 @@ class _Supervision:
                     # Warm the fresh worker's phase-kernel caches before
                     # any task reaches it: small batches otherwise pay
                     # one cold ladder build per worker.
-                    member.queue.put(("warmup", self.warmup))
+                    try:
+                        member.tasks.send(("warmup", self.warmup))
+                    except OSError:
+                        member.broken = True
             return
         pending = member.task
         member.task = None
         member.dispatched_at = None
         if pending is None:
             return
+        _, worker_id, index, body = message
         if kind == "done":
-            _, _, index, result = message
-            self.complete(
-                pending,
-                TaskOutcome(
-                    index=index,
-                    status="succeeded",
-                    result=result,
-                    worker=worker_id,
-                    dispatches=pending.dispatches,
-                ),
+            outcome = TaskOutcome(
+                index=index,
+                status="succeeded",
+                result=body,
+                worker=worker_id,
+                dispatches=pending.dispatches,
             )
-        elif kind == "error":
-            _, _, index, error_doc = message
-            self.complete(
-                pending,
-                TaskOutcome(
-                    index=index,
-                    status="failed",
-                    error=error_doc,
-                    worker=worker_id,
-                    dispatches=pending.dispatches,
-                ),
+        else:
+            outcome = TaskOutcome(
+                index=index,
+                status="failed",
+                error=body,
+                worker=worker_id,
+                dispatches=pending.dispatches,
             )
+        pending.future.set_result(outcome)
 
     def _check_liveness(self) -> None:
-        for member in list(self.members.values()):
-            if member.proc.exitcode is not None:
-                self.reap_member(member, "worker.crashed")
+        for member in list(self._members.values()):
+            if member.broken or member.proc.exitcode is not None:
+                self._reap(member, "worker.crashed")
 
     def _check_deadlines(self) -> None:
         now = time.monotonic()
-        for member in list(self.members.values()):
+        for member in list(self._members.values()):
             if member.task is None:
                 # Idle members still heartbeat; one that goes silent
                 # (including a spawn that never says `ready`) is wedged.
-                if now - member.last_beat > self.executor.stall_timeout:
-                    self.reap_member(member, "worker.stalled")
+                if now - member.last_beat > self.stall_timeout:
+                    self._reap(member, "worker.stalled")
                 continue
             if (
                 self.deadline_seconds is not None
                 and member.dispatched_at is not None
                 and now - member.dispatched_at > self.deadline_seconds
             ):
-                self.emit(
+                self._emit(
                     {
                         "type": "task.straggler",
                         "worker": member.id,
@@ -497,20 +654,22 @@ class _Supervision:
                         "deadline": self.deadline_seconds,
                     }
                 )
-                self.reap_member(member, "worker.straggler")
-            elif now - member.last_beat > self.executor.stall_timeout:
-                self.reap_member(member, "worker.stalled")
+                self._reap(member, "worker.straggler")
+            elif now - member.last_beat > self.stall_timeout:
+                self._reap(member, "worker.stalled")
 
-    def _degrade_to_serial(self) -> None:
-        self.degraded = True
-        remaining = len(self.pending)
-        self.emit({"type": "pool.degraded", "remaining": remaining})
-        while self.pending:
-            pending = self.pending.popleft()
+    def _run_inline(self) -> None:
+        """The collapsed pool's path: run queued tasks on this thread."""
+        if not self.degraded:
+            self.degraded = True
+            self._emit({"type": "pool.degraded", "remaining": len(self._pending)})
+        while not self._closing:
+            pending = self._next_pending()
+            if pending is None:
+                return
             pending.dispatches += 1
             outcome = execute_task_inline(pending.task)
-            self.complete(
-                pending,
+            pending.future.set_result(
                 TaskOutcome(
                     index=outcome.index,
                     status=outcome.status,
@@ -520,24 +679,51 @@ class _Supervision:
                     dispatches=pending.dispatches,
                 ),
             )
-            if self.stopping:
-                self.pending.clear()
 
     # -- teardown ------------------------------------------------------
 
-    def shutdown(self) -> None:
-        for member in self.members.values():
+    def _shutdown(self, failure: Optional[BaseException]) -> None:
+        with self._lock:
+            self._closing = True
+            self._pending.extend(self._inbox)
+            self._inbox.clear()
+        members = list(self._members.values())
+        for member in members:
             try:
-                member.queue.put(("stop",))
-            except Exception:  # pragma: no cover - queue torn down
+                member.tasks.send(("stop",))
+            except OSError:
                 pass
-        for member in self.members.values():
+        for member in members:
             member.proc.join(timeout=2.0)
             if member.proc.is_alive():
                 member.proc.terminate()
                 member.proc.join(timeout=5.0)
-        self.members.clear()
-        self.result_queue.close()
+            member.close_pipes()
+        self._members.clear()
+        orphans = [m.task for m in members if m.task is not None]
+        orphans += self._pending
+        self._pending.clear()
+        for pending in orphans:
+            future = pending.future
+            if future.cancel() or future.done():
+                continue
+            if failure is not None:
+                future.set_exception(failure)
+                continue
+            error = WorkerCrashError(
+                f"task {pending.task.index} was in flight when its worker "
+                "pool closed"
+            )
+            future.set_result(
+                TaskOutcome(
+                    index=pending.task.index,
+                    status="failed",
+                    error=_error_payload(
+                        error, pending.task.kind, pending.task.payload
+                    ),
+                    dispatches=pending.dispatches,
+                )
+            )
 
 
 register_executor(ProcessExecutor())

@@ -4,7 +4,7 @@ Everything here is **top-level and importable**, because under the
 ``spawn`` multiprocessing start method the child re-imports this module
 to find :func:`worker_main`.  The protocol is deliberately tiny:
 
-Supervisor → worker (per-worker task queue)
+Supervisor → worker (the worker's own task pipe)
     ``("task", index, kind, payload, directive)``, ``("warmup",
     state)`` or ``("stop",)``.
     ``directive`` is ``None``, ``"crash"`` (fault-injected: die with
@@ -17,17 +17,21 @@ Supervisor → worker (per-worker task queue)
     batched recurrence before its first task, so small batches don't
     pay per-worker cold cache builds.
 
-A worker never outlives its supervisor: a daemon thread polls
-``os.getppid()`` and calls ``os._exit`` once the worker has been
-reparented, which also reaps a worker blocked on its task queue or
-wedged by a ``hang`` directive after a SIGKILLed supervisor.
-
-Worker → supervisor (shared result queue)
+Worker → supervisor (the worker's own result pipe)
     ``("ready", worker_id)`` once after startup,
     ``("beat", worker_id)`` every heartbeat interval from a daemon
     thread, and per task either
     ``("done", worker_id, index, result)`` or
     ``("error", worker_id, index, error_doc)``.
+
+A worker never outlives its supervisor: a daemon thread polls
+``os.getppid()`` and calls ``os._exit`` once the worker has been
+reparented, which also reaps a worker blocked on its task pipe or
+wedged by a ``hang`` directive after a SIGKILLed supervisor.  A
+worker ignores SIGINT: a terminal's ^C reaches the whole process
+group, and it is the supervisor that stops its workers.  A worker
+forked from a serving process first points every socket it inherited
+at ``/dev/null``, so it never holds a client connection open.
 
 ``run`` payloads execute through the ordinary
 :meth:`repro.api.Session.run` path — the worker rebuilds the spec and
@@ -44,6 +48,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import stat
 import threading
 import time
 
@@ -136,25 +142,60 @@ def _exit_when_orphaned(supervisor_pid: int) -> None:
     """Poll until this process is reparented, then exit at once.
 
     Runs on a daemon thread of its own, so neither a blocking
-    ``task_queue.get()`` nor a stopped heartbeat thread delays it.
+    ``tasks.recv()`` nor a stopped heartbeat thread delays it.
     """
     while os.getppid() == supervisor_pid:
         time.sleep(_ORPHAN_POLL)
     os._exit(1)
 
 
+def _release_inherited_sockets() -> None:
+    """Point every socket this process inherited at ``/dev/null``.
+
+    A worker forked from a serving process inherits its listening and
+    connection sockets.  While the worker holds a copy, a connection
+    the service closes never reaches its client as EOF.  ``dup2``
+    rather than ``close``, so a stale socket object collected later
+    closes ``/dev/null``, never a reused descriptor.
+    """
+    for fd_dir in ("/proc/self/fd", "/dev/fd"):
+        try:
+            fds = [int(name) for name in os.listdir(fd_dir)]
+        except OSError:
+            continue
+        break
+    else:
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                if fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd, inheritable=False)
+            except OSError:
+                continue  # the listing's own descriptor, now closed
+    finally:
+        os.close(null)
+
+
 def worker_main(
     worker_id: int,
-    task_queue,
-    result_queue,
+    tasks,
+    results,
     heartbeat_interval: float = 0.05,
     spawn_directive=None,
 ) -> None:
-    """The pool member's main loop (runs in the child process)."""
+    """The pool member's main loop (runs in the child process).
+
+    *tasks* and *results* are the worker's ends of its two
+    :func:`multiprocessing.Pipe` channels.
+    """
     if spawn_directive == "crash":
         # Fault-injected spawn failure: die before announcing readiness,
         # exactly like a worker whose interpreter never came up.
         os._exit(CRASH_EXIT_CODE)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _release_inherited_sockets()
 
     # The pid recorded by the supervisor when it built this process,
     # so a supervisor that died before this line is still noticed.
@@ -165,21 +206,31 @@ def worker_main(
         daemon=True,
     ).start()
 
+    # The heartbeat thread and the task loop share the result pipe;
+    # one message at a time keeps every message whole.
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            results.send(message)
+
     stop_beats = threading.Event()
 
     def _beat() -> None:
         while not stop_beats.wait(heartbeat_interval):
             try:
-                result_queue.put(("beat", worker_id))
-            except Exception:  # pragma: no cover - queue torn down
+                send(("beat", worker_id))
+            except OSError:  # pragma: no cover - pipe torn down
                 return
 
-    beats = threading.Thread(target=_beat, daemon=True)
-    beats.start()
-    result_queue.put(("ready", worker_id))
+    threading.Thread(target=_beat, daemon=True).start()
+    send(("ready", worker_id))
 
     while True:
-        message = task_queue.get()
+        try:
+            message = tasks.recv()
+        except EOFError:
+            break  # the supervisor closed its end
         if message[0] == "stop":
             break
         if message[0] == "warmup":
@@ -192,14 +243,11 @@ def worker_main(
             continue
         _, index, kind, payload, directive = message
         if directive == "crash":
-            # Fault-injected mid-batch crash: a genuinely dead process,
-            # detected by the supervisor through its exit code.  Park
-            # the heartbeat thread first: dying while it holds the
-            # shared result-queue write lock would wedge every later
-            # worker's ready handshake, turning a clean injected crash
-            # into a whole-pool poisoning the fault did not ask for.
-            stop_beats.set()
-            beats.join(timeout=1.0)
+            # Fault-injected mid-run crash: a genuinely dead process,
+            # detected by the supervisor through its exit.  Holding the
+            # send lock means it dies between messages, never inside
+            # one.
+            send_lock.acquire()
             os._exit(CRASH_EXIT_CODE)
         if directive == "hang":
             # Fault-injected wedge: heartbeats stop, the task never
@@ -210,10 +258,8 @@ def worker_main(
         try:
             result = execute_wire_payload(kind, payload)
         except Exception as exc:  # a ReproError, or defensively anything
-            result_queue.put(
-                ("error", worker_id, index, _error_payload(exc, kind, payload))
-            )
+            send(("error", worker_id, index, _error_payload(exc, kind, payload)))
         else:
-            result_queue.put(("done", worker_id, index, result))
+            send(("done", worker_id, index, result))
 
     stop_beats.set()

@@ -21,6 +21,7 @@ arrays so a hit can never be corrupted by a caller.
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from threading import Lock
 from typing import Sequence
@@ -50,6 +51,15 @@ __all__ = [
 ]
 
 _lock = Lock()
+# A pool worker forked while another thread holds the lock would start
+# with it held and deadlock on its first cache access: hold it across
+# the fork, then release it on both sides.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_lock.acquire,
+        after_in_parent=_lock.release,
+        after_in_child=_lock.release,
+    )
 
 #: rate profile -> WeightLadder (unbounded: one small entry per profile)
 _ladders: "OrderedDict[tuple, WeightLadder]" = OrderedDict()

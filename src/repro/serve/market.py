@@ -23,6 +23,7 @@ seeded load generator asserts on.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Optional
 
 from ..core.deadline import min_cost_for_deadline
@@ -54,6 +55,21 @@ def _group_price_rows(group_prices: dict) -> list[dict]:
             }
         )
     return rows
+
+
+def _number(request: dict, key: str, default, cast):
+    """``cast(request[key])`` (or of *default*), rejecting anything
+    that is not a finite number as a :class:`ModelError`.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``; neither prices.
+    """
+    value = request.get(key, default)
+    try:
+        if math.isfinite(float(value)):
+            return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelError(f"{key!r} must be a finite number, got {value!r}")
 
 
 class LiveMarket:
@@ -91,7 +107,7 @@ class LiveMarket:
                 f"{sorted(available_families())})"
             )
         case = str(request.get("case", "a"))
-        n_tasks = int(request.get("n_tasks", 8))
+        n_tasks = _number(request, "n_tasks", 8, int)
         family = scenario_family(scenario, case=case, n_tasks=n_tasks)
 
         has_budget = "budget" in request
@@ -104,7 +120,7 @@ class LiveMarket:
             )
 
         if has_budget:
-            batch_budget = int(request["budget"])
+            batch_budget = _number(request, "budget", None, int)
             strategy = str(request.get("strategy", "auto"))
             if strategy != "auto" and strategy not in STRATEGIES:
                 raise ModelError(
@@ -115,7 +131,7 @@ class LiveMarket:
             # A fixed default seed keeps rng-using strategies (EA's
             # remainder placement) deterministic per request, so a
             # replayed schedule reproduces the ledger trajectory.
-            tuner = Tuner(strategy=strategy, seed=int(request.get("seed", 0)))
+            tuner = Tuner(strategy=strategy, seed=_number(request, "seed", 0, int))
             allocation = tuner.tune(problem)
             prices = {
                 g.key: allocation[g.tasks[0].task_id][0]
@@ -132,9 +148,9 @@ class LiveMarket:
             }
             return doc, int(allocation.total_cost)
 
-        deadline = float(request["deadline"])
-        confidence = float(request.get("confidence", 0.9))
-        max_price = int(request.get("max_price", 1_000))
+        deadline = _number(request, "deadline", None, float)
+        confidence = _number(request, "confidence", 0.9, float)
+        max_price = _number(request, "max_price", 1_000, int)
         result = min_cost_for_deadline(
             family.tasks,
             deadline,

@@ -10,8 +10,12 @@ of them:
   config documents through the experiment registry, addresses the run
   by the same content fingerprint :meth:`repro.api.Session.run`
   memoizes under, serves store hits *without touching compute*, and
-  dispatches misses to the executor backend; ``GET /runs/<id>`` polls
-  status; ``GET /runs/<id>/result`` returns the full
+  dispatches misses to the executor backend (under ``"process"`` a
+  worker pool computes them outside the service process).  A computed
+  result is written to the store on a writer thread, and the run
+  reads ``succeeded`` only once that write has returned;
+  ``GET /runs/<id>`` polls status; ``GET /runs/<id>/result`` returns
+  the full
   :class:`~repro.api.session.RunResult` document (byte-identical to a
   direct ``Session.run`` of the same pair).
 * **Online market** — ``POST /market/allocate`` prices arriving task
@@ -34,8 +38,11 @@ unexpected failures.
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from ..api.config import RunConfig, fingerprint
@@ -126,9 +133,12 @@ class ReproService:
         Result store (path or :class:`~repro.store.ResultStore`) for
         store-first serving; ``None`` disables memoization.
     executor / workers:
-        Executor that runs submitted runs (``"serial"`` / ``"process"``
-        / an instance) and how many compute at once (see
-        :class:`~repro.serve.backend.ExecutorBackend`).
+        Executor that runs submitted runs and how many compute at once
+        (see :class:`~repro.serve.backend.ExecutorBackend`):
+        ``"process"`` keeps one worker pool of that size for the
+        service's lifetime, started by the first run that misses the
+        store; ``"serial"`` (the default, for embedded services)
+        computes on that many dispatch threads in-process.
     faults:
         A fault plan (name / dict / :class:`FaultPlan`) whose
         ``serve.*`` and ``store.*`` rules are evaluated against one
@@ -147,6 +157,13 @@ class ReproService:
     ) -> None:
         self.store = resolve_store(store)
         self.backend = ExecutorBackend(executor, workers=workers)
+        # One writer thread: store writes leave the loop, and their
+        # store.* fault occurrences advance in one order.
+        self._store_writer = (
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-store")
+            if self.store is not None
+            else None
+        )
         plan = resolve_fault_plan(faults) if faults is not None else None
         self._fault_state = FaultState(plan) if plan is not None else None
         self.market = LiveMarket(budget=market_budget)
@@ -227,6 +244,10 @@ class ReproService:
             "status": "ok",
             "runs": len(self.runs),
             "store": self.store is not None,
+            "executor": {
+                "name": self.backend.executor.name,
+                "pool": self.backend.pool_document(),
+            },
             "tally": dict(self.tally),
         }
 
@@ -292,18 +313,27 @@ class ReproService:
             self.tally["failed_runs"] += 1
             return
         if outcome.ok:
-            record.status = outcome.status
-            record.result_doc = outcome.result
             self.tally["computed"] += 1
             if self.store is not None:
+                # The task's context variables follow the write onto the
+                # writer thread, as they would with asyncio.to_thread.
+                write = functools.partial(
+                    contextvars.copy_context().run,
+                    self.store.put,
+                    record.run_id,
+                    outcome.result,
+                    fault_state=self._fault_state,
+                )
                 try:
-                    self.store.put(
-                        record.run_id,
-                        outcome.result,
-                        fault_state=self._fault_state,
+                    await asyncio.get_running_loop().run_in_executor(
+                        self._store_writer, write
                     )
                 except StoreError:
                     self.tally["store_write_failures"] += 1
+            # Only now: a client that reads `succeeded` finds the entry
+            # durable.
+            record.result_doc = outcome.result
+            record.status = outcome.status
         else:
             record.status = "failed"
             record.error = outcome.error
@@ -390,8 +420,11 @@ class ReproService:
         return await asyncio.start_server(self._handle_connection, host, port)
 
     def close(self) -> None:
-        """Release backend pools (idempotent; the server is separate)."""
+        """Stop the worker pool and the store writer (idempotent; the
+        server is separate)."""
         self.backend.close()
+        if self._store_writer is not None:
+            self._store_writer.shutdown(wait=True)
 
 
 async def serve_forever(

@@ -314,11 +314,17 @@ def _sf_rows_at(
     t_arr = np.broadcast_to(
         np.asarray(t, dtype=float), (n_rows,)
     )
+    if np.isnan(t_arr).any():
+        raise ModelError("sf evaluation time must not be NaN")
     qs = np.array([ladder.q for ladder in ladders])
     qt_all = qs * t_arr
+    # An infinite t has sf exactly 0 (every phase has completed) and
+    # cannot size a Poisson window.
+    infinite = qt_all == np.inf
+    out[infinite] = 0.0
     # A negative t has sf exactly 1 and a zero qt cannot enter the
     # log-space mixing — both match the scalar kernel's guards.
-    idx = np.nonzero(qt_all > 0)[0]
+    idx = np.nonzero((qt_all > 0) & ~infinite)[0]
     if idx.size == 0:
         return out
 

@@ -237,3 +237,25 @@ class TestDispatchAndErrors:
         grid_spec = DeadlineFrontierSpec(deadlines=[1.5, 2.5])
         assert grid_spec.deadlines == (1.5, 2.5)
         assert _json_round_trip(grid_spec) == grid_spec
+
+
+class TestTypeHintCache:
+    def test_hints_resolve_once_per_spec_class(self, monkeypatch):
+        import typing
+
+        from repro.api import spec as spec_module
+
+        calls = []
+        real = typing.get_type_hints
+
+        def counting(cls, *args, **kwargs):
+            calls.append(cls)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(typing, "get_type_hints", counting)
+        spec_module._type_hints.cache_clear()
+        doc = make_spec("fig3", n_arrivals=3).to_dict()
+        first = ExperimentSpec.from_dict(doc)
+        for _ in range(5):
+            assert ExperimentSpec.from_dict(doc) == first
+        assert calls == [type(first)]

@@ -212,13 +212,14 @@ class TestKillAndRestart:
             "import multiprocessing, time\n"
             "from repro.exec.worker import worker_main\n"
             "ctx = multiprocessing.get_context('fork')\n"
-            "tasks, results = ctx.Queue(), ctx.Queue()\n"
+            "task_r, task_w = ctx.Pipe(duplex=False)\n"
+            "result_r, result_w = ctx.Pipe(duplex=False)\n"
             "worker = ctx.Process(target=worker_main,"
-            " args=(0, tasks, results, 0.05), daemon=True)\n"
+            " args=(0, task_r, result_w, 0.05), daemon=True)\n"
             "worker.start()\n"
-            "while results.get(timeout=30)[0] != 'ready':\n"
+            "while result_r.recv()[0] != 'ready':\n"
             "    pass\n"
-            "tasks.put(('task', 0, 'call', (print, (), None), 'hang'))\n"
+            "task_w.send(('task', 0, 'call', (print, (), None), 'hang'))\n"
             "time.sleep(0.5)\n"
             "print(worker.pid, flush=True)\n"
             "time.sleep(600)\n"

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import threading
+import time
 
 import pytest
 from serve_tiny import TINY_SPEC, call, submit_and_wait
@@ -228,6 +231,49 @@ class TestStoreIntegration:
 
         run(read_cold())
 
+    def test_slow_store_write_does_not_delay_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        # The write runs on the store's writer thread: while it is held
+        # the loop still answers, and the run reads `succeeded` only
+        # once the entry is durable.
+        from repro.store import ResultStore
+
+        started, release = threading.Event(), threading.Event()
+        real_put = ResultStore.put
+
+        def slow_put(self, *args, **kwargs):
+            started.set()
+            release.wait(timeout=10.0)
+            return real_put(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultStore, "put", slow_put)
+        svc = ReproService(store=tmp_path / "results")
+
+        async def check():
+            status, doc = await call(svc, "POST", "/runs", {"spec": TINY_SPEC})
+            assert status == 202
+            run_id = doc["run_id"]
+            while not started.is_set():
+                await asyncio.sleep(0.005)
+            t0 = time.perf_counter()
+            status, health = await call(svc, "GET", "/health")
+            assert status == 200 and health["status"] == "ok"
+            assert time.perf_counter() - t0 < 0.5
+            _, doc = await call(svc, "GET", f"/runs/{run_id}")
+            assert doc["status"] == "running"  # the write is still held
+            assert not release.is_set()
+            release.set()
+            _, doc = await submit_and_wait(svc, TINY_SPEC)
+            assert doc["status"] == "succeeded"
+            assert svc.store.lookup(run_id).hit
+
+        try:
+            run(check())
+        finally:
+            release.set()
+            svc.close()
+
 
 class TestMarket:
     def test_allocate_budget_mode_charges_ledger(self):
@@ -310,6 +356,34 @@ class TestMarket:
                 assert doc["code"] == "model-invalid"
             _, state = await call(svc, "GET", "/market/state")
             assert state["ledger"]["spent"] == 0
+            assert state["ledger"]["rejected"] == 0
+
+        run(check())
+
+    @pytest.mark.parametrize(
+        "field, base",
+        [
+            ("budget", {}),
+            ("n_tasks", {"budget": 600}),
+            ("seed", {"budget": 600}),
+            ("deadline", {}),
+            ("confidence", {"deadline": 40.0}),
+            ("max_price", {"deadline": 40.0}),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_is_400_no_charge(self, service, field, base, value):
+        # Python's json reads NaN and Infinity; neither may price.
+        async def check():
+            body = dict({"scenario": "homo", "n_tasks": 4}, **base)
+            body[field] = value
+            status, doc = await call(service, "POST", "/market/allocate", body)
+            assert status == 400, doc
+            assert doc["code"] == "model-invalid"
+            assert field in doc["message"]
+            _, state = await call(service, "GET", "/market/state")
+            assert state["ledger"]["spent"] == 0
+            assert state["ledger"]["accepted"] == 0
             assert state["ledger"]["rejected"] == 0
 
         run(check())

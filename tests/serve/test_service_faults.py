@@ -150,3 +150,55 @@ class TestBackendFaults:
             run(recover())
         finally:
             svc2.close()
+
+
+class TestStoreFaults:
+    """``store.*`` sites fire on the store writer thread against the
+    service's one fault state."""
+
+    def test_write_fault_loses_memoization_not_the_run(self, tmp_path):
+        svc = ReproService(
+            store=tmp_path / "results", faults=plan("store.write", 0)
+        )
+
+        async def check():
+            run_id, doc = await submit_and_wait(svc, TINY_SPEC)
+            assert doc["status"] == "succeeded"
+            assert svc.tally["store_write_failures"] == 1
+            status, body = await call(svc, "GET", f"/runs/{run_id}/result")
+            assert status == 200 and body["fingerprint"] == run_id
+            return run_id
+
+        try:
+            run_id = run(check())
+            assert not svc.store.lookup(run_id).hit
+        finally:
+            svc.close()
+
+    def test_corrupt_write_is_quarantined_on_the_next_read(self, tmp_path):
+        store_dir = tmp_path / "results"
+        svc = ReproService(store=store_dir, faults=plan("store.corrupt", 0))
+
+        async def seed():
+            _, doc = await submit_and_wait(svc, TINY_SPEC)
+            assert doc["status"] == "succeeded"
+            assert svc.tally["store_write_failures"] == 0
+
+        try:
+            run(seed())
+        finally:
+            svc.close()
+
+        svc2 = ReproService(store=store_dir)
+
+        async def recover():
+            _, doc = await submit_and_wait(svc2, TINY_SPEC)
+            assert doc["status"] == "succeeded"
+            assert svc2.tally["store_hits"] == 0
+            assert svc2.tally["computed"] == 1
+
+        try:
+            run(recover())
+            assert svc2.store.stats()["quarantined"] == 1
+        finally:
+            svc2.close()

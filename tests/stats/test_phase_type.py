@@ -219,6 +219,24 @@ class TestSfRowsAt:
         ladders = [WeightLadder((1.0, 2.0)), WeightLadder((3.0,))]
         assert np.array_equal(_sf_rows_at(ladders, -1.0), np.ones(2))
 
+    def test_infinite_t_is_all_zeros_without_a_cast(self):
+        # No Poisson window is sized for q·t = inf: the rows are sf 0
+        # outright, and a finite row beside them is unchanged.
+        ladders = [WeightLadder((1.0, 2.0)), WeightLadder((3.0,))]
+        finite = _sf_rows_at(ladders, 2.0)
+        with np.errstate(invalid="raise", over="raise"):
+            assert np.array_equal(_sf_rows_at(ladders, np.inf), np.zeros(2))
+            mixed = _sf_rows_at(ladders, np.array([2.0, np.inf]))
+        assert mixed[0] == finite[0] and mixed[1] == 0.0
+
+    def test_nan_t_is_a_model_error(self):
+        ladders = [WeightLadder((1.0, 2.0)), WeightLadder((3.0,))]
+        with np.errstate(invalid="raise"):
+            with pytest.raises(ModelError, match="NaN"):
+                _sf_rows_at(ladders, np.nan)
+            with pytest.raises(ModelError, match="NaN"):
+                _sf_rows_at(ladders, np.array([1.0, np.nan]))
+
 
 def _greedy_chunks(lo, hi, budget):
     """The seed planner's per-point loop, boundaries only."""
