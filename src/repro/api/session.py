@@ -593,8 +593,6 @@ class Session:
             if outcome.ok:
                 book.record(task.fingerprint, outcome.result)
 
-        from ..perf.cache import export_ladder_state
-
         task_outcomes = resolved.run_tasks(
             tasks,
             fail_fast=fail_fast,
@@ -603,9 +601,6 @@ class Session:
             timeout=self.config.timeout,
             on_complete=on_complete,
             on_event=on_event,
-            # Hand the parent's warm kernel-cache state to pool workers
-            # so small batches don't pay per-worker cold ladder builds.
-            warmup=export_ladder_state(),
         )
         self.runs_completed += sum(1 for o in task_outcomes if o.ok)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..errors import ModelError
+from ..registry import Registry
 from ..stats.rng import RandomState
 from .baselines import (
     biased_allocation,
@@ -60,17 +60,21 @@ def _make_bias(alpha: float):
     return strategy
 
 
-#: Registry of named strategies usable in experiments and benchmarks.
-STRATEGIES: dict[str, Callable[[HTuningProblem, RandomState], Allocation]] = {
-    "ea": _strategy_ea,
-    "ra": _strategy_ra,
-    "ha": _strategy_ha,
-    "te": _strategy_te,
-    "re": _strategy_re,
-    "uniform": _strategy_uniform,
-    "bias_1": _make_bias(0.67),
-    "bias_2": _make_bias(0.75),
-}
+#: Registry of named strategies usable in experiments and benchmarks:
+#: ``name -> strategy(problem, rng) -> Allocation``.
+STRATEGIES = Registry("strategy")
+for _name, _strategy in (
+    ("ea", _strategy_ea),
+    ("ra", _strategy_ra),
+    ("ha", _strategy_ha),
+    ("te", _strategy_te),
+    ("re", _strategy_re),
+    ("uniform", _strategy_uniform),
+    ("bias_1", _make_bias(0.67)),
+    ("bias_2", _make_bias(0.75)),
+):
+    STRATEGIES.register(_name, _strategy)
+del _name, _strategy
 
 #: Strategies with a one-pass multi-budget implementation.  These are
 #: exactly the rng-free DP strategies: their per-budget allocation is a
@@ -91,14 +95,11 @@ def tune_budget_sweep(
     """One-pass ``budget -> Allocation`` map for a family sweep.
 
     Returns ``None`` when *strategy* has no one-pass implementation
-    (callers then fall back to per-budget tuning); raises for names
-    not in :data:`STRATEGIES` at all.
+    (callers then fall back to per-budget tuning); raises
+    :class:`~repro.errors.RegistryError` for names not in
+    :data:`STRATEGIES` at all.
     """
-    if strategy not in STRATEGIES:
-        raise ModelError(
-            f"unknown strategy {strategy!r}; expected one of "
-            f"{sorted(STRATEGIES)}"
-        )
+    STRATEGIES.lookup(strategy)
     sweep = SWEEP_STRATEGIES.get(strategy)
     if sweep is None:
         return None
@@ -119,11 +120,8 @@ class Tuner:
     """
 
     def __init__(self, strategy: str = "auto", seed: RandomState = None) -> None:
-        if strategy != "auto" and strategy not in STRATEGIES:
-            raise ModelError(
-                f"unknown strategy {strategy!r}; expected 'auto' or one of "
-                f"{sorted(STRATEGIES)}"
-            )
+        if strategy != "auto":
+            STRATEGIES.lookup(strategy)
         self.strategy = strategy
         self.seed = seed
 

@@ -4,12 +4,15 @@ The executor layer sits between :class:`repro.api.Session` and the
 engines: :meth:`Session.run_many` fans its specs — and
 :func:`sharded_run_replications` fans a replication ensemble — across
 an :class:`Executor` resolved through the same kind of name registry
-engines and comparators use.  ``"serial"`` exercises the wire format
-in-process; ``"process"`` is the supervised multiprocess pool with
-crash recovery, straggler requeue and graceful degradation
-(:mod:`repro.exec.process`).  Its :class:`WorkerPool` is long-lived:
-a batch opens one, submits, drains and closes it, and the
-:mod:`repro.serve` backend keeps one open for a service's lifetime.
+engines and comparators use.  An executor is one method,
+:meth:`Executor.open_pool`: ``"serial"`` opens an :class:`InlinePool`
+of dispatch threads that exercise the wire format in-process;
+``"process"`` opens a :class:`WorkerPool`, the supervised
+multiprocess pool with crash recovery, straggler requeue and graceful
+degradation (:mod:`repro.exec.process`).  Either pool is long-lived:
+:meth:`Executor.run_tasks` opens one per batch, submits, drains and
+closes it, and the :mod:`repro.serve` backend keeps one open for a
+service's lifetime.
 Results are executor-invariant by construction — the certification
 tests live under ``tests/exec/``.
 """
@@ -18,6 +21,7 @@ from .base import (
     DEFAULT_EXECUTOR,
     ExecTask,
     Executor,
+    InlinePool,
     SerialExecutor,
     TaskOutcome,
     available_executors,
@@ -33,6 +37,7 @@ __all__ = [
     "DEFAULT_EXECUTOR",
     "ExecTask",
     "Executor",
+    "InlinePool",
     "SerialExecutor",
     "TaskOutcome",
     "ProcessExecutor",

@@ -10,6 +10,12 @@ executor), which is why :class:`~repro.api.config.RunConfig` excludes
 its ``executor`` field from serialization and why serial and process
 batch reports compare byte-identically.
 
+Every executor has one shape: :meth:`Executor.open_pool` starts a pool
+whose ``submit(task)`` returns a future of the task's
+:class:`TaskOutcome`.  The batch loop :meth:`Executor.run_tasks` runs
+on that pool, and :class:`repro.serve.backend.ExecutorBackend` keeps
+one pool open for a service's lifetime.
+
 The executor registry is a :class:`~repro.registry.Registry`
 (:func:`register_executor` / :func:`get_executor` /
 :func:`available_executors`), so ``RunConfig(executor="process")`` and
@@ -18,7 +24,9 @@ place.
 
 * :class:`SerialExecutor` (``"serial"``) — the wire format exercised
   in-process: tasks round-trip through their documents exactly as a
-  worker would see them, but execute sequentially in the caller.
+  worker would see them, and run on the dispatch threads of an
+  :class:`InlinePool` (one thread per batch, so a batch runs strictly
+  in order).
 * :class:`~repro.exec.process.ProcessExecutor` (``"process"``) — the
   supervised multiprocess worker pool with crash recovery, straggler
   requeue and graceful degradation (see :mod:`repro.exec.process`).
@@ -26,6 +34,10 @@ place.
 
 from __future__ import annotations
 
+import queue
+import threading
+from collections import deque
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +48,7 @@ __all__ = [
     "ExecTask",
     "TaskOutcome",
     "Executor",
+    "InlinePool",
     "SerialExecutor",
     "register_executor",
     "get_executor",
@@ -110,31 +123,44 @@ class TaskOutcome:
 
 
 class Executor:
-    """Strategy interface: execute a batch of :class:`ExecTask` units.
+    """Strategy interface: where :class:`ExecTask` units execute.
 
-    ``run_tasks`` returns outcomes in *completion* order; callers index
-    them back by :attr:`TaskOutcome.index`.  ``on_complete(task,
-    outcome)`` fires as each task finishes (the checkpoint-journal
-    hook), ``on_event(dict)`` streams supervisor observability events
-    (crashes, requeues, respawns — serial executors emit none).
-
-    ``faults`` / ``retry`` / ``timeout`` are the *supervisor-level*
-    policies: ``worker.*`` fault sites, the requeue budget (a task is
-    dispatched at most ``1 + retry.attempts`` times), and the per-task
-    straggler deadline.  The same policies also travel inside each
-    ``run`` task's config document, where they drive the ordinary
-    in-run resilience machinery — the ``worker.*`` sites are
-    unreachable from in-run :func:`~repro.resilience.faults.site_check`
-    calls, so nothing fires twice.
-
-    ``warmup`` is an optional phase-kernel cache snapshot
-    (:func:`repro.perf.cache.export_ladder_state`) multiprocess
-    executors ship to freshly spawned workers; in-process executors
-    ignore it (their caches are already warm by definition).  Purely
-    a performance hint — payloads are identical with or without it.
+    An executor implements one method, :meth:`open_pool`; every
+    executor inherits the batch contract :meth:`run_tasks`, which runs
+    on that pool.
     """
 
     name: str = ""
+
+    #: Pool size a :meth:`run_tasks` batch opens (capped at its task
+    #: count).
+    workers: int = 1
+
+    def open_pool(
+        self,
+        size: int,
+        *,
+        retry=None,
+        timeout=None,
+        fault_state=None,
+        on_event: Optional[Callable] = None,
+    ):
+        """Start a pool of *size* members: ``submit(task)`` returns a
+        :class:`concurrent.futures.Future` of the task's
+        :class:`TaskOutcome` (a failed task resolves to a ``failed``
+        outcome; cancelling the future before dispatch drops the task),
+        ``stats()`` is a JSON-able snapshot, and ``close()`` cancels
+        what is still queued.
+
+        *retry* / *timeout* / *fault_state* are supervisor-level
+        policies: the requeue budget, the per-task straggler deadline
+        and the ``worker.*`` fault sites.  Each ``run`` task's config
+        document carries the same policies into the run itself, where
+        the ``worker.*`` sites are unreachable, so nothing fires twice.
+        *on_event* receives supervisor event dicts (crashes, requeues,
+        respawns).
+        """
+        raise NotImplementedError
 
     def run_tasks(
         self,
@@ -146,20 +172,85 @@ class Executor:
         timeout=None,
         on_complete: Optional[Callable] = None,
         on_event: Optional[Callable] = None,
-        warmup=None,
     ) -> list:
-        raise NotImplementedError
+        """Execute a batch on a pool of ``min(workers, len(tasks))``.
+
+        Returns outcomes in *completion* order (callers index them back
+        by :attr:`TaskOutcome.index`).  ``on_complete(task, outcome)``
+        and ``on_event(dict)`` run on the caller's thread, one at a
+        time, in the order the pool produced them.  One task per pool
+        member is in the pool at a time; after a failure under
+        ``fail_fast`` nothing more is submitted and what is still
+        undispatched is cancelled.  The pool closes on the way out.
+        """
+        from ..resilience.faults import resolve_fault_plan
+
+        backlog = deque(tasks)
+        if not backlog:
+            return []
+        plan = resolve_fault_plan(faults)
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        size = min(self.workers, len(backlog))
+        pool = self.open_pool(
+            size,
+            retry=retry,
+            timeout=timeout,
+            # One deterministic counter stream for the whole pool.
+            fault_state=plan.activate() if plan is not None else None,
+            on_event=lambda event: inbox.put((event, None)),
+        )
+        submitted: dict = {}
+
+        def submit() -> None:
+            task = backlog.popleft()
+            future = pool.submit(task)
+            submitted[future] = task
+            future.add_done_callback(lambda done: inbox.put((None, done)))
+
+        outcomes: list = []
+        try:
+            for _ in range(size):
+                submit()
+            while submitted:
+                event, future = inbox.get()
+                if future is None:
+                    if on_event is not None:
+                        on_event(event)
+                    continue
+                task = submitted.pop(future)
+                if future.cancelled():
+                    continue
+                outcome = future.result()
+                outcomes.append(outcome)
+                if fail_fast and not outcome.ok:
+                    backlog.clear()
+                    for other in submitted:
+                        other.cancel()  # only undispatched tasks drop
+                elif backlog:
+                    submit()
+                if on_complete is not None:
+                    on_complete(task, outcome)
+        finally:
+            pool.close()
+        return outcomes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def check_size(value, what: str) -> int:
+    """*value* if it is an int >= 1, else a :class:`ModelError`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ModelError(f"{what} must be an int >= 1, got {value!r}")
+    return value
+
+
 def execute_task_inline(task: ExecTask) -> TaskOutcome:
-    """Run one task in the current process (the serial path, also the
-    pool's in-process finish).
+    """Run one task in the current process (the in-process pool's
+    path, also the process pool's degraded finish).
 
     Exactly what a pool worker does with the task's wire payload, minus
-    the queues: documents in, documents out.
+    the pipes: documents in, documents out.
     """
     from .worker import _error_payload, execute_wire_payload
 
@@ -174,39 +265,87 @@ def execute_task_inline(task: ExecTask) -> TaskOutcome:
     return TaskOutcome(index=task.index, status="succeeded", result=result)
 
 
+class InlinePool:
+    """*size* dispatch threads running tasks in this process.
+
+    The in-process pool behind :class:`SerialExecutor`, with the
+    :class:`~repro.exec.process.WorkerPool` surface.  Tasks run in
+    submission order as threads free up.  The threads are daemons: a
+    task already running when the pool closes finishes on its thread
+    (an in-process task cannot be stopped), and :meth:`close` does not
+    wait for it, so an interrupted caller exits at once.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = check_size(size, "pool size")
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()  # guards _closing against submit
+        self._closing = False
+        for number in range(self.size):
+            threading.Thread(
+                target=self._serve, name=f"repro-dispatch-{number}", daemon=True
+            ).start()
+
+    def submit(self, task: ExecTask) -> Future:
+        """Queue *task*; the future resolves to its :class:`TaskOutcome`."""
+        future: Future = Future()
+        with self._lock:
+            if self._closing:
+                raise ModelError("cannot submit to a closed pool")
+            self._queue.put((task, future))
+        return future
+
+    def stats(self) -> dict:
+        """A JSON-able snapshot: the number of dispatch threads."""
+        return {"threads": self.size}
+
+    def close(self) -> None:
+        """Cancel queued tasks and stop the threads (idempotent)."""
+        with self._lock:
+            if self._closing:
+                return
+            self._closing = True
+        while True:
+            try:
+                _, future = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            future.cancel()
+        for _ in range(self.size):
+            self._queue.put(None)
+
+    def _serve(self) -> None:
+        while True:
+            item = self._queue.get()
+            if item is None:
+                return
+            task, future = item
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                outcome = execute_task_inline(task)
+            except BaseException as exc:  # a bug, not a task failure
+                future.set_exception(exc)
+            else:
+                future.set_result(outcome)
+
+
 class SerialExecutor(Executor):
-    """The wire format, exercised sequentially in-process.
+    """The wire format, exercised in-process.
 
     Every task round-trips through its serialized documents — the same
     bytes a pool worker would receive — so ``executor="serial"``
-    certifies the wire protocol itself while staying single-process
-    (and therefore fully bit-identical, including process-local task
-    uid / worker-id counters).
+    certifies the wire protocol itself while staying single-process.
+    A batch runs on one dispatch thread, so its tasks run strictly in
+    order.
     """
 
     name = "serial"
 
-    def run_tasks(
-        self,
-        tasks,
-        *,
-        fail_fast: bool = False,
-        faults=None,
-        retry=None,
-        timeout=None,
-        on_complete: Optional[Callable] = None,
-        on_event: Optional[Callable] = None,
-        warmup=None,  # in-process: caches are already warm
-    ) -> list:
-        outcomes = []
-        for task in tasks:
-            outcome = execute_task_inline(task)
-            outcomes.append(outcome)
-            if on_complete is not None:
-                on_complete(task, outcome)
-            if fail_fast and not outcome.ok:
-                break
-        return outcomes
+    def open_pool(self, size: int, **policies) -> InlinePool:
+        """An :class:`InlinePool` of *size* threads; the supervisor
+        *policies* have no worker process to act on."""
+        return InlinePool(size)
 
 
 # ---------------------------------------------------------------------------

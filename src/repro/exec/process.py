@@ -30,9 +30,10 @@ submission still completes.  Every decision is emitted through
 ``on_event`` (→ :attr:`~repro.resilience.batch.BatchReport.events` and
 the checkpoint journal's ``{"event": ...}`` audit lines).
 
-Two callers share the one supervisor:
-:meth:`ProcessExecutor.run_tasks` opens a pool per batch, submits,
-drains and closes it (``repro run-many``), and
+:meth:`ProcessExecutor.open_pool` is the executor's one method, so two
+callers share the one supervisor: the batch loop
+:meth:`~repro.exec.base.Executor.run_tasks` opens a pool per batch,
+submits, drains and closes it (``repro run-many``), and
 :class:`repro.serve.backend.ExecutorBackend` holds one pool for a
 service's lifetime.
 
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
 import threading
 import time
 from collections import deque
@@ -60,6 +60,7 @@ from .base import (
     Executor,
     ExecTask,
     TaskOutcome,
+    check_size,
     execute_task_inline,
     register_executor,
 )
@@ -76,12 +77,6 @@ def _pick_context():
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-
-
-def _check_size(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ModelError(f"{what} must be an int >= 1, got {value!r}")
-    return value
 
 
 class _Member:
@@ -120,8 +115,8 @@ class _Pending:
 
 
 class ProcessExecutor(Executor):
-    """The ``"process"`` executor: :class:`WorkerPool` settings plus the
-    batch contract over them (see module docstring).
+    """The ``"process"`` executor: the settings of the
+    :class:`WorkerPool` it opens (see module docstring).
 
     Parameters
     ----------
@@ -151,7 +146,7 @@ class ProcessExecutor(Executor):
         max_respawns: Optional[int] = None,
         poll_interval: float = 0.02,
     ) -> None:
-        self.workers = _check_size(workers, "workers")
+        self.workers = check_size(workers, "workers")
         self.heartbeat_interval = float(heartbeat_interval)
         self.stall_timeout = (
             float(stall_timeout)
@@ -163,79 +158,18 @@ class ProcessExecutor(Executor):
         )
         self.poll_interval = float(poll_interval)
 
-    def open_pool(self, size: Optional[int] = None, **options) -> WorkerPool:
-        """Start a :class:`WorkerPool` of *size* members (default
-        ``workers``) with this executor's supervisor timings; *options*
-        are the pool's keyword parameters (retry, timeout, fault_state,
-        on_event, warmup)."""
+    def open_pool(self, size: int, **policies) -> "WorkerPool":
+        """Start a :class:`WorkerPool` of *size* members with this
+        executor's supervisor timings; *policies* are
+        :meth:`~repro.exec.base.Executor.open_pool`'s keywords."""
         return WorkerPool(
-            self.workers if size is None else size,
+            size,
             heartbeat_interval=self.heartbeat_interval,
             stall_timeout=self.stall_timeout,
             max_respawns=self.max_respawns,
             poll_interval=self.poll_interval,
-            **options,
+            **policies,
         )
-
-    def run_tasks(
-        self,
-        tasks,
-        *,
-        fail_fast: bool = False,
-        faults=None,
-        retry=None,
-        timeout=None,
-        on_complete: Optional[Callable] = None,
-        on_event: Optional[Callable] = None,
-        warmup=None,
-    ) -> list:
-        from ..resilience.faults import resolve_fault_plan
-
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        plan = resolve_fault_plan(faults)
-        # Events and completions reach this thread through one queue,
-        # in the order the supervisor made them, so the callbacks never
-        # run concurrently with each other.
-        inbox: queue.SimpleQueue = queue.SimpleQueue()
-        pool = self.open_pool(
-            min(self.workers, len(tasks)),
-            retry=retry,
-            timeout=timeout,
-            # One deterministic counter stream for the whole pool: only
-            # the supervisor thread evaluates worker.* occurrences.
-            fault_state=plan.activate() if plan is not None else None,
-            on_event=lambda event: inbox.put((event, None)),
-            warmup=warmup,
-        )
-        outcomes: list = []
-        try:
-            futures: dict = {}
-            for task in tasks:
-                future = pool.submit(task)
-                futures[future] = task
-                future.add_done_callback(lambda f: inbox.put((None, f)))
-            remaining = len(futures)
-            while remaining:
-                event, future = inbox.get()
-                if future is None:
-                    if on_event is not None:
-                        on_event(event)
-                    continue
-                remaining -= 1
-                if future.cancelled():
-                    continue
-                outcome = future.result()
-                outcomes.append(outcome)
-                if on_complete is not None:
-                    on_complete(futures[future], outcome)
-                if fail_fast and not outcome.ok:
-                    for other in futures:
-                        other.cancel()  # only undispatched tasks drop
-        finally:
-            pool.close()
-        return outcomes
 
 
 class WorkerPool:
@@ -259,9 +193,6 @@ class WorkerPool:
         into crash / hang directives.
     on_event:
         Called on the supervisor thread with each event dict.
-    warmup:
-        Phase-kernel cache snapshot shipped to each worker after its
-        ready handshake (see :func:`repro.perf.cache.export_ladder_state`).
     """
 
     def __init__(
@@ -276,11 +207,10 @@ class WorkerPool:
         timeout=None,
         fault_state=None,
         on_event: Optional[Callable] = None,
-        warmup=None,
     ) -> None:
         from ..resilience.policy import DEFAULT_RETRY
 
-        self.size = _check_size(size, "pool size")
+        self.size = check_size(size, "pool size")
         self.heartbeat_interval = float(heartbeat_interval)
         self.stall_timeout = float(stall_timeout)
         self.max_respawns = int(max_respawns)
@@ -289,7 +219,6 @@ class WorkerPool:
         self.deadline_seconds = timeout.seconds if timeout is not None else None
         self.fault_state = fault_state
         self.on_event = on_event
-        self.warmup = list(warmup) if warmup else None
         self.respawns_used = 0
         self.degraded = False
         self._ctx = _pick_context()
@@ -431,13 +360,7 @@ class WorkerPool:
         task_r.close()
         result_w.close()
         self._members[worker_id] = _Member(worker_id, proc, task_w, result_r)
-        self._emit(
-            {
-                "type": "worker.spawned",
-                "worker": worker_id,
-                "warmup": len(self.warmup) if self.warmup else 0,
-            }
-        )
+        self._emit({"type": "worker.spawned", "worker": worker_id})
 
     def _reap(self, member: _Member, reason: str) -> None:
         """Kill *member* (if still alive), requeue its task, respawn."""
@@ -594,14 +517,6 @@ class WorkerPool:
             member.last_beat = time.monotonic()
             if kind == "ready":
                 member.ready = True
-                if self.warmup:
-                    # Warm the fresh worker's phase-kernel caches before
-                    # any task reaches it: small batches otherwise pay
-                    # one cold ladder build per worker.
-                    try:
-                        member.tasks.send(("warmup", self.warmup))
-                    except OSError:
-                        member.broken = True
             return
         pending = member.task
         member.task = None

@@ -5,17 +5,13 @@ Everything here is **top-level and importable**, because under the
 to find :func:`worker_main`.  The protocol is deliberately tiny:
 
 Supervisor → worker (the worker's own task pipe)
-    ``("task", index, kind, payload, directive)``, ``("warmup",
-    state)`` or ``("stop",)``.
+    ``("task", index, kind, payload, directive)`` or ``("stop",)``.
     ``directive`` is ``None``, ``"crash"`` (fault-injected: die with
     ``os._exit`` before touching the task) or ``"hang"`` (fault-
     injected: stop heartbeats and wedge, so the supervisor's straggler
-    / stall detection has a real victim).  ``warmup`` carries a
-    phase-kernel cache snapshot
-    (:func:`repro.perf.cache.export_ladder_state`) sent once after the
-    ready handshake; the worker rebuilds those weight ladders in one
-    batched recurrence before its first task, so small batches don't
-    pay per-worker cold cache builds.
+    / stall detection has a real victim).  A forked worker starts with
+    every phase-kernel cache its parent held; a spawned one starts
+    cold.
 
 Worker → supervisor (the worker's own result pipe)
     ``("ready", worker_id)`` once after startup,
@@ -233,14 +229,6 @@ def worker_main(
             break  # the supervisor closed its end
         if message[0] == "stop":
             break
-        if message[0] == "warmup":
-            from ..perf.cache import warm_ladders
-
-            try:
-                warm_ladders(message[1])
-            except Exception:  # pragma: no cover - defensive
-                pass  # a bad snapshot must never kill a worker
-            continue
         _, index, kind, payload, directive = message
         if directive == "crash":
             # Fault-injected mid-run crash: a genuinely dead process,

@@ -277,14 +277,8 @@ def run_budget_sweep(
         :func:`evaluate_allocation`.  Curves are identical for every
         engine.
     """
-    unknown = [s for s in strategies if s not in STRATEGIES]
-    if unknown:
-        from ..errors import RegistryError
-
-        raise RegistryError(
-            f"unknown strategies: {unknown}; expected a subset of "
-            f"{sorted(STRATEGIES)}"
-        )
+    for name in strategies:
+        STRATEGIES.lookup(name)
     if not budgets:
         raise ModelError("budget sweep needs at least one budget")
     builder, family = as_problem_family(workload)

@@ -46,8 +46,6 @@ __all__ = [
     "phase_cache_stats",
     "clear_phase_caches",
     "configure_phase_cache",
-    "export_ladder_state",
-    "warm_ladders",
 ]
 
 _lock = Lock()
@@ -270,54 +268,6 @@ def clear_phase_caches() -> None:
         _sf_cache.clear()
         for k in _stats:
             _stats[k] = 0
-
-
-def export_ladder_state(limit: int | None = 256) -> list:
-    """JSON-able snapshot of the warm weight ladders, most recent last.
-
-    Each entry is ``[rate profile, n_computed]`` — everything needed to
-    rebuild the ladder bit-identically elsewhere (the recurrence is
-    deterministic).  ``limit`` keeps the snapshot wire-friendly by
-    dropping the least recently used profiles first; ``None`` exports
-    everything.  This is what the process executor ships to freshly
-    spawned pool workers so small batches don't pay per-worker cold
-    ladder builds (see :meth:`repro.exec.ProcessExecutor`).
-    """
-    with _lock:
-        entries = [
-            [[float(r) for r in key], int(ladder.n_computed)]
-            for key, ladder in _ladders.items()
-        ]
-    if limit is not None and len(entries) > limit:
-        entries = entries[-int(limit):]
-    return entries
-
-
-def warm_ladders(state) -> int:
-    """Rebuild the ladders described by an :func:`export_ladder_state`
-    snapshot; returns how many were built.
-
-    The inverse half of the warm-up handshake, run inside a pool
-    worker.  Tolerant of malformed entries (a bad snapshot must never
-    kill a worker — it just stays cold for that profile); ladders
-    already at least as long as requested are left untouched.  Rebuilt
-    ladders are bitwise what the exporting process holds: the
-    uniformization recurrence is deterministic in (profile, n_terms).
-    """
-    needs: dict[tuple, int] = {}
-    for entry in state or ():
-        try:
-            rates, n_computed = entry
-            key = tuple(float(r) for r in rates)
-            need = int(n_computed)
-        except (TypeError, ValueError):
-            continue
-        if not key or need < 1:
-            continue
-        if needs.get(key, 0) < need:
-            needs[key] = need
-    with _lock:
-        return _install_ladders(needs)
 
 
 def configure_phase_cache(max_sf_entries: int | None = None) -> None:

@@ -14,11 +14,11 @@ Plans resolve through a name registry exactly like engines
 :class:`~repro.api.config.RunConfig` can carry a registered plan name,
 an inline plan object, or its dict form.
 
-Instrumented sites call :func:`site_check` — a module-global check
-that is a single ``None`` test when no plan (and no timeout) is
-active, which is what keeps the no-fault overhead of the resilient
-execution path under the bench budget (``session_resilience`` section
-of ``benchmarks/bench_perf_engine.py``).
+Instrumented sites call :func:`site_check` — a check that is one
+context-variable read and a ``None`` test when no plan (and no
+timeout) is active, which is what keeps the no-fault overhead of the
+resilient execution path under the bench budget
+(``session_resilience`` section of ``benchmarks/bench_perf_engine.py``).
 
 The ``market.abandon`` site is special: instead of raising, it makes
 an arriving worker *abandon* a task they just chose — the task stays
@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -416,7 +417,7 @@ def resolve_fault_plan(
 
 
 # ---------------------------------------------------------------------------
-# runtime: the module-global active scope the hot paths consult
+# runtime: the active scope the hot paths consult
 # ---------------------------------------------------------------------------
 
 
@@ -429,9 +430,14 @@ class _Runtime:
         self.timeout_seconds = timeout_seconds
 
 
-#: The active scope, or ``None`` (the common case — one global load and
-#: one ``is None`` test per instrumented call).
-_RUNTIME: Optional[_Runtime] = None
+#: The active scope, or ``None`` (the common case — one context
+#: variable read and one ``is None`` test per instrumented call).  A
+#: context variable, not a module global: each thread (and each
+#: asyncio task) sees only the scope its own run installed, so two
+#: runs on two dispatch threads never restore each other's scope.
+_RUNTIME: ContextVar[Optional[_Runtime]] = ContextVar(
+    "repro_fault_runtime", default=None
+)
 
 
 class runtime_scope:
@@ -440,10 +446,11 @@ class runtime_scope:
     ``runtime_scope(None, None)`` is a no-op (nothing installed, the
     hot-path checks stay single-comparison cheap).  Scopes nest: the
     previous runtime is restored on exit, so a resilient run inside
-    another resilient run keeps its own fault coordinates.
+    another resilient run keeps its own fault coordinates.  The scope
+    belongs to the current context (thread or asyncio task).
     """
 
-    __slots__ = ("state", "timeout_seconds", "_previous", "_installed")
+    __slots__ = ("state", "timeout_seconds", "_token")
 
     def __init__(
         self,
@@ -452,11 +459,9 @@ class runtime_scope:
     ) -> None:
         self.state = state
         self.timeout_seconds = timeout_seconds
-        self._previous = None
-        self._installed = False
+        self._token = None
 
     def __enter__(self) -> "runtime_scope":
-        global _RUNTIME
         if self.state is None and self.timeout_seconds is None:
             return self
         deadline = (
@@ -464,25 +469,24 @@ class runtime_scope:
             if self.timeout_seconds is not None
             else None
         )
-        self._previous = _RUNTIME
-        _RUNTIME = _Runtime(self.state, deadline, self.timeout_seconds)
-        self._installed = True
+        self._token = _RUNTIME.set(
+            _Runtime(self.state, deadline, self.timeout_seconds)
+        )
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _RUNTIME
-        if self._installed:
-            _RUNTIME = self._previous
-            self._installed = False
+        if self._token is not None:
+            _RUNTIME.reset(self._token)
+            self._token = None
 
 
 def site_check(
     site: str, replication=None, engine=None, comparator=None
 ) -> None:
     """Hot-path hook: raise if the active plan/timeout says this site
-    fails.  A no-op costing one global load + ``None`` test when no
-    resilience scope is active."""
-    runtime = _RUNTIME
+    fails.  A no-op costing one context-variable read + ``None`` test
+    when no resilience scope is active."""
+    runtime = _RUNTIME.get()
     if runtime is None:
         return
     if (
@@ -498,7 +502,7 @@ def site_check(
 
 def active_fault_state() -> Optional[FaultState]:
     """The installed :class:`FaultState`, or ``None`` outside a scope."""
-    runtime = _RUNTIME
+    runtime = _RUNTIME.get()
     return runtime.state if runtime is not None else None
 
 
@@ -509,7 +513,7 @@ def abandonment_hook() -> Optional[Callable[[], bool]]:
     active plan has ``market.abandon`` rules, so the per-acceptance
     cost in the no-fault path is zero.
     """
-    runtime = _RUNTIME
+    runtime = _RUNTIME.get()
     if runtime is None:
         return None
     state = runtime.state

@@ -2,18 +2,17 @@
 
 :class:`ExecutorBackend` is the one place a submitted run leaves the
 event loop.  It resolves a registered executor once, at construction,
-and runs each submission one of two ways:
+and on the first submission that reaches compute opens that
+executor's pool of ``workers`` members for the backend's lifetime
+(:meth:`~repro.exec.base.Executor.open_pool`), so a service that
+never computes never starts one.  Each run is awaited with
+:func:`asyncio.wrap_future` on the pool's future:
 
-* an executor that opens a long-lived pool (``"process"``, see
-  :class:`~repro.exec.process.WorkerPool`) gets one pool of
-  ``workers`` processes for the backend's lifetime.  The pool starts
-  on the first submission, so a service that never computes never
-  forks.  Each run is awaited with :func:`asyncio.wrap_future`, and
-  runs compute in the workers, outside the service's GIL;
-* any other executor (``"serial"``) runs each submission as a
-  one-task ``run_tasks`` batch on ``workers`` dispatch threads in the
-  service process — the embedded mode, where compute stays in-process
-  (and can be monkeypatched in-process).
+* ``"process"`` (see :class:`~repro.exec.process.WorkerPool`) runs it
+  in a worker process, outside the service's GIL;
+* ``"serial"`` (see :class:`~repro.exec.base.InlinePool`) runs it on a
+  dispatch thread in the service process — the embedded mode, where
+  compute stays in-process (and can be monkeypatched in-process).
 
 Either way at most ``workers`` runs compute at once; further
 submissions queue.
@@ -33,11 +32,10 @@ every call).
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from ..errors import FaultInjectedError, ModelError
-from ..exec.base import ExecTask, TaskOutcome, resolve_executor
+from ..errors import FaultInjectedError
+from ..exec.base import ExecTask, TaskOutcome, check_size, resolve_executor
 from ..resilience.document import ErrorDocument
 
 __all__ = ["ExecutorBackend"]
@@ -52,21 +50,13 @@ class ExecutorBackend:
         Registered executor name or :class:`~repro.exec.base.Executor`
         instance that runs each submission.
     workers:
-        How many submissions compute at once: the pool size, or the
-        number of dispatch threads.
+        How many submissions compute at once: the size of the pool.
     """
 
     def __init__(self, executor="serial", workers: int = 2) -> None:
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ModelError(f"workers must be an int >= 1, got {workers!r}")
+        self.workers = check_size(workers, "workers")
         self.executor = resolve_executor(executor)
-        self.workers = workers
-        self._pool = None  # the executor's WorkerPool, once started
-        self._threads: Optional[ThreadPoolExecutor] = None
-        if not hasattr(self.executor, "open_pool"):
-            self._threads = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-dispatch"
-            )
+        self._pool = None  # the executor's pool, once started
         self._dispatches = 0
 
     async def execute(
@@ -87,12 +77,6 @@ class ExecutorBackend:
                 ).to_dict()
                 return TaskOutcome(index=index, status="failed", error=error)
         task = ExecTask(index=index, spec=spec_doc, config=config_doc)
-        if self._threads is not None:
-            loop = asyncio.get_running_loop()
-            (outcome,) = await loop.run_in_executor(
-                self._threads, self.executor.run_tasks, [task]
-            )
-            return outcome
         if self._pool is None:
             self._pool = self.executor.open_pool(
                 self.workers, fault_state=fault_state
@@ -100,13 +84,11 @@ class ExecutorBackend:
         return await asyncio.wrap_future(self._pool.submit(task))
 
     def pool_document(self) -> Optional[dict]:
-        """The pool's :meth:`~repro.exec.process.WorkerPool.stats`, or
-        ``None`` while no pool has started."""
+        """The pool's ``stats()``, or ``None`` while no pool has
+        started."""
         return None if self._pool is None else self._pool.stats()
 
     def close(self) -> None:
-        """Stop the pool or the dispatch threads (idempotent)."""
-        if self._threads is not None:
-            self._threads.shutdown(wait=True)
+        """Stop the pool (idempotent)."""
         if self._pool is not None:
             self._pool.close()

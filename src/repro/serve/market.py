@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from typing import Optional
 
 from ..core.deadline import min_cost_for_deadline
-from ..core.tuner import STRATEGIES, Tuner
+from ..core.tuner import Tuner
 from ..errors import InfeasibleAllocationError, ModelError
 from ..workloads.families import available_families, scenario_family
 
@@ -36,8 +37,9 @@ __all__ = ["LiveMarket", "DEFAULT_MARKET_BUDGET"]
 #: Ledger units a service starts with unless configured otherwise.
 DEFAULT_MARKET_BUDGET = 100_000
 
-#: How many open-task entries ``state_document`` inlines (the full
-#: count is always reported; the tail keeps state responses bounded).
+#: How many open-task entries the market keeps and ``state_document``
+#: inlines (the full count is always reported; the tail keeps state
+#: responses and the market's memory bounded).
 _STATE_TAIL = 20
 
 
@@ -73,7 +75,7 @@ def _number(request: dict, key: str, default, cast):
 
 
 class LiveMarket:
-    """A budget ledger plus open-task queue fed by allocate requests.
+    """A budget ledger plus the tail of the batches it accepted.
 
     Parameters
     ----------
@@ -89,7 +91,9 @@ class LiveMarket:
         self.spent = 0
         self.accepted = 0
         self.rejected = 0
-        self.open_tasks: list[dict] = []
+        #: The last ``_STATE_TAIL`` accepted entries; ``accepted``
+        #: counts them all.
+        self.open_tasks: deque = deque(maxlen=_STATE_TAIL)
         self._digest = hashlib.sha256()
 
     @property
@@ -121,17 +125,14 @@ class LiveMarket:
 
         if has_budget:
             batch_budget = _number(request, "budget", None, int)
-            strategy = str(request.get("strategy", "auto"))
-            if strategy != "auto" and strategy not in STRATEGIES:
-                raise ModelError(
-                    f"unknown strategy {strategy!r}; expected 'auto' or one "
-                    f"of {sorted(STRATEGIES)}"
-                )
-            problem = family.problem_at(batch_budget)
             # A fixed default seed keeps rng-using strategies (EA's
             # remainder placement) deterministic per request, so a
             # replayed schedule reproduces the ledger trajectory.
-            tuner = Tuner(strategy=strategy, seed=_number(request, "seed", 0, int))
+            tuner = Tuner(
+                strategy=str(request.get("strategy", "auto")),
+                seed=_number(request, "seed", 0, int),
+            )
+            problem = family.problem_at(batch_budget)
             allocation = tuner.tune(problem)
             prices = {
                 g.key: allocation[g.tasks[0].task_id][0]
@@ -203,7 +204,7 @@ class LiveMarket:
             },
             "trajectory_digest": self._digest.hexdigest()[:16],
             "open_tasks": {
-                "count": len(self.open_tasks),
-                "tail": self.open_tasks[-_STATE_TAIL:],
+                "count": self.accepted,
+                "tail": list(self.open_tasks),
             },
         }

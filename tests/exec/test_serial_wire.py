@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.api import RunConfig, Session
 from repro.api.session import RunResult
 from repro.errors import ModelError
-from repro.exec import ExecTask, SerialExecutor, TaskOutcome
+from repro.exec import (
+    ExecTask,
+    InlinePool,
+    ProcessExecutor,
+    SerialExecutor,
+    TaskOutcome,
+)
 from repro.exec.base import execute_task_inline
 
-from exec_tiny import tiny_specs
+from exec_tiny import requires_process_pool, tiny_specs
 
 
 class TestExecTask:
@@ -93,22 +103,91 @@ def _tiny_tasks() -> list:
 
 
 class TestSerialRunTasks:
+    """The batch loop every executor shares, on the serial pool."""
+
+    @staticmethod
+    def executor():
+        return SerialExecutor()
+
     def test_on_complete_fires_per_task(self):
         seen = []
-        SerialExecutor().run_tasks(
+        self.executor().run_tasks(
             _tiny_tasks(), on_complete=lambda task, outcome: seen.append(task.index)
         )
         assert seen == [0, 1, 2]
 
     def test_failed_outcome_surfaces_not_raises(self):
-        (outcome,) = SerialExecutor().run_tasks([_bad_task()])
+        (outcome,) = self.executor().run_tasks([_bad_task()])
         assert outcome.status == "failed"
         assert outcome.error["code"] == "model-invalid"
 
     def test_fail_fast_stops_after_failure(self):
         tasks = [_bad_task()] + _tiny_tasks()[1:]
-        outcomes = SerialExecutor().run_tasks(tasks, fail_fast=True)
+        outcomes = self.executor().run_tasks(tasks, fail_fast=True)
         assert [o.status for o in outcomes] == ["failed"]
+
+
+@requires_process_pool
+class TestProcessRunTasks(TestSerialRunTasks):
+    """The same loop on one process worker, which completes tasks in
+    submission order as the serial pool does."""
+
+    @staticmethod
+    def executor():
+        return ProcessExecutor(workers=1, heartbeat_interval=0.02)
+
+
+def _call_task(index: int, func, *args) -> ExecTask:
+    return ExecTask(index=index, kind="call", call=(func, args, {}))
+
+
+class TestInlinePool:
+    def test_concurrent_submitters_get_their_own_outcomes(self):
+        # More submitting threads and pool threads than cores, with a
+        # short switch interval: every future resolves to its own task.
+        pool = InlinePool(4)
+        results: dict = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def submitter(base: int) -> None:
+            futures = {
+                index: pool.submit(_call_task(index, abs, -index))
+                for index in range(base, base + 50)
+            }
+            for index, future in futures.items():
+                results[index] = future.result(timeout=30.0)
+
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(100 * n,))
+                for n in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert len(results) == 300
+        for index, outcome in results.items():
+            assert (outcome.index, outcome.status, outcome.result) == (
+                index, "succeeded", index,
+            )
+
+    def test_close_cancels_queued_tasks_and_refuses_more(self):
+        pool = InlinePool(1)
+        running = pool.submit(_call_task(0, time.sleep, 0.2))
+        queued = pool.submit(_call_task(1, abs, -1))
+        while not running.running():
+            time.sleep(0.001)
+        pool.close()
+        assert queued.cancelled()
+        assert running.result(timeout=10.0).ok  # not stopped, not awaited
+        with pytest.raises(ModelError, match="closed"):
+            pool.submit(_call_task(2, abs, -2))
 
 
 class TestSerialBatch:

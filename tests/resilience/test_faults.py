@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from repro.errors import (
 from repro.resilience import FaultPlan, FaultRule
 from repro.resilience.faults import (
     FAULT_SITES,
+    active_fault_state,
     available_fault_plans,
     get_fault_plan,
     register_fault_plan,
@@ -253,3 +255,49 @@ def test_scopes_nest_and_restore():
                 site_check("engine.sample")
         with pytest.raises(FaultInjectedError):
             site_check("run.start")  # outer restored
+
+
+def test_scopes_on_two_threads_stay_apart():
+    # Enter A, enter B, exit A, exit B on two threads: each thread must
+    # see only its own scope, and neither may outlive its own exit.
+    plan = FaultPlan(rules=(FaultRule(site="engine.sample", at=(0,)),))
+    state_a, state_b = plan.activate(), plan.activate()
+    a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+    seen: dict = {}
+    errors: list = []
+
+    def run_a():
+        try:
+            # An already-expired deadline: site_check raises while the
+            # scope is installed anywhere this thread's checks can see.
+            with runtime_scope(state_a, timeout_seconds=1e-12):
+                a_entered.set()
+                assert b_entered.wait(10.0)
+                seen["a"] = active_fault_state()
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+        finally:
+            a_exited.set()
+
+    def run_b():
+        try:
+            assert a_entered.wait(10.0)
+            with runtime_scope(state_b):
+                b_entered.set()
+                assert a_exited.wait(10.0)
+                seen["b"] = active_fault_state()
+                site_check("run.start")  # A's expired deadline is not ours
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            b_entered.set()
+
+    threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10.0)
+    assert not errors, errors
+    assert seen == {"a": state_a, "b": state_b}
+    assert active_fault_state() is None
+    site_check("run.start")  # nothing is left installed

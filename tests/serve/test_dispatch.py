@@ -1,10 +1,12 @@
 """Off-loop dispatch of submitted runs (``repro.serve.backend``).
 
-Under ``executor="serial"`` the backend runs each submission as a
-one-task ``run_tasks`` batch on ``workers`` dispatch threads; under
-``executor="process"`` it submits to one long-lived pool of
-``workers`` processes.  These tests pin that width for both, and the
-construction-time executor resolution.
+The backend opens its executor's pool of ``workers`` members on the
+first run that reaches compute and submits every run to it: dispatch
+threads in the service process under ``executor="serial"``, worker
+processes under ``executor="process"``.  These tests pin that width
+for both, the lazy start, the construction-time executor resolution,
+and that two runs overlapping on two dispatch threads keep their
+resilience scopes apart.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import threading
 import time
 
 import pytest
-from serve_tiny import TINY_SPEC, requires_process_pool
+from serve_tiny import TINY_SPEC, requires_process_pool, submit_and_wait
 
 import repro.exec.worker as worker
+import repro.resilience.faults as faults
+from repro.api import ExperimentSpec, Session
 from repro.errors import ModelError, RegistryError
 from repro.exec import get_executor
 from repro.serve import ExecutorBackend, ReproService, http_request, start_in_thread
@@ -163,12 +167,13 @@ class TestBackendConstruction:
             backend.close()
 
     def test_process_backend_starts_no_pool_until_a_run(self):
-        backend = ExecutorBackend("process", workers=2)
-        try:
-            assert backend.executor is get_executor("process")
-            assert backend.pool_document() is None
-        finally:
-            backend.close()
+        for name in ("process", "serial"):
+            backend = ExecutorBackend(name, workers=2)
+            try:
+                assert backend.executor is get_executor(name)
+                assert backend.pool_document() is None
+            finally:
+                backend.close()
 
     def test_unknown_executor_fails_at_construction(self):
         with pytest.raises(RegistryError, match="unknown executor"):
@@ -178,3 +183,63 @@ class TestBackendConstruction:
     def test_workers_validated(self, workers):
         with pytest.raises(ModelError, match="workers"):
             ReproService(workers=workers)
+
+
+#: The overlapping runs' timeout: ample for a warm tiny run, and
+#: short, so a scope leaked by either has expired by the next run.
+_RUN_TIMEOUT = 0.5
+
+
+class TestRuntimeScopeIsolation:
+    def test_overlapping_runs_leave_no_scope_behind(self, monkeypatch):
+        # Two runs with a timeout overlap on two dispatch threads: A
+        # enters its resilience scope, B enters its own, A exits, then
+        # B does.  A later run with no timeout must not inherit a scope.
+        specs = _distinct_specs(3)
+        for spec in specs:  # warm caches, so each run is quick
+            Session().run(ExperimentSpec.from_dict(spec))
+        real_check = faults.site_check
+        real_run = worker.run_task_document
+        lock = threading.Lock()
+        arrivals: list = []
+        second_arrived, first_done = threading.Event(), threading.Event()
+
+        def ordered_check(site, *args, **kwargs):
+            if site == "run.start":
+                with lock:
+                    arrivals.append(threading.get_ident())
+                    order = len(arrivals)
+                if order == 1:
+                    second_arrived.wait(10.0)
+                elif order == 2:
+                    second_arrived.set()
+                    first_done.wait(10.0)
+            return real_check(site, *args, **kwargs)
+
+        def marking_run(spec_doc, config_doc):
+            try:
+                return real_run(spec_doc, config_doc)
+            finally:
+                if arrivals and arrivals[0] == threading.get_ident():
+                    first_done.set()
+
+        monkeypatch.setattr(faults, "site_check", ordered_check)
+        monkeypatch.setattr(worker, "run_task_document", marking_run)
+        service = ReproService(executor="serial", workers=2)
+        config = {"timeout": _RUN_TIMEOUT}
+
+        async def scenario():
+            overlapping = await asyncio.gather(
+                *(submit_and_wait(service, spec, config) for spec in specs[:2])
+            )
+            for _, doc in overlapping:
+                assert doc["status"] == "succeeded", doc
+            await asyncio.sleep(_RUN_TIMEOUT + 0.1)
+            _, doc = await submit_and_wait(service, specs[2])
+            assert doc["status"] == "succeeded", doc
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            service.close()
+        assert len(arrivals) == 3

@@ -343,17 +343,26 @@ class TestMarket:
     def test_malformed_allocate_is_400_no_charge(self, service):
         async def check():
             cases = [
-                {},  # no scenario
-                {"scenario": "repe"},  # neither budget nor deadline
-                {"scenario": "repe", "budget": 600, "deadline": 2.0},  # both
-                {"scenario": "repe", "budget": 600, "strategy": "nope"},
+                ({}, "model-invalid"),  # no scenario
+                # neither budget nor deadline
+                ({"scenario": "repe"}, "model-invalid"),
+                # both
+                (
+                    {"scenario": "repe", "budget": 600, "deadline": 2.0},
+                    "model-invalid",
+                ),
+                # strategies are a name registry
+                (
+                    {"scenario": "repe", "budget": 600, "strategy": "nope"},
+                    "registry-lookup",
+                ),
             ]
-            for body in cases:
+            for body, code in cases:
                 status, doc = await call(
                     svc := service, "POST", "/market/allocate", body
                 )
                 assert status == 400, body
-                assert doc["code"] == "model-invalid"
+                assert doc["code"] == code
             _, state = await call(svc, "GET", "/market/state")
             assert state["ledger"]["spent"] == 0
             assert state["ledger"]["rejected"] == 0
@@ -399,6 +408,24 @@ class TestMarket:
             assert doc["open_tasks"]["count"] == 0
 
         run(check())
+
+    def test_open_tasks_keep_only_the_state_tail(self):
+        from repro.serve.market import _STATE_TAIL, LiveMarket
+
+        market = LiveMarket(budget=10**9)
+        allocations = [
+            market.allocate({"scenario": "homo", "n_tasks": 4, "budget": 40 + k})
+            for k in range(3 * _STATE_TAIL)
+        ]
+        assert len(market.open_tasks) == _STATE_TAIL
+        state = market.state_document()
+        assert state["open_tasks"]["count"] == market.accepted == 3 * _STATE_TAIL
+        # Each entry is the allocate response minus the running balance.
+        expected = [
+            {k: v for k, v in doc.items() if k != "remaining_budget"}
+            for doc in allocations[-_STATE_TAIL:]
+        ]
+        assert state["open_tasks"]["tail"] == expected
 
 
 class TestWire:
