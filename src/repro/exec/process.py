@@ -23,8 +23,11 @@ Crashed / straggling / stalled workers are killed and their task is
 **requeued** with the retry policy's deterministic backoff — a task is
 dispatched at most ``1 + retry.attempts`` times before it fails with a
 :class:`~repro.errors.WorkerCrashError` document.  Dead pool members
-are respawned up to a respawn budget; when the pool collapses with the
-budget exhausted, the supervisor **degrades to serial** and runs every
+are respawned while respawn credits last (``max_respawns`` of them);
+a respawned member that completes a task returns its credit, so a
+long-lived pool that recovers keeps its budget, while a crash loop
+that completes nothing spends it.  When the pool collapses with no
+credit left, the supervisor **degrades to serial** and runs every
 remaining and later task in-process on its own thread, so every
 submission still completes.  Every decision is emitted through
 ``on_event`` (→ :attr:`~repro.resilience.batch.BatchReport.events` and
@@ -84,10 +87,10 @@ class _Member:
 
     __slots__ = (
         "id", "proc", "tasks", "results", "task", "dispatched_at",
-        "last_beat", "ready", "broken",
+        "last_beat", "ready", "broken", "credit",
     )
 
-    def __init__(self, worker_id, proc, tasks, results) -> None:
+    def __init__(self, worker_id, proc, tasks, results, credit) -> None:
         self.id = worker_id
         self.proc = proc
         self.tasks = tasks  # write end of the worker's task pipe
@@ -97,6 +100,7 @@ class _Member:
         self.last_beat = time.monotonic()
         self.ready = False  # has sent its `ready` handshake
         self.broken = False  # its result pipe failed; reap it
+        self.credit = credit  # a respawn credit its first completion returns
 
     def close_pipes(self) -> None:
         self.tasks.close()
@@ -129,9 +133,10 @@ class ProcessExecutor(Executor):
         Heartbeat staleness that marks a live process wedged
         (default: ``max(40 × heartbeat_interval, 2.0)``).
     max_respawns:
-        Replacement-worker budget for one pool's life (default:
-        ``2 × workers``); exhausting it with no live workers degrades
-        the pool to serial in-process execution.
+        Respawn credits of one pool (default: ``2 × workers``).  Each
+        respawn spends one, and a respawned member returns it on its
+        first completed task; with no credit left and no live
+        workers the pool degrades to serial in-process execution.
     poll_interval:
         Longest the supervisor waits between liveness checks, seconds.
     """
@@ -219,7 +224,8 @@ class WorkerPool:
         self.deadline_seconds = timeout.seconds if timeout is not None else None
         self.fault_state = fault_state
         self.on_event = on_event
-        self.respawns_used = 0
+        self.respawns = 0
+        self.respawn_credits = self.max_respawns
         self.degraded = False
         self._ctx = _pick_context()
         self._members: dict = {}  # worker_id -> _Member
@@ -275,11 +281,13 @@ class WorkerPool:
         return [member.proc.pid for member in list(self._members.values())]
 
     def stats(self) -> dict:
-        """A JSON-able snapshot: members, spawns, respawns, degradation."""
+        """A JSON-able snapshot: members, spawns, respawns, credits,
+        degradation."""
         return {
             "workers": self.pids(),
             "spawned": self._next_worker_id,
-            "respawns": self.respawns_used,
+            "respawns": self.respawns,
+            "respawn_credits": self.respawn_credits,
             "degraded": self.degraded,
         }
 
@@ -301,7 +309,7 @@ class WorkerPool:
         failure = None
         try:
             for _ in range(self.size):
-                self._spawn()
+                self._spawn(credit=False)
             while not self._closing:
                 self._admit()
                 if self.degraded or not self._members:
@@ -331,7 +339,7 @@ class WorkerPool:
 
     # -- pool management -----------------------------------------------
 
-    def _spawn(self) -> None:
+    def _spawn(self, credit: bool) -> None:
         directive = None
         if self.fault_state is not None:
             fired = self.fault_state.fires("worker.spawn")
@@ -359,7 +367,9 @@ class WorkerPool:
         # child's result pipe read as EOF.
         task_r.close()
         result_w.close()
-        self._members[worker_id] = _Member(worker_id, proc, task_w, result_r)
+        self._members[worker_id] = _Member(
+            worker_id, proc, task_w, result_r, credit
+        )
         self._emit({"type": "worker.spawned", "worker": worker_id})
 
     def _reap(self, member: _Member, reason: str) -> None:
@@ -382,14 +392,16 @@ class WorkerPool:
         )
         if pending is not None:
             self._requeue(pending, member, exit_code, reason)
-        if self.respawns_used < self.max_respawns and not self._closing:
-            self.respawns_used += 1
-            self._spawn()
+        if self.respawn_credits > 0 and not self._closing:
+            self.respawn_credits -= 1
+            self.respawns += 1
+            self._spawn(credit=True)
             self._emit(
                 {
                     "type": "worker.respawned",
                     "replaces": member.id,
-                    "respawns_used": self.respawns_used,
+                    "respawns": self.respawns,
+                    "respawn_credits": self.respawn_credits,
                 }
             )
 
@@ -523,6 +535,12 @@ class WorkerPool:
         member.dispatched_at = None
         if pending is None:
             return
+        if member.credit:
+            # A replacement that completes a task has proved itself.
+            member.credit = False
+            self.respawn_credits = min(
+                self.respawn_credits + 1, self.max_respawns
+            )
         _, worker_id, index, body = message
         if kind == "done":
             outcome = TaskOutcome(

@@ -20,6 +20,16 @@ Worker → supervisor (the worker's own result pipe)
     ``("done", worker_id, index, result)`` or
     ``("error", worker_id, index, error_doc)``.
 
+A worker computes on one BLAS thread: before its ``ready`` handshake
+it caps every OpenBLAS the process has loaded (numpy's and scipy's
+copies, found among its mapped shared objects with :mod:`ctypes`) at
+one thread and sets ``OPENBLAS_NUM_THREADS=1`` in its own environment
+for a library it loads later.  The pool is the parallelism: BLAS
+threads of their own would only spin on the cores the other members,
+the supervisor and the service need.  The kernels' results do not
+depend on the thread count, so a pooled document stays byte-identical
+to one computed in a process that keeps its default BLAS threads.
+
 A worker never outlives its supervisor: a daemon thread polls
 ``os.getppid()`` and calls ``os._exit`` once the worker has been
 reparented, which also reaps a worker blocked on its task pipe or
@@ -42,6 +52,7 @@ the supervisor side.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -54,6 +65,8 @@ __all__ = [
     "execute_wire_payload",
     "run_task_document",
     "run_replication_shard",
+    "pin_blas_threads",
+    "blas_threads",
     "CRASH_EXIT_CODE",
 ]
 
@@ -66,6 +79,73 @@ _HANG_SLEEP = 3600.0
 
 #: Seconds between a worker's checks that its supervisor still lives.
 _ORPHAN_POLL = 0.25
+
+#: OpenBLAS thread-count setters, tried in order on each loaded
+#: OpenBLAS: numpy's 64-bit-integer build, scipy's build, then a plain
+#: OpenBLAS of either integer width.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas(maps_path: str) -> list:
+    """``(name, library, setter)`` for each OpenBLAS mapped into this
+    process, read from *maps_path* (``/proc/<pid>/maps`` format).
+
+    ``RTLD_NOLOAD`` only finds a library that is already loaded, so
+    this never loads one.  Empty where the listing is unreadable (no
+    ``/proc``) or names no OpenBLAS.
+    """
+    try:
+        with open(maps_path) as fh:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(None, 5) for line in fh)
+                if len(fields) == 6
+            }
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        name = os.path.basename(path)
+        if "openblas" not in name:
+            continue
+        try:
+            library = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue  # listed but not loadable as a library
+        for setter in _OPENBLAS_SETTERS:
+            if hasattr(library, setter):
+                found.append((name, library, setter))
+                break
+    return found
+
+
+def pin_blas_threads(maps_path: str = "/proc/self/maps") -> list:
+    """Cap every loaded OpenBLAS at one thread; returns the names of
+    the libraries it capped (none where no OpenBLAS is loaded)."""
+    pinned = []
+    for name, library, setter in _loaded_openblas(maps_path):
+        set_threads = getattr(library, setter)
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+        pinned.append(name)
+    return pinned
+
+
+def blas_threads(maps_path: str = "/proc/self/maps") -> dict:
+    """Thread count of each loaded OpenBLAS, by library name."""
+    counts = {}
+    for name, library, setter in _loaded_openblas(maps_path):
+        get_threads = getattr(library, setter.replace("_set_", "_get_"))
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        counts[name] = get_threads()
+    return counts
 
 
 def run_task_document(spec_doc, config_doc):
@@ -192,6 +272,8 @@ def worker_main(
         os._exit(CRASH_EXIT_CODE)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _release_inherited_sockets()
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    pin_blas_threads()
 
     # The pid recorded by the supervisor when it built this process,
     # so a supervisor that died before this line is still noticed.

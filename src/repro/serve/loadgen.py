@@ -278,7 +278,10 @@ async def run_load(
     offset (open-loop traffic); the default is closed-loop maximum
     throughput.  ``poll_until_done=True`` makes ``poll`` requests spin
     until their target run leaves the queue (used by smoke tests that
-    need every outcome settled).
+    need every outcome settled).  The service holds a read of an
+    unsettled run until it settles (up to
+    :data:`~repro.serve.service.HOLD_SECONDS`), so the spin usually
+    ends in one round.
     """
     if concurrency < 1:
         raise ModelError(f"concurrency must be >= 1, got {concurrency}")

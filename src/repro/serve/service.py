@@ -17,7 +17,16 @@ of them:
   ``GET /runs/<id>`` polls status; ``GET /runs/<id>/result`` returns
   the full
   :class:`~repro.api.session.RunResult` document (byte-identical to a
-  direct ``Session.run`` of the same pair).
+  direct ``Session.run`` of the same pair).  Both reads of a run still
+  ``queued`` or ``running`` **hold** until it settles, at most
+  :data:`HOLD_SECONDS`, then answer: a researcher learns that a run is
+  done in one poll, not a spin of them.  The wait is an
+  :class:`asyncio.Event` per run, so it never blocks the loop.
+* **Bounded run records** — :attr:`ReproService.runs` keeps every
+  in-flight run plus the :data:`FINISHED_RUNS` most recently used
+  finished ones.  Status and result reads of an evicted run fall back
+  to the store, and resubmitting one is a store hit; without a store
+  an evicted id is unknown (404).
 * **Online market** — ``POST /market/allocate`` prices arriving task
   batches with the DP / deadline kernels against the live
   :class:`~repro.serve.market.LiveMarket` ledger;
@@ -42,6 +51,7 @@ import contextvars
 import functools
 import json
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -62,7 +72,21 @@ from ..workloads.families import available_families
 from .backend import ExecutorBackend
 from .market import DEFAULT_MARKET_BUDGET, LiveMarket
 
-__all__ = ["ReproService", "ServiceHandle", "start_in_thread", "serve_forever"]
+__all__ = [
+    "ReproService",
+    "ServiceHandle",
+    "start_in_thread",
+    "serve_forever",
+    "HOLD_SECONDS",
+    "FINISHED_RUNS",
+]
+
+#: Longest a status or result read of an unsettled run holds, seconds.
+HOLD_SECONDS = 1.0
+
+#: Finished run records kept in memory (least recently used evicted
+#: first); in-flight records are never evicted.
+FINISHED_RUNS = 256
 
 _REASONS = {
     200: "OK",
@@ -79,7 +103,7 @@ class _RunRecord:
 
     __slots__ = (
         "run_id", "experiment", "spec_doc", "config_doc",
-        "status", "served", "result_doc", "error",
+        "status", "served", "result_doc", "error", "settled",
     )
 
     def __init__(self, run_id, experiment, spec_doc, config_doc) -> None:
@@ -91,6 +115,7 @@ class _RunRecord:
         self.served = False
         self.result_doc: Optional[dict] = None
         self.error: Optional[dict] = None
+        self.settled = asyncio.Event()  # set once the run is done
 
     @property
     def done(self) -> bool:
@@ -168,6 +193,9 @@ class ReproService:
         self._fault_state = FaultState(plan) if plan is not None else None
         self.market = LiveMarket(budget=market_budget)
         self.runs: dict[str, _RunRecord] = {}
+        # Ids of the finished records in `runs`, least recently used
+        # first.
+        self._finished: OrderedDict = OrderedDict()
         self._inflight: set = set()
         self.tally = {
             "requests": 0,
@@ -216,9 +244,9 @@ class ReproService:
         if method == "GET" and path.startswith("/runs/"):
             rest = path[len("/runs/"):]
             if rest.endswith("/result"):
-                return self._result(rest[: -len("/result")])
+                return await self._result(rest[: -len("/result")])
             if "/" not in rest and rest:
-                return self._status(rest)
+                return await self._status(rest)
         if method == "POST" and path == "/market/allocate":
             return 200, self.market.allocate(self._json_body(body))
         if method == "GET" and path == "/market/state":
@@ -271,13 +299,14 @@ class ReproService:
         token = fingerprint(
             {"spec": spec.to_dict(), "config": config.to_dict()}
         )
-        record = self.runs.get(token)
+        record = self._lookup(token)
         if record is not None and record.status != "failed":
             return 200, record.status_document()
-        # Unknown id, or a failed run: a failure (backend crash,
-        # injected fault) is not a cached outcome — resubmission
+        # Unknown or evicted id, or a failed run: a failure (backend
+        # crash, injected fault) is not a cached outcome — resubmission
         # replaces the record and re-dispatches, which is the recovery
         # path the serve.backend tests replay.
+        self._finished.pop(token, None)
         record = _RunRecord(
             token, spec.name, spec.to_dict(), config.to_dict()
         )
@@ -292,6 +321,7 @@ class ReproService:
                 record.status = "succeeded"
                 record.served = True
                 record.result_doc = lookup.result
+                self._settle(record)
                 return 200, record.status_document()
             self.tally["store_misses"] += 1
         # Keep a strong reference so the dispatch task cannot be
@@ -303,6 +333,12 @@ class ReproService:
 
     async def _execute(self, record: _RunRecord) -> None:
         record.status = "running"
+        try:
+            await self._compute(record)
+        finally:
+            self._settle(record)
+
+    async def _compute(self, record: _RunRecord) -> None:
         try:
             outcome = await self.backend.execute(
                 record.spec_doc, record.config_doc, self._fault_state
@@ -339,26 +375,76 @@ class ReproService:
             record.error = outcome.error
             self.tally["failed_runs"] += 1
 
-    def _record_or_raise(self, run_id: str) -> _RunRecord:
+    # -- run records ---------------------------------------------------
+
+    def _settle(self, record: _RunRecord) -> None:
+        """Wake the reads held on *record* and make it the most
+        recently used finished record, evicting past
+        :data:`FINISHED_RUNS`."""
+        record.settled.set()
+        if not record.done or self.runs.get(record.run_id) is not record:
+            return  # cancelled at shutdown, or replaced by a resubmission
+        self._finished[record.run_id] = None
+        self._finished.move_to_end(record.run_id)
+        while len(self._finished) > FINISHED_RUNS:
+            evicted, _ = self._finished.popitem(last=False)
+            del self.runs[evicted]
+
+    def _lookup(self, run_id: str) -> Optional[_RunRecord]:
+        """The live record of *run_id* (marking a finished one used)."""
         record = self.runs.get(run_id)
-        if record is None:
-            raise RunNotFoundError(run_id)
+        if run_id in self._finished:
+            self._finished.move_to_end(run_id)
         return record
 
-    def _status(self, run_id: str):
-        return 200, self._record_or_raise(run_id).status_document()
+    async def _held(self, run_id: str) -> Optional[_RunRecord]:
+        """The record of *run_id* once it settles, or as it stands
+        after :data:`HOLD_SECONDS`; a settled run or an unknown id
+        answers at once."""
+        record = self._lookup(run_id)
+        if record is not None and not record.done:
+            try:
+                await asyncio.wait_for(record.settled.wait(), HOLD_SECONDS)
+            except asyncio.TimeoutError:
+                pass
+        return record
 
-    def _result(self, run_id: str):
-        record = self.runs.get(run_id)
-        if record is None and self.store is not None:
-            # Store-first even without a live record: a persistent
-            # store can serve runs submitted before a restart.
-            lookup = self.store.lookup(run_id, fault_state=self._fault_state)
-            if lookup.hit:
-                self.tally["store_hits"] += 1
-                return 200, lookup.result
-        if record is None:
+    def _stored(self, run_id: str) -> Optional[dict]:
+        """The stored result of a run with no live record, or ``None``.
+
+        Store-first even without a live record: a persistent store
+        serves runs evicted from :attr:`runs` and runs submitted
+        before a restart.
+        """
+        if self.store is None:
+            return None
+        lookup = self.store.lookup(run_id, fault_state=self._fault_state)
+        if not lookup.hit:
+            return None
+        self.tally["store_hits"] += 1
+        return lookup.result
+
+    async def _status(self, run_id: str):
+        record = await self._held(run_id)
+        if record is not None:
+            return 200, record.status_document()
+        stored = self._stored(run_id)
+        if stored is None:
             raise RunNotFoundError(run_id)
+        return 200, {
+            "run_id": run_id,
+            "experiment": stored["experiment"],
+            "status": "succeeded",
+            "served": True,
+        }
+
+    async def _result(self, run_id: str):
+        record = await self._held(run_id)
+        if record is None:
+            stored = self._stored(run_id)
+            if stored is None:
+                raise RunNotFoundError(run_id)
+            return 200, stored
         if record.status == "failed":
             return 500, record.error or _error_body(
                 ModelError(f"run {run_id} failed without an error document")

@@ -152,6 +152,60 @@ class TestCrashRecovery:
             pool.close()
 
 
+def _one_credit_pool(rules, events=None):
+    """One member, one respawn credit, the given ``worker.*`` rules."""
+    state = resolve_fault_plan({"rules": rules}).activate()
+    executor = ProcessExecutor(
+        workers=1, heartbeat_interval=0.02, max_respawns=1
+    )
+    return executor.open_pool(
+        1, fault_state=state, on_event=None if events is None else events.append
+    )
+
+
+class TestRespawnCredits:
+    def test_a_respawn_that_completes_a_task_returns_its_credit(self):
+        pool = _one_credit_pool([{"site": "worker.task", "at": [0]}])
+        try:
+            assert pool.submit(_pid_task(0)).result(timeout=30).ok
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["respawn_credits"] == 1
+        finally:
+            pool.close()
+
+    def test_credits_refill_so_a_later_crash_still_respawns(self):
+        # Dispatches 0 and 2 crash.  One credit covers both, because the
+        # first replacement returned it by completing task 0.
+        events = []
+        pool = _one_credit_pool(
+            [{"site": "worker.task", "at": [0, 2]}], events
+        )
+        try:
+            for index in range(2):
+                outcome = pool.submit(_pid_task(index)).result(timeout=30)
+                assert outcome.ok and outcome.worker is not None
+            stats = pool.stats()
+            assert stats["respawns"] == 2
+            assert stats["respawn_credits"] == 1
+            assert not stats["degraded"]
+            assert not [e for e in events if e["type"] == "pool.degraded"]
+        finally:
+            pool.close()
+
+    def test_a_crash_loop_that_completes_nothing_still_degrades(self):
+        pool = _one_credit_pool([{"site": "worker.spawn", "rate": 1.0}])
+        try:
+            outcome = pool.submit(_pid_task(0)).result(timeout=30)
+            assert outcome.ok and outcome.worker is None  # ran in-process
+            stats = pool.stats()
+            assert stats["degraded"]
+            assert stats["respawns"] == 1
+            assert stats["respawn_credits"] == 0
+        finally:
+            pool.close()
+
+
 class TestClose:
     def test_close_leaves_no_live_children(self):
         pool = _open(2)
