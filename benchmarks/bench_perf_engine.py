@@ -227,11 +227,11 @@ def bench_one_pass_sweep(n_tasks: int = 100, n_budgets: int = 9) -> dict:
 
     The headline ``speedup`` is the RA path — the strategy that rides
     :func:`budget_indexed_dp_sweep` end to end (one DP pass serves
-    every budget).  HA is reported alongside: its utopia points and
-    phase-1 tables are computed once per sweep, but the closeness scan
-    deliberately stays per-budget (its tie margin compares against
-    budget-specific utopia coordinates), so its gain is bounded by the
-    scan's share of the runtime.
+    every budget).  HA is reported alongside: its utopia points,
+    phase-1 tables and closeness trajectory are shared across the
+    sweep, but each candidate's closeness is still compared against
+    every budget's own utopia point at every level, so its gain is
+    smaller.
     """
     from repro.core import (
         heterogeneous_algorithm,

@@ -15,6 +15,15 @@ As in Algorithm 2, the state at budget level ``x`` carries the price
 vector achieving ``CL(x)``; candidates at ``x`` are "spend nothing
 new" (state ``x−1``) or "complete one increment of group i" (state
 ``x−u_i`` with ``p_i`` bumped).
+
+HA has one body, a sweep over a list of budgets: one start-cost
+check, one set of utopia points, one set of phase-2 expectations and
+dense phase-1 tables, and one
+:func:`~repro.perf.dp.heterogeneous_closeness_sweep`.
+:func:`heterogeneous_algorithm` runs it over ``[problem.budget]`` on
+the problem's own groups (its ``return_details`` read the same
+tables); :func:`heterogeneous_algorithm_sweep` runs it over a
+family's budgets.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import InfeasibleAllocationError
-from .latency import group_onhold_latency, group_processing_latency
-from .objectives import ObjectivePoint, utopia_point, utopia_point_sweep
+from .latency import group_onhold_latency
+from .objectives import ObjectivePoint, _phase2, _utopia_points
 from .problem import Allocation, HTuningProblem
 
 __all__ = [
@@ -60,6 +69,52 @@ class HAResult:
         )
 
 
+def _ha_sweep(groups, budgets: list[int]):
+    """Algorithm 3's one body: every budget of *budgets* over *groups*.
+
+    Shares every ingredient across the budgets: the utopia points (one
+    multi-budget DP + one greedy walk), the price-independent phase-2
+    expectations, the dense phase-1 tables (built once at the largest
+    budget), and — via
+    :func:`~repro.perf.dp.heterogeneous_closeness_sweep` — the
+    closeness scan itself.  Returns ``(finals, utopias, phase2,
+    tables)``: the final price tuple per budget (in *budgets* order),
+    the ``budget -> ObjectivePoint`` utopia map, and the two tables
+    the diagnostics read.
+    """
+    from ..perf.dp import _cost_tables, heterogeneous_closeness_sweep
+
+    unit_costs = tuple(g.unit_cost for g in groups)
+    start_cost = sum(unit_costs)
+    for b in budgets:
+        if b < start_cost:
+            raise InfeasibleAllocationError(b, start_cost)
+
+    phase2 = _phase2(groups)
+    utopias = _utopia_points(groups, budgets, phase2)
+    tables = _cost_tables(
+        groups, max(budgets) - start_cost, unit_costs, group_onhold_latency
+    )
+    finals = heterogeneous_closeness_sweep(
+        groups,
+        [b - start_cost for b in budgets],
+        unit_costs,
+        group_onhold_latency,
+        phase2,
+        [(utopias[b].o1, utopias[b].o2) for b in budgets],
+        phase1_tables=tables,
+    )
+    return finals, utopias, phase2, tables
+
+
+def _group_allocation(problem: HTuningProblem, final) -> tuple[dict, Allocation]:
+    groups = problem.groups()
+    group_prices = {g.key: final[i] for i, g in enumerate(groups)}
+    allocation = Allocation.from_group_prices(problem, group_prices)
+    problem.validate_allocation(allocation)
+    return group_prices, allocation
+
+
 def heterogeneous_algorithm(
     problem: HTuningProblem,
     return_details: bool = False,
@@ -68,7 +123,9 @@ def heterogeneous_algorithm(
 
     Works on any instance (Scenario III is its target; on Scenario I/II
     instances the O2 penalty is uniform across groups and HA degrades
-    gracefully toward RA's behaviour).
+    gracefully toward RA's behaviour).  This is
+    :func:`heterogeneous_algorithm_sweep`'s body over the one budget
+    ``problem.budget``.
 
     Parameters
     ----------
@@ -84,44 +141,17 @@ def heterogeneous_algorithm(
     InfeasibleAllocationError
         If the budget cannot give every repetition one unit.
     """
-    groups = problem.groups()
-    unit_costs = tuple(g.unit_cost for g in groups)
-    start_cost = sum(unit_costs)
-    if problem.budget < start_cost:
-        raise InfeasibleAllocationError(problem.budget, start_cost)
-
-    from ..perf.dp import heterogeneous_price_scan
-
-    utopia = utopia_point(problem)
-    n = len(groups)
-    residual = problem.budget - start_cost
-
-    # Phase-2 expectations are price-independent: cache them once.
-    phase2 = tuple(group_processing_latency(g) for g in groups)
-
-    # The scan precomputes dense phase-1 tables over every reachable
-    # price and reads table entries instead of growing per-group
-    # ladders; it hands the tables back for the diagnostics below.
-    final, phase1_tables = heterogeneous_price_scan(
-        groups,
-        residual,
-        unit_costs,
-        group_onhold_latency,
-        phase2,
-        utopia.o1,
-        utopia.o2,
-    )
-    group_prices = {g.key: final[i] for i, g in enumerate(groups)}
-    allocation = Allocation.from_group_prices(problem, group_prices)
-    problem.validate_allocation(allocation)
+    budget = problem.budget
+    (final,), utopias, phase2, tables = _ha_sweep(problem.groups(), [budget])
+    group_prices, allocation = _group_allocation(problem, final)
     if not return_details:
         return allocation
-    p1 = [float(phase1_tables[i][final[i] - 1]) for i in range(n)]
+    p1 = [float(t[p - 1]) for t, p in zip(tables, final)]
     achieved = ObjectivePoint(
         o1=sum(p1),
-        o2=max(p1[i] + phase2[i] for i in range(n)),
+        o2=max(v + ph2 for v, ph2 in zip(p1, phase2)),
     )
-    return HAResult(allocation, group_prices, utopia, achieved)
+    return HAResult(allocation, group_prices, utopias[budget], achieved)
 
 
 def heterogeneous_algorithm_sweep(
@@ -131,52 +161,18 @@ def heterogeneous_algorithm_sweep(
     """Run Algorithm 3 (HA) for every budget of a sweep in one pass.
 
     *family* is a :class:`~repro.workloads.families.ProblemFamily`.
-    Every ingredient is shared across the sweep: the utopia points
-    (one multi-budget DP + one recorded greedy walk,
-    :func:`~repro.core.objectives.utopia_point_sweep`), the
-    price-independent phase-2 expectations, the dense phase-1 tables
-    (built once at the largest budget), and — via
-    :func:`~repro.perf.dp.heterogeneous_closeness_sweep` — the
-    closeness scan itself: one shared trajectory evaluates each
-    candidate's raw objective once per budget level, and only the
-    cheap per-budget closeness comparison (against budget-specific
-    utopia coordinates) replays per budget.  A budget whose last-ulp
-    tie breaks differently forks into a private seed-exact
-    continuation, so each returned allocation is **bit-identical** to
-    ``heterogeneous_algorithm(family.problem_at(b))``.
+    The closeness scan walks one shared trajectory that evaluates each
+    candidate's raw objective once per budget level; only the cheap
+    per-budget closeness comparison (against budget-specific utopia
+    coordinates) replays per budget.  A budget whose last-ulp tie
+    breaks differently forks into a private seed-exact continuation.
+    Each returned allocation equals
+    ``heterogeneous_algorithm(family.problem_at(b))`` by construction:
+    both run this one body.
     """
-    from ..perf.dp import group_cost_table, heterogeneous_closeness_sweep
-
     budgets = [int(b) for b in budgets]
-    groups = family.groups
-    unit_costs = tuple(g.unit_cost for g in groups)
-    start_cost = sum(unit_costs)
-    for b in budgets:
-        if b < start_cost:
-            raise InfeasibleAllocationError(b, start_cost)
-
-    utopias = utopia_point_sweep(family, budgets)
-    phase2 = tuple(group_processing_latency(g) for g in groups)
-    max_residual = max(budgets) - start_cost
-    tables = [
-        group_cost_table(g, 2 + max_residual // u, group_onhold_latency)
-        for g, u in zip(groups, unit_costs)
-    ]
-
-    finals = heterogeneous_closeness_sweep(
-        groups,
-        [b - start_cost for b in budgets],
-        unit_costs,
-        group_onhold_latency,
-        phase2,
-        [(utopias[b].o1, utopias[b].o2) for b in budgets],
-        phase1_tables=tables,
-    )
-    out: dict[int, Allocation] = {}
-    for b, final in zip(budgets, finals):
-        problem = family.problem_at(b)
-        group_prices = {g.key: final[i] for i, g in enumerate(groups)}
-        allocation = Allocation.from_group_prices(problem, group_prices)
-        problem.validate_allocation(allocation)
-        out[b] = allocation
-    return out
+    finals, _, _, _ = _ha_sweep(family.groups, budgets)
+    return {
+        b: _group_allocation(family.problem_at(b), final)[1]
+        for b, final in zip(budgets, finals)
+    }

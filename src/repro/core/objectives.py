@@ -14,6 +14,14 @@ The compromise solution minimizes the **closeness**
 ``CL = ‖OP − UP‖₁`` (Definition 6, "first order distance"), where the
 **utopia point** ``UP = (O1*, O2*)`` collects each objective's
 independent optimum under the budget (Definition 4).
+
+The utopia point has one body, a sweep over a list of budgets: O1*
+reads Algorithm 2's one-pass DP
+(:func:`repro.perf.dp.budget_indexed_dp_sweep`) and O2* one greedy
+minimax walk.  :func:`utopia_point` runs it over ``[problem.budget]``
+and :func:`utopia_point_sweep` over a family's budgets, so the two
+agree by construction.  The seed per-budget greedy survives only as
+the oracle :func:`repro.perf.reference.reference_minimize_o2_prices`.
 """
 
 from __future__ import annotations
@@ -21,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..errors import InfeasibleAllocationError, ModelError
+from ..errors import InfeasibleAllocationError
 from .latency import group_onhold_latency, group_processing_latency
-from .problem import HTuningProblem, TaskGroup
-from .repetition import budget_indexed_dp
+from .problem import HTuningProblem
 
 __all__ = [
     "objective_o1",
@@ -62,110 +69,80 @@ class ObjectivePoint:
         return abs(self.o1 - other.o1) + abs(self.o2 - other.o2)
 
 
-def _minimize_o2_prices(problem: HTuningProblem) -> dict[tuple, int]:
-    """Minimize the max-group total latency within budget.
+def _phase2(groups) -> list[float]:
+    """Each group's price-independent ``E[L2(g_i)]``."""
+    return [group_processing_latency(g) for g in groups]
+
+
+def _min_o2_sweep(groups, budgets: list[int], phase2) -> dict[int, float]:
+    """O2* of every budget: the greedy minimax allocation, one walk.
 
     Greedy minimax: every affordable unit of budget goes to the group
     currently attaining the maximum (raising any other group's price
     cannot lower the max).  Each step strictly lowers the argmax
     group's latency, so the procedure reaches the minimax optimum for
-    decreasing per-group latencies.
+    decreasing per-group latencies.  When the argmax group is
+    unaffordable the greedy stops, even if another group still is: any
+    other spend leaves O2 unchanged.
+
+    The bump sequence depends only on its own history, never on the
+    budget — the budget only decides where the walk *stops*.  So one
+    walk serves every budget: each budget's O2* is the max group total
+    at the first bump it cannot afford.
     """
-    groups = problem.groups()
-    start_cost = sum(g.unit_cost for g in groups)
-    if problem.budget < start_cost:
-        raise InfeasibleAllocationError(problem.budget, start_cost)
-    prices = {g.key: 1 for g in groups}
-    totals = {
-        g.key: group_onhold_latency(g, 1) + group_processing_latency(g)
-        for g in groups
-    }
-    residual = problem.budget - start_cost
-    while True:
-        # Group attaining the current max, among those still affordable.
-        affordable = [g for g in groups if g.unit_cost <= residual]
-        if not affordable:
-            break
-        worst = max(groups, key=lambda g: totals[g.key])
-        if worst.unit_cost > residual:
-            # Cannot improve the bottleneck group; any other spend
-            # leaves O2 unchanged, so stop.
-            break
-        prices[worst.key] += 1
-        totals[worst.key] = (
-            group_onhold_latency(worst, prices[worst.key])
-            + group_processing_latency(worst)
-        )
-        residual -= worst.unit_cost
-    return prices
-
-
-def _minimize_o2_prices_sweep(
-    groups, budgets: list[int]
-) -> dict[int, dict[tuple, int]]:
-    """:func:`_minimize_o2_prices` for every budget of a sweep, one walk.
-
-    The greedy's bump sequence depends only on its own history (each
-    step raises whichever group currently attains the max), never on
-    the remaining budget — the residual only decides where the walk
-    *stops*.  So one walk to ``max(budgets)`` records the bump
-    sequence, and every budget's prices are the prefix it can afford:
-    identical, bump for bump, to running the per-budget greedy.
-    """
-    start_cost = sum(g.unit_cost for g in groups)
+    unit_costs = [g.unit_cost for g in groups]
+    start_cost = sum(unit_costs)
     for b in budgets:
         if b < start_cost:
             raise InfeasibleAllocationError(b, start_cost)
-    totals = {
-        g.key: group_onhold_latency(g, 1) + group_processing_latency(g)
-        for g in groups
-    }
-    prices = {g.key: 1 for g in groups}
-    residual = max(budgets) - start_cost
-    bumps: list[tuple[tuple, int]] = []  # (group key, unit cost)
+    totals = [group_onhold_latency(g, 1) + t for g, t in zip(groups, phase2)]
+    prices = [1] * len(groups)
+    pending = sorted(set(budgets), reverse=True)  # smallest budget last
+    out: dict[int, float] = {}
+    spent = 0
     while True:
-        affordable = [g for g in groups if g.unit_cost <= residual]
-        if not affordable:
+        top = max(totals)
+        worst = totals.index(top)  # first group attaining the max
+        while pending and start_cost + spent + unit_costs[worst] > pending[-1]:
+            out[pending.pop()] = top
+        if not pending:
             break
-        worst = max(groups, key=lambda g: totals[g.key])
-        if worst.unit_cost > residual:
-            break
-        prices[worst.key] += 1
-        totals[worst.key] = (
-            group_onhold_latency(worst, prices[worst.key])
-            + group_processing_latency(worst)
+        prices[worst] += 1
+        totals[worst] = (
+            group_onhold_latency(groups[worst], prices[worst]) + phase2[worst]
         )
-        bumps.append((worst.key, worst.unit_cost))
-        residual -= worst.unit_cost
-    out: dict[int, dict[tuple, int]] = {}
-    for b in budgets:
-        p = {g.key: 1 for g in groups}
-        r = b - start_cost
-        for key, cost in bumps:
-            # The per-budget greedy stops at the first bump it cannot
-            # afford (the bump target is the current max either way).
-            if cost > r:
-                break
-            p[key] += 1
-            r -= cost
-        out[b] = p
+        spent += unit_costs[worst]
     return out
+
+
+def _utopia_points(
+    groups, budgets: list[int], phase2
+) -> dict[int, ObjectivePoint]:
+    """The utopia point of every budget over one grouping, in one pass."""
+    from ..perf.dp import budget_indexed_dp_sweep
+
+    o1_prices = budget_indexed_dp_sweep(groups, budgets, group_onhold_latency)
+    o2 = _min_o2_sweep(groups, budgets, phase2)
+    return {
+        b: ObjectivePoint(
+            o1=sum(group_onhold_latency(g, o1_prices[b][g.key]) for g in groups),
+            o2=o2[b],
+        )
+        for b in budgets
+    }
 
 
 def utopia_point(problem: HTuningProblem) -> ObjectivePoint:
     """``UP = (O1*, O2*)`` — each objective optimized independently.
 
     O1* reuses Algorithm 2's DP (the O1 objective *is* the Scenario II
-    objective); O2* uses the greedy minimax allocation.
+    objective); O2* uses the greedy minimax allocation.  This is
+    :func:`utopia_point_sweep`'s body over the one budget
+    ``problem.budget``.
     """
-    o1_prices = budget_indexed_dp(
-        problem.groups(), problem.budget, group_onhold_latency
-    )
-    o2_prices = _minimize_o2_prices(problem)
-    return ObjectivePoint(
-        o1=objective_o1(problem, o1_prices),
-        o2=objective_o2(problem, o2_prices),
-    )
+    groups = problem.groups()
+    budget = problem.budget
+    return _utopia_points(groups, [budget], _phase2(groups))[budget]
 
 
 def utopia_point_sweep(family, budgets) -> dict[int, ObjectivePoint]:
@@ -173,25 +150,12 @@ def utopia_point_sweep(family, budgets) -> dict[int, ObjectivePoint]:
 
     O1* comes from a single multi-budget DP
     (:func:`repro.perf.dp.budget_indexed_dp_sweep`); O2* from a single
-    recorded greedy walk (:func:`_minimize_o2_prices_sweep`).  Each
-    entry is bit-identical to ``utopia_point(family.problem_at(b))``.
+    greedy walk.  Each entry equals
+    ``utopia_point(family.problem_at(b))`` by construction: both run
+    this one body.
     """
-    from ..perf.dp import budget_indexed_dp_sweep
-
-    budgets = [int(b) for b in budgets]
     groups = family.groups
-    o1_by_budget = budget_indexed_dp_sweep(
-        groups, budgets, group_onhold_latency
-    )
-    o2_by_budget = _minimize_o2_prices_sweep(groups, budgets)
-    out: dict[int, ObjectivePoint] = {}
-    for b in budgets:
-        problem = family.problem_at(b)
-        out[b] = ObjectivePoint(
-            o1=objective_o1(problem, o1_by_budget[b]),
-            o2=objective_o2(problem, o2_by_budget[b]),
-        )
-    return out
+    return _utopia_points(groups, [int(b) for b in budgets], _phase2(groups))
 
 
 def closeness(

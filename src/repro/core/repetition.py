@@ -20,6 +20,11 @@ greedy, states reached through different group-increment orders
 compete), and under the convex decreasing group latencies of the
 linear pricing hypothesis it attains the separable optimum — tests
 certify this against :func:`repro.core.exhaustive.exact_group_dp`.
+
+RA has one body: :func:`repetition_algorithm` and
+:func:`repetition_algorithm_sweep` both read the levels they need off
+one :func:`repro.perf.dp.budget_indexed_dp_sweep` pass (over
+``[problem.budget]`` for a single problem).
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ def budget_indexed_dp(
     structurally between states, so memory stays ``O(B'·n)``.  The
     sweep itself runs on :mod:`repro.perf.dp`'s precomputed cost
     tables — bit-identical price vectors to the seed scan (certified
-    against :func:`repro.perf.reference.reference_budget_indexed_dp`),
-    several times faster, and with a one-pass multi-budget variant in
+    against :func:`repro.perf.reference.reference_budget_indexed_dp`)
+    and several times faster; it is one level of
     :func:`repro.perf.dp.budget_indexed_dp_sweep`.
     """
     from ..perf.dp import budget_indexed_dp_fast
@@ -80,8 +85,9 @@ def greedy_marginal_allocation(
     """Single-path greedy variant (best marginal gain per increment).
 
     Faster than the full DP (``O(ΣΔp · n)`` instead of ``O(B'·n)``)
-    and optimal when all unit costs are equal; kept as the fast path
-    for Scenario I-like instances and as an ablation reference.
+    and optimal when all unit costs are equal.  No solver calls it: it
+    is an ablation reference for the tests and
+    ``benchmarks/bench_ablation_optimality.py``.
     """
     if not groups:
         raise ModelError("need at least one group")
@@ -116,6 +122,28 @@ def greedy_marginal_allocation(
     return prices
 
 
+def _ra_sweep(groups, budgets: list[int], problem_at) -> dict[int, Allocation]:
+    """Algorithm 2's one body: read every budget off one DP pass.
+
+    ``problem_at(budget)`` names the problem each allocation is built
+    and validated against.
+    """
+    from ..perf.dp import budget_indexed_dp_sweep
+
+    prices_by_budget = budget_indexed_dp_sweep(
+        groups, budgets, group_onhold_latency
+    )
+    out: dict[int, Allocation] = {}
+    for budget in budgets:
+        problem = problem_at(budget)
+        allocation = Allocation.from_group_prices(
+            problem, prices_by_budget[budget]
+        )
+        problem.validate_allocation(allocation)
+        out[budget] = allocation
+    return out
+
+
 def repetition_algorithm(
     problem: HTuningProblem,
     strict_scenario: bool = True,
@@ -124,6 +152,8 @@ def repetition_algorithm(
 
     Returns an allocation with a uniform per-repetition price inside
     each repetition group, minimizing ``Σ_i E[L1(g_i)]`` within budget.
+    This is :func:`repetition_algorithm_sweep`'s body over the one
+    budget ``problem.budget``.
 
     Raises
     ------
@@ -133,11 +163,8 @@ def repetition_algorithm(
         If ``strict_scenario`` and the instance is Scenario III.
     """
     _check_scenario(problem, strict_scenario)
-    groups = problem.groups()
-    prices = budget_indexed_dp(groups, problem.budget, group_onhold_latency)
-    allocation = Allocation.from_group_prices(problem, prices)
-    problem.validate_allocation(allocation)
-    return allocation
+    budget = problem.budget
+    return _ra_sweep(problem.groups(), [budget], lambda _b: problem)[budget]
 
 
 def repetition_algorithm_sweep(
@@ -151,21 +178,9 @@ def repetition_algorithm_sweep(
     DP state at budget level ``x`` never depends on the terminal
     budget, so one pass to ``max(budgets)`` serves every budget
     (:func:`repro.perf.dp.budget_indexed_dp_sweep`); each returned
-    allocation is **bit-identical** to
-    ``repetition_algorithm(family.problem_at(b), strict_scenario=False)``.
+    allocation equals
+    ``repetition_algorithm(family.problem_at(b), strict_scenario=False)``
+    by construction: both run this one body.
     """
-    from ..perf.dp import budget_indexed_dp_sweep
-
     budgets = [int(b) for b in budgets]
-    prices_by_budget = budget_indexed_dp_sweep(
-        family.groups, budgets, group_onhold_latency
-    )
-    out: dict[int, Allocation] = {}
-    for budget in budgets:
-        problem = family.problem_at(budget)
-        allocation = Allocation.from_group_prices(
-            problem, prices_by_budget[budget]
-        )
-        problem.validate_allocation(allocation)
-        out[budget] = allocation
-    return out
+    return _ra_sweep(family.groups, budgets, family.problem_at)

@@ -101,10 +101,10 @@ def budget_latency_frontier(
 
     *workload* is a :class:`~repro.workloads.families.ProblemFamily`
     or a legacy ``budget -> HTuningProblem`` closure.  With a family,
-    the tuner's strategy is resolved once and — when it is one of the
-    rng-free DP strategies (``ra``/``ha``) — every budget is tuned in
-    a single DP pass, with allocations bit-identical to per-budget
-    tuning.
+    the tuner's strategy is resolved once and — when it has a one-pass
+    sweep (:data:`~repro.core.tuner.SWEEP_STRATEGIES`) — every budget
+    is tuned in a single DP pass, with allocations bit-identical to
+    per-budget tuning.
 
     ``shared_grid=True`` scores all tuned allocations through
     :func:`repro.perf.batch.evaluate_allocations` on one shared
@@ -128,10 +128,10 @@ def budget_latency_frontier(
 
     swept: Optional[dict[int, Allocation]] = None
     if family is not None:
+        # Same tasks at every budget -> same resolved strategy; None
+        # when that strategy has no one-pass sweep.
         resolved = tuner.resolve_strategy(family.problem_at(budgets[0]))
-        if tuner.strategy != "auto" or resolved in ("ra", "ha"):
-            # Same tasks at every budget -> same resolved strategy.
-            swept = tune_budget_sweep(family, budgets, resolved)
+        swept = tune_budget_sweep(family, budgets, resolved)
 
     entries: list[tuple[int, HTuningProblem, Allocation, str]] = []
     for budget in budgets:

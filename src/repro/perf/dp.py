@@ -15,9 +15,11 @@ to the reference implementation for any cost function.
 at budget level ``x`` never depends on the terminal budget, so one pass
 to the largest requested budget serves every smaller budget for free —
 a budget sweep over one fixed task set costs one DP instead of one per
-budget level.  (The Fig. 2 harness rebuilds its problem per budget
-through a workload factory, so it does not route through the sweep
-yet; see the ROADMAP open item.)
+budget level.  It is the only DP body: :func:`budget_indexed_dp_fast`
+is its read of one budget, and the Fig. 2 harness, the frontiers and
+the tuners all reach it.  Likewise :func:`heterogeneous_closeness_sweep`
+is the only Algorithm-3 scan; :func:`heterogeneous_price_scan` is its
+one-budget slice.
 """
 
 from __future__ import annotations
@@ -53,6 +55,15 @@ def group_cost_table(
     )
 
 
+def _cost_tables(groups, residual: int, unit_costs, group_cost_fn):
+    """Dense cost tables over every price reachable within *residual*
+    (one extra entry so the marginal of the top price is defined)."""
+    return [
+        group_cost_table(g, 2 + residual // u, group_cost_fn)
+        for g, u in zip(groups, unit_costs)
+    ]
+
+
 def _prepare(groups, budget: int):
     if not groups:
         raise ModelError("need at least one group")
@@ -71,12 +82,7 @@ def _run_dp(groups, residual: int, unit_costs, group_cost_fn):
     level, to the seed implementation's states.
     """
     n = len(groups)
-    # Dense cost tables over every price reachable within `residual`
-    # (one extra entry so the marginal of the top price is defined).
-    tables = [
-        group_cost_table(g, 2 + residual // u, group_cost_fn)
-        for g, u in zip(groups, unit_costs)
-    ]
+    tables = _cost_tables(groups, residual, unit_costs, group_cost_fn)
     # gain[i][p-1] = E_i(p) − E_i(p+1): the marginal of buying group i
     # one increment from price p.  Python lists: the scan below reads
     # single entries, where list indexing beats 0-d numpy access.
@@ -117,16 +123,16 @@ def budget_indexed_dp_fast(
     budget: int,
     group_cost_fn: Callable,
 ) -> dict[tuple, int]:
-    """Algorithm 2's DP with precomputed cost tables.
+    """Algorithm 2's DP with precomputed cost tables, for one budget.
 
     Same contract and bit-identical output as the seed
     ``budget_indexed_dp``; ``group_cost_fn(group, price)`` must be
     evaluable for every price up to ``1 + ⌊(B − Σu_i)/u_i⌋ + 1`` (the
-    tables are built eagerly).
+    tables are built eagerly).  This is :func:`budget_indexed_dp_sweep`
+    read at its one budget.
     """
-    unit_costs, _start, residual = _prepare(groups, budget)
-    final = _run_dp(groups, residual, unit_costs, group_cost_fn)[residual]
-    return {g.key: final[i] for i, g in enumerate(groups)}
+    (prices,) = budget_indexed_dp_sweep(groups, [budget], group_cost_fn).values()
+    return prices
 
 
 def budget_indexed_dp_sweep(
@@ -138,19 +144,17 @@ def budget_indexed_dp_sweep(
 
     The DP state at level ``x`` is the same whatever the terminal
     budget, so a single run to ``max(budgets)`` yields every requested
-    budget's price vector by reading the matching level — each entry is
-    bit-identical to an individual ``budget_indexed_dp`` call.
+    budget's price vector by reading the matching level.  This is the
+    one DP body: a single-budget call reads one level of it.
     """
     budgets = [int(b) for b in budgets]
     if not budgets:
         raise ModelError("budget sweep needs at least one budget")
-    unit_costs, start_cost, _ = _prepare(groups, max(budgets))
+    unit_costs, start_cost, top_residual = _prepare(groups, max(budgets))
     for b in budgets:
         if b < start_cost:
             raise InfeasibleAllocationError(b, start_cost)
-    prices_at = _run_dp(
-        groups, max(budgets) - start_cost, unit_costs, group_cost_fn
-    )
+    prices_at = _run_dp(groups, top_residual, unit_costs, group_cost_fn)
     out: dict[int, dict[tuple, int]] = {}
     for b in budgets:
         final = prices_at[b - start_cost]
@@ -166,40 +170,26 @@ def heterogeneous_price_scan(
     phase2: Sequence[float],
     utopia_o1: float,
     utopia_o2: float,
-    phase1_tables: Sequence[np.ndarray] | None = None,
 ) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Algorithm 3's budget scan over precomputed latency tables.
-
-    Builds its own dense phase-1 tables from *group_cost_fn* (same
-    reachable-price sizing as :func:`budget_indexed_dp_fast`, so the
-    invariant lives in one place) and returns ``(prices, tables)`` —
-    the tables let the caller read achieved objective values without
-    re-evaluating the cost function.  The candidate order and tie
-    margin replicate the seed loop in
-    :mod:`repro.core.heterogeneous`, so the returned price vector is
-    bit-identical; the closeness of each candidate is evaluated from
-    table entries in one fused pass instead of rebuilding per-group
-    latency lists through ladder calls.
-
-    ``phase1_tables`` may be passed in by multi-budget callers; each
-    table must cover at least ``2 + residual // unit_cost`` prices.
-    Larger tables read the same entries, so sharing keeps results
-    bit-identical.  The scan itself is the single-budget slice of
+    """Algorithm 3's budget scan for one budget: the one-budget slice of
     :func:`heterogeneous_closeness_sweep`.
+
+    Builds the dense phase-1 tables from *group_cost_fn* (same
+    reachable-price sizing as :func:`budget_indexed_dp_fast`) and
+    returns ``(prices, tables)`` — the tables let the caller read
+    achieved objective values without re-evaluating the cost function.
     """
-    phase1_tables = _check_phase1_tables(
-        groups, residual, unit_costs, group_cost_fn, phase1_tables
-    )
-    finals = heterogeneous_closeness_sweep(
+    tables = _cost_tables(groups, residual, unit_costs, group_cost_fn)
+    (final,) = heterogeneous_closeness_sweep(
         groups,
         [residual],
         unit_costs,
         group_cost_fn,
         phase2,
         [(utopia_o1, utopia_o2)],
-        phase1_tables=phase1_tables,
+        phase1_tables=tables,
     )
-    return finals[0], phase1_tables
+    return final, tables
 
 
 def _check_phase1_tables(
@@ -207,10 +197,7 @@ def _check_phase1_tables(
 ):
     """Build dense phase-1 tables, or validate caller-shared ones."""
     if phase1_tables is None:
-        return [
-            group_cost_table(g, 2 + residual // u, group_cost_fn)
-            for g, u in zip(groups, unit_costs)
-        ]
+        return _cost_tables(groups, residual, unit_costs, group_cost_fn)
     phase1_tables = list(phase1_tables)
     for t, u in zip(phase1_tables, unit_costs):
         if len(t) < 2 + residual // u:

@@ -22,6 +22,7 @@ __all__ = [
     "reference_sample_job_latencies",
     "reference_budget_indexed_dp",
     "reference_heterogeneous_prices",
+    "reference_minimize_o2_prices",
     "reference_completion_probability",
     "reference_latency_quantile",
     "reference_min_cost_for_deadline",
@@ -443,10 +444,58 @@ def reference_min_cost_for_deadline(
     )
 
 
-def reference_heterogeneous_prices(problem) -> dict[tuple, int]:
-    """Seed Algorithm-3 price computation (ladder-based closeness scan)."""
+def reference_minimize_o2_prices(problem) -> dict[tuple, int]:
+    """Seed ``_minimize_o2_prices``: the per-budget O2 greedy.
+
+    Minimize the max-group total latency within budget.
+
+    Greedy minimax: every affordable unit of budget goes to the group
+    currently attaining the maximum (raising any other group's price
+    cannot lower the max).  Each step strictly lowers the argmax
+    group's latency, so the procedure reaches the minimax optimum for
+    decreasing per-group latencies.
+    """
     from ..core.latency import group_onhold_latency, group_processing_latency
-    from ..core.objectives import utopia_point
+
+    groups = problem.groups()
+    start_cost = sum(g.unit_cost for g in groups)
+    if problem.budget < start_cost:
+        raise InfeasibleAllocationError(problem.budget, start_cost)
+    prices = {g.key: 1 for g in groups}
+    totals = {
+        g.key: group_onhold_latency(g, 1) + group_processing_latency(g)
+        for g in groups
+    }
+    residual = problem.budget - start_cost
+    while True:
+        # Group attaining the current max, among those still affordable.
+        affordable = [g for g in groups if g.unit_cost <= residual]
+        if not affordable:
+            break
+        worst = max(groups, key=lambda g: totals[g.key])
+        if worst.unit_cost > residual:
+            # Cannot improve the bottleneck group; any other spend
+            # leaves O2 unchanged, so stop.
+            break
+        prices[worst.key] += 1
+        totals[worst.key] = (
+            group_onhold_latency(worst, prices[worst.key])
+            + group_processing_latency(worst)
+        )
+        residual -= worst.unit_cost
+    return prices
+
+
+def reference_heterogeneous_prices(problem) -> dict[tuple, int]:
+    """Seed Algorithm-3 price computation (ladder-based closeness scan).
+
+    Its utopia point comes from the seed parts too
+    (:func:`reference_budget_indexed_dp` and
+    :func:`reference_minimize_o2_prices`), so the oracle shares no
+    solver code with the production path it certifies.
+    """
+    from ..core.latency import group_onhold_latency, group_processing_latency
+    from ..core.objectives import ObjectivePoint, objective_o1, objective_o2
 
     groups = problem.groups()
     unit_costs = tuple(g.unit_cost for g in groups)
@@ -454,7 +503,15 @@ def reference_heterogeneous_prices(problem) -> dict[tuple, int]:
     if problem.budget < start_cost:
         raise InfeasibleAllocationError(problem.budget, start_cost)
 
-    utopia = utopia_point(problem)
+    utopia = ObjectivePoint(
+        o1=objective_o1(
+            problem,
+            reference_budget_indexed_dp(
+                groups, problem.budget, group_onhold_latency
+            ),
+        ),
+        o2=objective_o2(problem, reference_minimize_o2_prices(problem)),
+    )
     n = len(groups)
     phase2 = tuple(group_processing_latency(g) for g in groups)
     ladders: list[list[float]] = [[group_onhold_latency(g, 1)] for g in groups]

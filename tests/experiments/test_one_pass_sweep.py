@@ -4,7 +4,9 @@ The hard contract: routing ``Fig2Spec`` / ``run_budget_sweep``
 through :class:`~repro.workloads.families.ProblemFamily` and the
 one-pass DP sweep must produce **byte-identical** results to the
 historical per-budget rebuild path, for every scenario and scoring
-backend.
+backend.  A single-budget solver runs the same sweep body, so the
+one-pass tuners are certified against the seed oracles in
+:mod:`repro.perf.reference` instead.
 """
 
 from __future__ import annotations
@@ -14,20 +16,31 @@ import functools
 import numpy as np
 import pytest
 
+from repro import TaskSpec
 from repro.core import (
+    Allocation,
+    ObjectivePoint,
     Tuner,
-    heterogeneous_algorithm,
     heterogeneous_algorithm_sweep,
-    repetition_algorithm,
+    objective_o1,
+    objective_o2,
     repetition_algorithm_sweep,
     tune_budget_sweep,
     utopia_point,
     utopia_point_sweep,
 )
 from repro.api import Fig2Spec, RunConfig, Session
+from repro.core.latency import group_onhold_latency, group_processing_latency
 from repro.errors import InfeasibleAllocationError
 from repro.experiments import budget_latency_frontier, run_budget_sweep
+from repro.market import LinearPricing
+from repro.perf.reference import (
+    reference_budget_indexed_dp,
+    reference_heterogeneous_prices,
+    reference_minimize_o2_prices,
+)
 from repro.workloads import (
+    ProblemFamily,
     heterogeneous_family,
     heterogeneous_workload,
     homogeneity_workload,
@@ -50,29 +63,47 @@ _SCENARIO_STRATEGIES = {
 }
 
 
+def reference_utopia_point(problem) -> ObjectivePoint:
+    """The utopia point built from the seed parts only."""
+    o1_prices = reference_budget_indexed_dp(
+        problem.groups(), problem.budget, group_onhold_latency
+    )
+    return ObjectivePoint(
+        o1=objective_o1(problem, o1_prices),
+        o2=objective_o2(problem, reference_minimize_o2_prices(problem)),
+    )
+
+
 class TestOnePassTuners:
     def test_ra_sweep_bit_identical(self):
         family = repetition_family(n_tasks=20)
         sweep = repetition_algorithm_sweep(family, BUDGETS)
         for budget in BUDGETS:
-            reference = repetition_algorithm(
-                family.problem_at(budget), strict_scenario=False
+            problem = family.problem_at(budget)
+            reference = reference_budget_indexed_dp(
+                family.groups, budget, group_onhold_latency
             )
-            assert sweep[budget] == reference
+            assert sweep[budget] == Allocation.from_group_prices(
+                problem, reference
+            )
 
     def test_ha_sweep_bit_identical(self):
         family = heterogeneous_family(n_tasks=20)
         sweep = heterogeneous_algorithm_sweep(family, BUDGETS)
         for budget in BUDGETS:
-            assert sweep[budget] == heterogeneous_algorithm(
-                family.problem_at(budget)
+            problem = family.problem_at(budget)
+            reference = reference_heterogeneous_prices(problem)
+            assert sweep[budget] == Allocation.from_group_prices(
+                problem, reference
             )
 
     def test_utopia_sweep_bit_identical(self):
         family = heterogeneous_family(n_tasks=16)
         sweep = utopia_point_sweep(family, BUDGETS)
         for budget in BUDGETS:
-            assert sweep[budget] == utopia_point(family.problem_at(budget))
+            assert sweep[budget] == reference_utopia_point(
+                family.problem_at(budget)
+            )
 
     def test_tune_budget_sweep_registry(self):
         family = repetition_family(n_tasks=10)
@@ -91,6 +122,71 @@ class TestOnePassTuners:
             heterogeneous_algorithm_sweep(
                 heterogeneous_family(n_tasks=20), [10, 2000]
             )
+
+
+def _mixed_cost_tasks(rng):
+    """Random groups whose unit costs (size × repetitions) differ."""
+    tasks, tid = [], 0
+    for gi in range(int(rng.integers(2, 5))):
+        reps = int(rng.integers(1, 5))
+        pricing = LinearPricing(
+            slope=float(rng.uniform(0.2, 4.0)),
+            intercept=float(rng.uniform(0.2, 2.0)),
+        )
+        proc = float(rng.uniform(0.3, 3.0))
+        for _ in range(int(rng.integers(1, 5))):
+            tasks.append(TaskSpec(tid, reps, pricing, proc, type_name=f"t{gi}"))
+            tid += 1
+    return tasks
+
+
+def _stops_with_an_affordable_group(problem) -> bool:
+    """Did the O2 greedy stop on an unaffordable argmax group while a
+    cheaper group could still be bought?"""
+    prices = reference_minimize_o2_prices(problem)
+    groups = problem.groups()
+    totals = [
+        group_onhold_latency(g, prices[g.key]) + group_processing_latency(g)
+        for g in groups
+    ]
+    worst = groups[totals.index(max(totals))]
+    residual = problem.budget - sum(g.unit_cost * prices[g.key] for g in groups)
+    return worst.unit_cost > residual >= min(g.unit_cost for g in groups)
+
+
+class TestUtopiaGreedyStopRule:
+    """The O2 greedy stops as soon as the group attaining the max is
+    unaffordable, even when another group is still affordable; the
+    one-walk sweep must stop at the same bump for every budget."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_single_and_sweep_equal_reference_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for _ in range(20):
+            family = ProblemFamily(_mixed_cost_tasks(rng))
+            floor = family.min_feasible_budget
+            span = range(floor, floor + 60)
+            stops = [
+                b for b in span
+                if _stops_with_an_affordable_group(family.problem_at(b))
+            ]
+            if not stops:
+                continue
+            budgets = sorted(
+                {stops[0], stops[-1], floor, int(rng.choice(list(span)))}
+            )
+            while len(budgets) < 4:
+                budgets.append(budgets[-1] + 1)
+            sweep = utopia_point_sweep(family, budgets)
+            for b in budgets:
+                problem = family.problem_at(b)
+                reference = reference_utopia_point(problem)
+                assert utopia_point(problem) == reference
+                assert sweep[b] == reference
+            checked += 1
+        # The random draws must reach the stop rule, or the test is void.
+        assert checked >= 5
 
 
 class TestSweepByteIdentity:

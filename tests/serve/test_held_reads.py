@@ -187,9 +187,13 @@ class TestHeldReads:
 
 class TestFinishedRunBound:
     def test_finished_records_are_bounded_in_flight_ones_kept(
-        self, svc, gate, monkeypatch
+        self, gate, monkeypatch
     ):
         monkeypatch.setattr(service_module, "FINISHED_RUNS", 1)
+        # One dispatch thread settles the pending runs in submission
+        # order, so the first one read is never the one evicted when
+        # the second settles.
+        svc = ReproService(workers=1)
 
         async def check():
             gate.set()
@@ -206,7 +210,10 @@ class TestFinishedRunBound:
             health = (await call(svc, "GET", "/health"))[1]
             assert health["runs"] == 1
 
-        run(check())
+        try:
+            run(check())
+        finally:
+            svc.close()
 
     def test_without_a_store_an_evicted_run_is_404(self, svc, monkeypatch):
         monkeypatch.setattr(service_module, "FINISHED_RUNS", 1)
