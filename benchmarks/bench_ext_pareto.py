@@ -8,23 +8,21 @@ inverse query ("cheapest budget for latency <= L").
 
 from __future__ import annotations
 
-import functools
-
 from repro.experiments import (
     budget_latency_frontier,
     format_table,
     min_budget_for_latency,
 )
-from repro.workloads import homogeneity_workload
+from repro.workloads import homogeneity_family
 
 
-FACTORY = functools.partial(homogeneity_workload, n_tasks=40, repetitions=3)
+FAMILY = homogeneity_family(n_tasks=40, repetitions=3)
 BUDGETS = (150, 300, 600, 1200, 2400, 4800, 9600)
 
 
 def test_budget_latency_frontier(benchmark, report):
     frontier = benchmark.pedantic(
-        lambda: budget_latency_frontier(FACTORY, budgets=BUDGETS),
+        lambda: budget_latency_frontier(FAMILY, budgets=BUDGETS),
         rounds=1,
         iterations=1,
     )
@@ -47,10 +45,10 @@ def test_budget_latency_frontier(benchmark, report):
 
 
 def test_inverse_query(report):
-    frontier = budget_latency_frontier(FACTORY, budgets=BUDGETS)
+    frontier = budget_latency_frontier(FAMILY, budgets=BUDGETS)
     target = frontier.latencies[3]  # achievable at BUDGETS[3]
     budget = min_budget_for_latency(
-        FACTORY, target_latency=target, budget_lo=BUDGETS[0],
+        FAMILY, target_latency=target, budget_lo=BUDGETS[0],
         budget_hi=BUDGETS[-1],
     )
     report(

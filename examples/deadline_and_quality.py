@@ -16,9 +16,7 @@ Run:  python examples/deadline_and_quality.py
 
 from __future__ import annotations
 
-import functools
-
-from repro import HTuningProblem, TaskSpec
+from repro import TaskSpec
 from repro.core import (
     min_cost_for_deadline,
     plan_repetitions,
@@ -26,6 +24,7 @@ from repro.core import (
 )
 from repro.experiments import budget_latency_frontier, format_table
 from repro.market import LinearPricing, TaskType
+from repro.workloads import ProblemFamily
 
 # --- 1. quality → repetitions ----------------------------------------
 easy = TaskType("easy-vote", processing_rate=2.0, accuracy=0.94)
@@ -37,12 +36,12 @@ print(f"Quality target {TARGET_QUALITY}:")
 for name, reps in plan.total_votes_per_task.items():
     print(f"  {name}: {reps} votes per question")
 
-# --- build the H-Tuning instance the plan implies ---------------------
+# --- the task set the plan implies, as one problem family -------------
+# A family holds the fixed task set; the frontier below tunes it at
+# many budgets, and the deadline step prices the same tasks.
 pricing = LinearPricing(slope=1.0, intercept=1.0)
-
-
-def build_problem(budget: int) -> HTuningProblem:
-    tasks = [
+family = ProblemFamily(
+    [
         TaskSpec(i, plan.for_type("easy-vote"), pricing,
                  easy.processing_rate, type_name=easy.name)
         for i in range(8)
@@ -51,12 +50,12 @@ def build_problem(budget: int) -> HTuningProblem:
                  hard.processing_rate, type_name=hard.name)
         for i in range(4)
     ]
-    return HTuningProblem(tasks, budget)
+)
 
 
 # --- 2. the tuned budget-latency frontier ------------------------------
 budgets = [b for b in (100, 200, 400, 800, 1600, 3200)]
-frontier = budget_latency_frontier(build_problem, budgets=budgets)
+frontier = budget_latency_frontier(family, budgets=budgets)
 knee = frontier.knee()
 print(
     "\n"
@@ -77,9 +76,9 @@ print(f"Diminishing returns set in around budget {knee.budget}.")
 # processing phase alone takes ~15 time units in expectation; a
 # feasible deadline must clear that.
 DEADLINE, CONFIDENCE = 30.0, 0.9
-tasks = build_problem(10_000).tasks  # the task list; budget is the output
+# The budget is the output here, so only the family's tasks are used.
 result = min_cost_for_deadline(
-    tasks, deadline=DEADLINE, confidence=CONFIDENCE, max_price=300
+    family.tasks, deadline=DEADLINE, confidence=CONFIDENCE, max_price=300
 )
 print(
     f"\nDeadline {DEADLINE} at {CONFIDENCE:.0%} confidence: "

@@ -72,10 +72,11 @@ class HAResult:
 def _ha_sweep(groups, budgets: list[int]):
     """Algorithm 3's one body: every budget of *budgets* over *groups*.
 
-    Shares every ingredient across the budgets: the utopia points (one
-    multi-budget DP + one greedy walk), the price-independent phase-2
-    expectations, the dense phase-1 tables (built once at the largest
-    budget), and — via
+    Shares every ingredient across the budgets: the dense phase-1
+    tables (built once at the largest budget, and read by both the
+    utopia points' O1 DP and the closeness scan), the utopia points
+    (one multi-budget DP + one greedy walk), the price-independent
+    phase-2 expectations, and — via
     :func:`~repro.perf.dp.heterogeneous_closeness_sweep` — the
     closeness scan itself.  Returns ``(finals, utopias, phase2,
     tables)``: the final price tuple per budget (in *budgets* order),
@@ -91,10 +92,10 @@ def _ha_sweep(groups, budgets: list[int]):
             raise InfeasibleAllocationError(b, start_cost)
 
     phase2 = _phase2(groups)
-    utopias = _utopia_points(groups, budgets, phase2)
     tables = _cost_tables(
         groups, max(budgets) - start_cost, unit_costs, group_onhold_latency
     )
+    utopias = _utopia_points(groups, budgets, phase2, tables)
     finals = heterogeneous_closeness_sweep(
         groups,
         [b - start_cost for b in budgets],

@@ -116,12 +116,17 @@ def _min_o2_sweep(groups, budgets: list[int], phase2) -> dict[int, float]:
 
 
 def _utopia_points(
-    groups, budgets: list[int], phase2
+    groups, budgets: list[int], phase2, tables=None
 ) -> dict[int, ObjectivePoint]:
-    """The utopia point of every budget over one grouping, in one pass."""
-    from ..perf.dp import budget_indexed_dp_sweep
+    """The utopia point of every budget over one grouping, in one pass.
 
-    o1_prices = budget_indexed_dp_sweep(groups, budgets, group_onhold_latency)
+    *tables* are the groups' dense phase-1 tables for ``max(budgets)``
+    when the caller already holds them (HA does); the O1 DP builds
+    them otherwise.
+    """
+    from ..perf.dp import _dp_sweep
+
+    o1_prices = _dp_sweep(groups, budgets, group_onhold_latency, tables)
     o2 = _min_o2_sweep(groups, budgets, phase2)
     return {
         b: ObjectivePoint(

@@ -17,20 +17,24 @@ ladders and profile tables across the whole grid.
 
 :func:`min_budget_for_latency` bridges the two framings: the cheapest
 budget whose *tuned expected latency* meets a target.
+
+All three take the fixed task set as a
+:class:`~repro.workloads.families.ProblemFamily`, the one workload
+shape of every sweep; the two budget-axis functions read its members
+through :meth:`~repro.workloads.families.ProblemFamily.problem_at`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.latency import expected_job_latency
-from ..core.problem import Allocation, HTuningProblem, TaskSpec
 from ..core.tuner import Tuner, tune_budget_sweep
 from ..errors import InfeasibleAllocationError, ModelError
-from ..workloads.families import ProblemFamily, as_problem_family
+from ..workloads.families import ProblemFamily, _require_family
 
 __all__ = [
     "FrontierPoint",
@@ -41,6 +45,21 @@ __all__ = [
     "deadline_cost_frontier",
     "min_budget_for_latency",
 ]
+
+
+def _knee_index(x: Sequence[float], y: Sequence[float]) -> int:
+    """Index of the diminishing-returns point of the curve ``(x, y)``:
+    the max vertical distance below the chord between the endpoints
+    (the classic 'kneedle' shape).  Curves under three points have no
+    interior, so their knee is the last point."""
+    if len(x) < 3:
+        return len(x) - 1
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_n = (x - x[0]) / max(x[-1] - x[0], 1e-12)
+    y_n = (y - y[-1]) / max(y[0] - y[-1], 1e-12)
+    chord = y_n[0] + (y_n[-1] - y_n[0]) * x_n
+    return int(np.argmax(chord - y_n))
 
 
 @dataclass(frozen=True)
@@ -76,100 +95,52 @@ class BudgetLatencyFrontier:
         return all(a >= b - tolerance for a, b in zip(lats, lats[1:]))
 
     def knee(self) -> FrontierPoint:
-        """Heuristic diminishing-returns point (max distance to the
-        chord between the endpoints, the classic 'kneedle' shape)."""
-        if len(self.points) < 3:
-            return self.points[-1]
-        x = np.asarray(self.budgets, dtype=float)
-        y = np.asarray(self.latencies, dtype=float)
-        x_n = (x - x[0]) / max(x[-1] - x[0], 1e-12)
-        y_n = (y - y[-1]) / max(y[0] - y[-1], 1e-12)
-        # Max vertical distance below the chord between the endpoints.
-        chord = y_n[0] + (y_n[-1] - y_n[0]) * x_n
-        idx = int(np.argmax(chord - y_n))
-        return self.points[idx]
+        """Heuristic diminishing-returns point (see :func:`_knee_index`)."""
+        return self.points[_knee_index(self.budgets, self.latencies)]
 
 
 def budget_latency_frontier(
-    workload: Union[ProblemFamily, Callable[[int], HTuningProblem]],
+    family: ProblemFamily,
     budgets: Sequence[int],
     tuner: Optional[Tuner] = None,
     include_processing: bool = True,
-    shared_grid: bool = False,
 ) -> BudgetLatencyFrontier:
-    """Tune each budget and score the exact expected job latency.
+    """Tune each budget of *family* and score the exact expected job
+    latency.
 
-    *workload* is a :class:`~repro.workloads.families.ProblemFamily`
-    or a legacy ``budget -> HTuningProblem`` closure.  With a family,
-    the tuner's strategy is resolved once and — when it has a one-pass
+    The tuner's strategy is resolved once and — when it has a one-pass
     sweep (:data:`~repro.core.tuner.SWEEP_STRATEGIES`) — every budget
     is tuned in a single DP pass, with allocations bit-identical to
     per-budget tuning.
-
-    ``shared_grid=True`` scores all tuned allocations through
-    :func:`repro.perf.batch.evaluate_allocations` on one shared
-    integration grid (family workloads only): the process-level cdf
-    cache then collapses repeated rate profiles across the whole
-    frontier.  Shared-grid values can differ from the default
-    per-budget :func:`~repro.core.latency.expected_job_latency` calls
-    by integration error (same kernel, different grid), so the default
-    stays per-budget.
     """
+    _require_family(family, "budget_latency_frontier")
     if not budgets:
         raise ModelError("need at least one budget")
-    builder, family = as_problem_family(workload)
-    if shared_grid and family is None:
-        raise ModelError(
-            "shared_grid scoring needs a ProblemFamily workload (one "
-            "problem shape across budgets)"
-        )
     budgets = sorted(int(b) for b in budgets)
     tuner = tuner or Tuner(seed=0)
+    # Same tasks at every budget -> same resolved strategy; None when
+    # that strategy has no one-pass sweep.
+    resolved = tuner.resolve_strategy(family.problem_at(budgets[0]))
+    swept = tune_budget_sweep(family, budgets, resolved)
 
-    swept: Optional[dict[int, Allocation]] = None
-    if family is not None:
-        # Same tasks at every budget -> same resolved strategy; None
-        # when that strategy has no one-pass sweep.
-        resolved = tuner.resolve_strategy(family.problem_at(budgets[0]))
-        swept = tune_budget_sweep(family, budgets, resolved)
-
-    entries: list[tuple[int, HTuningProblem, Allocation, str]] = []
+    points = []
     for budget in budgets:
-        problem = builder(budget)
-        if swept is not None:
+        problem = family.problem_at(budget)
+        if swept is None:
+            allocation = tuner.tune(problem)
+        else:
             allocation = swept[budget]
             problem.validate_allocation(allocation)
-        else:
-            allocation = tuner.tune(problem)
-        entries.append(
-            (budget, problem, allocation, tuner.resolve_strategy(problem))
+        latency = expected_job_latency(
+            problem, allocation, include_processing=include_processing
         )
-
-    if shared_grid:
-        from ..perf.batch import evaluate_allocations
-
-        # One problem instance covers every budget: latency depends on
-        # the allocation only, and sharing the instance lets the batch
-        # scorer put every candidate on one grid.
-        base = family.problem_at(budgets[-1])
-        latencies = evaluate_allocations(
-            base,
-            [allocation for _, _, allocation, _ in entries],
-            scoring="numeric",
-            include_processing=include_processing,
-        )
-    else:
-        latencies = [
-            expected_job_latency(
-                problem, allocation, include_processing=include_processing
+        points.append(
+            FrontierPoint(
+                budget=budget,
+                latency=float(latency),
+                strategy=tuner.resolve_strategy(problem),
             )
-            for _, problem, allocation, _ in entries
-        ]
-
-    points = [
-        FrontierPoint(budget=budget, latency=float(latency), strategy=strategy)
-        for (budget, _, _, strategy), latency in zip(entries, latencies)
-    ]
+        )
     return BudgetLatencyFrontier(points=tuple(points))
 
 
@@ -219,22 +190,20 @@ class DeadlineCostFrontier:
         return feasible[0] if feasible else None
 
     def knee(self) -> DeadlineFrontierPoint:
-        """Diminishing-returns deadline (same chord heuristic as the
-        budget frontier, on the feasible region)."""
+        """Diminishing-returns deadline (the budget frontier's chord
+        rule, :func:`_knee_index`, on the feasible region)."""
         feasible = self.feasible_points()
-        if len(feasible) < 3:
-            return feasible[-1] if feasible else self.points[-1]
-        x = np.asarray([p.deadline for p in feasible], dtype=float)
-        y = np.asarray([p.cost for p in feasible], dtype=float)
-        x_n = (x - x[0]) / max(x[-1] - x[0], 1e-12)
-        y_n = (y - y[-1]) / max(y[0] - y[-1], 1e-12)
-        chord = y_n[0] + (y_n[-1] - y_n[0]) * x_n
-        idx = int(np.argmax(chord - y_n))
-        return feasible[idx]
+        if not feasible:
+            return self.points[-1]
+        return feasible[
+            _knee_index(
+                [p.deadline for p in feasible], [p.cost for p in feasible]
+            )
+        ]
 
 
 def deadline_cost_frontier(
-    workload: Union[ProblemFamily, Iterable[TaskSpec]],
+    family: ProblemFamily,
     deadlines: Sequence[float],
     confidence: float = 0.9,
     max_price: int = 1_000,
@@ -243,9 +212,7 @@ def deadline_cost_frontier(
 ) -> DeadlineCostFrontier:
     """Cheapest spend per deadline — the dual of the budget frontier.
 
-    *workload* is a :class:`~repro.workloads.families.ProblemFamily`
-    (its task set is used; the budget axis is the output here) or any
-    iterable of :class:`~repro.core.problem.TaskSpec`.
+    Prices *family*'s task set; the budget axis is the output here.
 
     ``comparator`` resolves through the
     :func:`repro.perf.deadline.get_deadline_comparator` registry — a
@@ -258,16 +225,12 @@ def deadline_cost_frontier(
     """
     from ..perf.deadline import get_deadline_comparator
 
+    _require_family(family, "deadline_cost_frontier")
     if len(deadlines) == 0:
         raise ModelError("need at least one deadline")
-    tasks = (
-        workload.tasks
-        if isinstance(workload, ProblemFamily)
-        else tuple(workload)
-    )
     grid = sorted(float(d) for d in deadlines)
     by_deadline = get_deadline_comparator(comparator)(
-        tasks,
+        family.tasks,
         grid,
         confidence=confidence,
         max_price=max_price,
@@ -288,20 +251,22 @@ def deadline_cost_frontier(
 
 
 def min_budget_for_latency(
-    workload_factory: Callable[[int], HTuningProblem],
+    family: ProblemFamily,
     target_latency: float,
     budget_lo: int,
     budget_hi: int,
     tuner: Optional[Tuner] = None,
     include_processing: bool = True,
 ) -> Optional[int]:
-    """Cheapest budget in [lo, hi] whose tuned latency <= target.
+    """Cheapest budget in [lo, hi] of *family* whose tuned latency <=
+    target.
 
     Binary search — valid because the tuned latency is non-increasing
     in the budget (more money never hurts an optimal tuner; certified
     by tests).  Returns ``None`` when even *budget_hi* misses the
     target.
     """
+    _require_family(family, "min_budget_for_latency")
     if target_latency <= 0:
         raise ModelError(f"target_latency must be positive, got {target_latency}")
     if budget_lo > budget_hi:
@@ -309,7 +274,7 @@ def min_budget_for_latency(
     tuner = tuner or Tuner(seed=0)
 
     def latency_at(budget: int) -> float:
-        problem = workload_factory(budget)
+        problem = family.problem_at(budget)
         allocation = tuner.tune(problem)
         return expected_job_latency(
             problem, allocation, include_processing=include_processing

@@ -11,19 +11,16 @@ allocation's expected job latency.  Two scoring backends:
   (:func:`repro.core.latency.expected_job_latency`); noise-free, used
   by tests to check orderings without Monte-Carlo tolerance.
 
-Sweeps take their workload either as a
-:class:`~repro.workloads.families.ProblemFamily` (preferred — specs,
-pricing and groups are shared across budgets, and rng-free DP
-strategies are tuned for *all* budgets in one DP pass) or as a legacy
-``budget -> HTuningProblem`` closure (kept for workloads whose task
-set genuinely varies with the budget).  Both paths produce
-byte-identical results; the family path is just faster.
+Sweeps take their workload as a
+:class:`~repro.workloads.families.ProblemFamily`: specs, pricing and
+groups are shared across budgets, and rng-free DP strategies are tuned
+for *all* budgets in one DP pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +29,7 @@ from ..core.problem import Allocation, HTuningProblem
 from ..core.tuner import STRATEGIES, tune_budget_sweep
 from ..errors import ModelError
 from ..stats.rng import RandomState, ensure_rng
-from ..workloads.families import ProblemFamily, as_problem_family
+from ..workloads.families import ProblemFamily, _require_family
 
 __all__ = [
     "SweepResult",
@@ -114,7 +111,7 @@ class DeadlineSweepResult:
 
 
 def run_deadline_sweep(
-    workload,
+    family: ProblemFamily,
     deadlines: Sequence[float],
     confidences: Sequence[float] = (0.9,),
     max_price: int = 1_000,
@@ -154,7 +151,7 @@ def run_deadline_sweep(
                 "be distinct at %g precision"
             )
         frontier = deadline_cost_frontier(
-            workload,
+            family,
             grid,
             confidence=float(confidence),
             max_price=max_price,
@@ -242,7 +239,7 @@ def evaluate_allocation_with_ci(
 
 
 def run_budget_sweep(
-    workload: Union[ProblemFamily, Callable[[int], HTuningProblem]],
+    family: ProblemFamily,
     budgets: Sequence[int],
     strategies: Sequence[str],
     scoring: str = "mc",
@@ -256,14 +253,13 @@ def run_budget_sweep(
 
     Parameters
     ----------
-    workload:
-        A :class:`~repro.workloads.families.ProblemFamily` (preferred)
-        or a legacy ``budget -> HTuningProblem`` closure.  With a
-        family, specs/pricing/groups are shared across budgets and the
+    family:
+        The :class:`~repro.workloads.families.ProblemFamily` to sweep.
+        Specs/pricing/groups are shared across budgets, and the
         rng-free DP strategies (``ra``, ``ha``) are tuned for every
         budget in **one** DP pass
-        (:func:`repro.core.tuner.tune_budget_sweep`); the curves are
-        byte-identical to the per-budget closure path either way.
+        (:func:`repro.core.tuner.tune_budget_sweep`), bit-identical to
+        tuning each budget on its own.
     strategies:
         Names from :data:`repro.core.tuner.STRATEGIES`.
     scoring / n_samples:
@@ -277,11 +273,11 @@ def run_budget_sweep(
         :func:`evaluate_allocation`.  Curves are identical for every
         engine.
     """
+    _require_family(family, "run_budget_sweep")
     for name in strategies:
         STRATEGIES.lookup(name)
     if not budgets:
         raise ModelError("budget sweep needs at least one budget")
-    builder, family = as_problem_family(workload)
     base = ensure_rng(seed)
     cell_seed = base.integers(0, 2**62)
 
@@ -290,17 +286,14 @@ def run_budget_sweep(
     # rng-consuming strategies keep their per-cell generator below, so
     # the cell RNG protocol (and hence every curve) is unchanged.
     swept: dict[str, dict[int, Allocation]] = {}
-    if family is not None:
-        for name in strategies:
-            allocations = tune_budget_sweep(
-                family, [int(b) for b in budgets], name
-            )
-            if allocations is not None:
-                swept[name] = allocations
+    for name in strategies:
+        allocations = tune_budget_sweep(family, [int(b) for b in budgets], name)
+        if allocations is not None:
+            swept[name] = allocations
 
     series: dict[str, list[float]] = {s: [] for s in strategies}
     for bi, budget in enumerate(budgets):
-        problem = builder(int(budget))
+        problem = family.problem_at(int(budget))
         for si, name in enumerate(strategies):
             strat_rng = np.random.default_rng(
                 int(cell_seed) + 1_000_003 * bi + 7919 * si

@@ -74,15 +74,18 @@ def _prepare(groups, budget: int):
     return unit_costs, start_cost, budget - start_cost
 
 
-def _run_dp(groups, residual: int, unit_costs, group_cost_fn):
+def _run_dp(groups, residual: int, unit_costs, group_cost_fn, tables=None):
     """Shared DP core: returns ``prices_at`` for every level 0..residual.
 
     ``prices_at[x]`` is the price tuple of the best state after
     spending ``x`` units beyond the all-ones base — identical, level by
-    level, to the seed implementation's states.
+    level, to the seed implementation's states.  *tables* are the
+    caller's dense cost tables for exactly this *residual*
+    (:func:`_cost_tables`); built here when omitted.
     """
     n = len(groups)
-    tables = _cost_tables(groups, residual, unit_costs, group_cost_fn)
+    if tables is None:
+        tables = _cost_tables(groups, residual, unit_costs, group_cost_fn)
     # gain[i][p-1] = E_i(p) − E_i(p+1): the marginal of buying group i
     # one increment from price p.  Python lists: the scan below reads
     # single entries, where list indexing beats 0-d numpy access.
@@ -147,6 +150,13 @@ def budget_indexed_dp_sweep(
     budget's price vector by reading the matching level.  This is the
     one DP body: a single-budget call reads one level of it.
     """
+    return _dp_sweep(groups, budgets, group_cost_fn)
+
+
+def _dp_sweep(groups, budgets, group_cost_fn, tables=None):
+    """:func:`budget_indexed_dp_sweep`'s body; *tables* are dense cost
+    tables the caller already built for ``max(budgets)`` (see
+    :func:`_run_dp`)."""
     budgets = [int(b) for b in budgets]
     if not budgets:
         raise ModelError("budget sweep needs at least one budget")
@@ -154,7 +164,7 @@ def budget_indexed_dp_sweep(
     for b in budgets:
         if b < start_cost:
             raise InfeasibleAllocationError(b, start_cost)
-    prices_at = _run_dp(groups, top_residual, unit_costs, group_cost_fn)
+    prices_at = _run_dp(groups, top_residual, unit_costs, group_cost_fn, tables)
     out: dict[int, dict[tuple, int]] = {}
     for b in budgets:
         final = prices_at[b - start_cost]

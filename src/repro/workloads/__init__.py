@@ -10,7 +10,6 @@ from .amt import (
 )
 from .families import (
     ProblemFamily,
-    as_problem_family,
     available_families,
     get_family_builder,
     heterogeneous_family,
@@ -40,7 +39,6 @@ __all__ = [
     "amt_pricing_model",
     "amt_task_type",
     "amt_worker_pool",
-    "as_problem_family",
     "available_families",
     "get_family_builder",
     "heterogeneous_family",

@@ -2,22 +2,14 @@
 
 Every headline sweep in the paper — Fig. 2's budget curves, Fig. 5(c),
 the budget–latency frontier — evaluates *one fixed task set* at many
-budgets.  The historical harness shape (a ``budget -> HTuningProblem``
-closure called once per budget) rebuilt the specs, pricing objects and
-groups from scratch at every budget, which both wasted work and hid
-the structure the one-pass DP sweep
-(:func:`repro.perf.dp.budget_indexed_dp_sweep`) needs: the *same*
-group objects across every budget.
-
-:class:`ProblemFamily` is the budget-indexed builder that fixes this:
-it owns the immutable :class:`~repro.core.problem.TaskSpec` tuple and
-the (lazily computed, then shared) group partition, and mints cheap
-per-budget :class:`~repro.core.problem.HTuningProblem` views onto
-them.  A family is itself callable as ``family(budget)``, so it is a
-drop-in replacement anywhere a workload factory was accepted — but
-sweep harnesses that *know* they hold a family can route rng-free DP
-strategies through the one-pass budget sweep (see
-:data:`repro.core.tuner.SWEEP_STRATEGIES`).
+budgets.  :class:`ProblemFamily` holds that task set: it owns the
+immutable :class:`~repro.core.problem.TaskSpec` tuple and the (lazily
+computed, then shared) group partition, and mints cheap per-budget
+:class:`~repro.core.problem.HTuningProblem` views onto them.  A family
+is the one workload shape every budget sweep and frontier in
+:mod:`repro.experiments` takes: sharing the *same* group objects
+across budgets is what lets rng-free DP strategies be tuned for every
+budget in one pass (see :data:`repro.core.tuner.SWEEP_STRATEGIES`).
 
 Sharing is safe because every shared object is immutable: ``TaskSpec``
 and ``TaskGroup`` are frozen dataclasses and the task/group tuples are
@@ -28,7 +20,7 @@ this invariant).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional
 
 from ..core.problem import HTuningProblem, TaskGroup, TaskSpec
 from ..errors import ModelError
@@ -45,7 +37,6 @@ __all__ = [
     "homogeneity_family",
     "repetition_family",
     "heterogeneous_family",
-    "as_problem_family",
     "register_family",
     "get_family_builder",
     "available_families",
@@ -106,65 +97,12 @@ class ProblemFamily:
         """The family member at *budget* (shared specs and groups)."""
         return HTuningProblem(self._tasks, budget, groups=self.groups)
 
-    def problems(self, budgets: Sequence[int]) -> Iterator[HTuningProblem]:
-        """Family members for each budget, in order."""
-        for budget in budgets:
-            yield self.problem_at(int(budget))
-
-    def __call__(self, budget: int) -> HTuningProblem:
-        """Families are drop-in workload factories: ``family(budget)``."""
-        return self.problem_at(budget)
-
     def __repr__(self) -> str:
         label = f", label={self.label!r}" if self.label else ""
         return (
             f"ProblemFamily({self.num_tasks} tasks, "
             f"{len(self.groups)} groups{label})"
         )
-
-    # -- adapters ------------------------------------------------------
-
-    @classmethod
-    def from_factory(
-        cls,
-        factory: Callable[[int], HTuningProblem],
-        probe_budget: Optional[int] = None,
-        label: str = "",
-    ) -> "ProblemFamily":
-        """Adapt a legacy ``budget -> HTuningProblem`` closure.
-
-        The factory is called **once** (at *probe_budget*, or at the
-        probe problem's own minimum feasible budget when omitted) and
-        its task set is assumed budget-independent — true of every
-        factory in :mod:`repro.workloads`.  Factories whose *tasks*
-        genuinely vary with the budget cannot be adapted; keep calling
-        them per budget instead.
-        """
-        if probe_budget is None:
-            # Any feasible budget works: tasks must not depend on it.
-            # Walk down from a generous guess only if the factory
-            # rejects; in practice the min-feasible probe succeeds.
-            probe = factory(_probe_min_budget(factory))
-        else:
-            probe = factory(int(probe_budget))
-        return cls(probe.tasks, label=label)
-
-
-def _probe_min_budget(factory: Callable[[int], HTuningProblem]) -> int:
-    """Find a feasible probe budget by doubling from 1."""
-    budget = 1
-    while True:
-        try:
-            factory(budget)
-        except Exception:
-            budget *= 2
-            if budget > 2**31:
-                raise ModelError(
-                    "could not find a feasible probe budget for the factory; "
-                    "pass probe_budget explicitly"
-                )
-            continue
-        return budget
 
 
 def homogeneity_family(
@@ -251,24 +189,11 @@ register_family("repe", repetition_family)
 register_family("heter", heterogeneous_family)
 
 
-def as_problem_family(
-    workload: Union[ProblemFamily, Callable[[int], HTuningProblem]],
-) -> tuple[Callable[[int], HTuningProblem], Optional[ProblemFamily]]:
-    """Normalize a sweep's workload argument.
-
-    Returns ``(builder, family)`` where ``builder(budget)`` constructs
-    the per-budget problem and ``family`` is the
-    :class:`ProblemFamily` when one was passed (``None`` for a legacy
-    closure — legacy factories may legitimately vary their task set
-    with the budget, so they are *not* auto-adapted; call
-    :meth:`ProblemFamily.from_factory` explicitly when the task set is
-    known to be fixed).
-    """
-    if isinstance(workload, ProblemFamily):
-        return workload.problem_at, workload
-    if callable(workload):
-        return workload, None
-    raise ModelError(
-        f"workload must be a ProblemFamily or a budget -> HTuningProblem "
-        f"callable, got {workload!r}"
-    )
+def _require_family(workload, where: str) -> None:
+    """The one error every sweep and frontier raises for a non-family
+    workload."""
+    if not isinstance(workload, ProblemFamily):
+        raise ModelError(
+            f"{where} takes a ProblemFamily, got {type(workload).__name__}; "
+            "wrap a fixed task list as ProblemFamily(tasks)"
+        )

@@ -122,3 +122,29 @@ class TestHeterogeneousAlgorithm:
             o2s.append(result.achieved.o2)
         assert all(a >= b - 1e-9 for a, b in zip(o1s, o1s[1:]))
         assert all(a >= b - 1e-9 for a, b in zip(o2s, o2s[1:]))
+
+
+class TestPhaseOneTablesBuiltOnce:
+    """HA's utopia point (O1 DP) and closeness scan read one set of
+    dense phase-1 tables: one ``group_cost_table`` build per group."""
+
+    @pytest.mark.parametrize("return_details", [False, True])
+    def test_one_table_per_group_per_call(self, monkeypatch, return_details):
+        from repro.perf import dp
+        from repro.workloads import heterogeneous_family
+
+        built = []
+        original = dp.group_cost_table
+
+        def counting(group, max_price, group_cost_fn):
+            built.append(group.key)
+            return original(group, max_price, group_cost_fn)
+
+        monkeypatch.setattr(dp, "group_cost_table", counting)
+        problem = heterogeneous_family(n_tasks=8).problem_at(500)
+        groups = problem.groups()
+        assert len(groups) == 2
+        for _ in range(3):
+            built.clear()
+            heterogeneous_algorithm(problem, return_details=return_details)
+            assert sorted(built) == sorted(g.key for g in groups)

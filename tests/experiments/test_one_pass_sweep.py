@@ -2,22 +2,22 @@
 
 The hard contract: routing ``Fig2Spec`` / ``run_budget_sweep``
 through :class:`~repro.workloads.families.ProblemFamily` and the
-one-pass DP sweep must produce **byte-identical** results to the
-historical per-budget rebuild path, for every scenario and scoring
-backend.  A single-budget solver runs the same sweep body, so the
-one-pass tuners are certified against the seed oracles in
-:mod:`repro.perf.reference` instead.
+one-pass DP sweep must produce **byte-identical** results to a
+per-budget reference loop written here (a fresh problem per budget,
+each cell tuned and scored with the sweep's cell seeds), for every
+scenario and scoring backend.  A single-budget solver runs the same
+sweep body, so the one-pass tuners are certified against the seed
+oracles in :mod:`repro.perf.reference` instead.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import pytest
 
 from repro import TaskSpec
 from repro.core import (
+    STRATEGIES,
     Allocation,
     ObjectivePoint,
     Tuner,
@@ -30,15 +30,24 @@ from repro.core import (
     utopia_point_sweep,
 )
 from repro.api import Fig2Spec, RunConfig, Session
-from repro.core.latency import group_onhold_latency, group_processing_latency
+from repro.core.latency import (
+    expected_job_latency,
+    group_onhold_latency,
+    group_processing_latency,
+)
 from repro.errors import InfeasibleAllocationError
-from repro.experiments import budget_latency_frontier, run_budget_sweep
+from repro.experiments import (
+    budget_latency_frontier,
+    evaluate_allocation,
+    run_budget_sweep,
+)
 from repro.market import LinearPricing
 from repro.perf.reference import (
     reference_budget_indexed_dp,
     reference_heterogeneous_prices,
     reference_minimize_o2_prices,
 )
+from repro.stats.rng import ensure_rng
 from repro.workloads import (
     ProblemFamily,
     heterogeneous_family,
@@ -51,7 +60,7 @@ from repro.workloads import (
 
 BUDGETS = (500, 1000, 1500, 2000)
 
-_LEGACY_FACTORIES = {
+_WORKLOADS = {
     "homo": homogeneity_workload,
     "repe": repetition_workload,
     "heter": heterogeneous_workload,
@@ -61,6 +70,44 @@ _SCENARIO_STRATEGIES = {
     "repe": ("ra", "te", "re"),
     "heter": ("ha", "te", "re"),
 }
+
+
+def per_budget_sweep(scenario, budgets, strategies, scoring, n_samples, seed,
+                     n_tasks):
+    """``run_budget_sweep``'s series, one fresh problem per budget:
+    every cell is tuned and scored on its own with the sweep's cell
+    seed (base draw + ``1_000_003·bi + 7919·si``)."""
+    cell_seed = int(ensure_rng(seed).integers(0, 2**62))
+    series = {name: [] for name in strategies}
+    for bi, budget in enumerate(budgets):
+        problem = _WORKLOADS[scenario](budget, n_tasks=n_tasks)
+        for si, name in enumerate(strategies):
+            rng = np.random.default_rng(cell_seed + 1_000_003 * bi + 7919 * si)
+            allocation = STRATEGIES[name](problem, rng)
+            series[name].append(
+                evaluate_allocation(
+                    problem, allocation, scoring=scoring,
+                    n_samples=n_samples, rng=rng,
+                )
+            )
+    return {name: tuple(v) for name, v in series.items()}
+
+
+def per_budget_frontier(scenario, budgets, tuner, n_tasks):
+    """``budget_latency_frontier``'s points, one fresh problem and one
+    ``tuner.tune`` per budget."""
+    points = []
+    for budget in sorted(budgets):
+        problem = _WORKLOADS[scenario](budget, n_tasks=n_tasks)
+        allocation = tuner.tune(problem)
+        points.append(
+            (
+                budget,
+                expected_job_latency(problem, allocation),
+                tuner.resolve_strategy(problem),
+            )
+        )
+    return points
 
 
 def reference_utopia_point(problem) -> ObjectivePoint:
@@ -192,9 +239,8 @@ class TestUtopiaGreedyStopRule:
 class TestSweepByteIdentity:
     @pytest.mark.parametrize("scenario", ["homo", "repe", "heter"])
     @pytest.mark.parametrize("scoring", ["mc", "numeric"])
-    def test_family_sweep_equals_legacy_closure_sweep(self, scenario, scoring):
+    def test_family_sweep_equals_per_budget_reference(self, scenario, scoring):
         family = scenario_family(scenario, n_tasks=20)
-        legacy = functools.partial(_LEGACY_FACTORIES[scenario], n_tasks=20)
         kwargs = dict(
             budgets=BUDGETS,
             strategies=_SCENARIO_STRATEGIES[scenario],
@@ -203,10 +249,11 @@ class TestSweepByteIdentity:
             seed=17,
         )
         fam_result = run_budget_sweep(family, **kwargs)
-        legacy_result = run_budget_sweep(lambda b: legacy(b), **kwargs)
-        assert fam_result.budgets == legacy_result.budgets
+        assert fam_result.budgets == BUDGETS
         # Byte-identical: exact float equality, not approx.
-        assert fam_result.series == legacy_result.series
+        assert fam_result.series == per_budget_sweep(
+            scenario, n_tasks=20, **kwargs
+        )
 
     @pytest.mark.parametrize("scenario", ["repe", "heter"])
     def test_fig2_byte_identical_across_engines(self, scenario):
@@ -222,47 +269,21 @@ class TestSweepByteIdentity:
 
 
 class TestFrontierFamilyPath:
-    def test_family_frontier_equals_legacy(self):
+    def test_family_frontier_equals_per_budget_reference(self):
         family = repetition_family(n_tasks=10)
-        legacy = functools.partial(repetition_workload, n_tasks=10)
         a = budget_latency_frontier(family, budgets=[100, 200, 400])
-        b = budget_latency_frontier(legacy, budgets=[100, 200, 400])
-        assert a.latencies == b.latencies
-        assert [p.strategy for p in a.points] == [
-            p.strategy for p in b.points
-        ]
+        assert [
+            (p.budget, p.latency, p.strategy) for p in a.points
+        ] == per_budget_frontier("repe", [100, 200, 400], Tuner(seed=0), 10)
 
     def test_explicit_strategy_one_pass(self):
         family = heterogeneous_family(n_tasks=10)
         a = budget_latency_frontier(
             family, budgets=[150, 300], tuner=Tuner(strategy="ha")
         )
-        b = budget_latency_frontier(
-            lambda bu: family.problem_at(bu),
-            budgets=[150, 300],
-            tuner=Tuner(strategy="ha"),
-        )
-        assert a.latencies == b.latencies
-
-    def test_shared_grid_scoring(self):
-        family = repetition_family(n_tasks=10)
-        per_alloc = budget_latency_frontier(family, budgets=[100, 200, 400])
-        shared = budget_latency_frontier(
-            family, budgets=[100, 200, 400], shared_grid=True
-        )
-        assert shared.is_monotone(tolerance=1e-6)
-        for a, b in zip(per_alloc.latencies, shared.latencies):
-            assert a == pytest.approx(b, rel=1e-3)
-
-    def test_shared_grid_needs_family(self):
-        from repro.errors import ModelError
-
-        with pytest.raises(ModelError):
-            budget_latency_frontier(
-                lambda b: repetition_workload(b, n_tasks=4),
-                budgets=[100],
-                shared_grid=True,
-            )
+        assert [
+            (p.budget, p.latency, p.strategy) for p in a.points
+        ] == per_budget_frontier("heter", [150, 300], Tuner(strategy="ha"), 10)
 
 
 class TestExhaustiveSharedGrid:

@@ -2,24 +2,26 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.experiments import (
+    BudgetLatencyFrontier,
+    DeadlineCostFrontier,
+    DeadlineFrontierPoint,
+    FrontierPoint,
     budget_latency_frontier,
     deadline_cost_frontier,
     min_budget_for_latency,
 )
 from repro.perf.reference import reference_min_cost_for_deadline
-from repro.workloads import homogeneity_workload, repetition_family
+from repro.workloads import ProblemFamily, homogeneity_family, repetition_family
 
 
 @pytest.fixture
 def factory():
-    return functools.partial(homogeneity_workload, n_tasks=10, repetitions=2)
+    return homogeneity_family(n_tasks=10, repetitions=2)
 
 
 class TestBudgetLatencyFrontier:
@@ -52,6 +54,54 @@ class TestBudgetLatencyFrontier:
     def test_empty_budgets_rejected(self, factory):
         with pytest.raises(ModelError):
             budget_latency_frontier(factory, budgets=[])
+
+
+class TestKneeRule:
+    """Both frontier types pick their knee with one chord rule: the
+    point furthest below the chord between the endpoints."""
+
+    # Normalized, the chord minus the curve is (0, 1/12, 7/18, 7/36, 0):
+    # the knee is index 2, where the steep drop ends.
+    XS = (1.0, 2.0, 3.0, 4.0, 5.0)
+    YS = (1000, 700, 200, 150, 100)
+    KNEE = 2
+
+    def test_budget_frontier_knee_index(self):
+        frontier = BudgetLatencyFrontier(
+            points=tuple(
+                FrontierPoint(budget=int(100 * x), latency=y / 100, strategy="ra")
+                for x, y in zip(self.XS, self.YS)
+            )
+        )
+        assert frontier.knee() is frontier.points[self.KNEE]
+
+    def test_deadline_frontier_knee_index_on_feasible_region(self):
+        # An infeasible tight deadline in front (floor cost, not a
+        # price) must not move the knee of the feasible curve.
+        infeasible = DeadlineFrontierPoint(
+            deadline=0.5, cost=10, achieved_probability=0.1, feasible=False
+        )
+        feasible = tuple(
+            DeadlineFrontierPoint(
+                deadline=x, cost=y, achieved_probability=0.95, feasible=True
+            )
+            for x, y in zip(self.XS, self.YS)
+        )
+        frontier = DeadlineCostFrontier(
+            points=(infeasible,) + feasible, confidence=0.9
+        )
+        assert frontier.knee() is feasible[self.KNEE]
+
+    def test_short_curves_end_at_the_last_point(self):
+        points = tuple(
+            FrontierPoint(budget=b, latency=1.0 / b, strategy="ra")
+            for b in (1, 2)
+        )
+        assert BudgetLatencyFrontier(points=points).knee() is points[-1]
+        lone = DeadlineFrontierPoint(
+            deadline=1.0, cost=5, achieved_probability=0.2, feasible=False
+        )
+        assert DeadlineCostFrontier(points=(lone,), confidence=0.9).knee() is lone
 
 
 class TestDeadlineCostFrontier:
@@ -99,14 +149,23 @@ class TestDeadlineCostFrontier:
             ]
 
     def test_task_list_workload_equals_family(self, family):
+        """A bare task list is wrapped as ``ProblemFamily(tasks)``;
+        the wrapped list prices exactly like the family it came from."""
         deadlines = [3.0, 6.0]
         via_family = deadline_cost_frontier(
             family, deadlines, confidence=0.8, max_price=15
         )
         via_tasks = deadline_cost_frontier(
-            list(family.tasks), deadlines, confidence=0.8, max_price=15
+            ProblemFamily(list(family.tasks)),
+            deadlines,
+            confidence=0.8,
+            max_price=15,
         )
         assert via_family.costs == via_tasks.costs
+        with pytest.raises(ModelError, match=r"ProblemFamily\(tasks\)"):
+            deadline_cost_frontier(
+                list(family.tasks), deadlines, confidence=0.8, max_price=15
+            )
 
     def test_unsorted_deadlines_are_sorted(self, family):
         frontier = deadline_cost_frontier(
@@ -177,7 +236,7 @@ class TestMinBudgetForLatency:
             from repro import Tuner
             from repro.core import expected_job_latency
 
-            problem = factory(budget - 1)
+            problem = factory.problem_at(budget - 1)
             allocation = Tuner(seed=0).tune(problem)
             assert expected_job_latency(problem, allocation) > target
 
@@ -202,11 +261,13 @@ class TestMinBudgetForLatency:
         midpoint (a bug, a fired fault) surfaces instead of silently
         moving the answer."""
 
-        def flaky(budget):
-            if budget == (20 + 320) // 2:
-                raise ModelError("midpoint failure")
-            return factory(budget)
+        class Flaky(ProblemFamily):
+            def problem_at(self, budget):
+                if budget == (20 + 320) // 2:
+                    raise ModelError("midpoint failure")
+                return super().problem_at(budget)
 
+        flaky = Flaky(factory.tasks)
         with pytest.raises(ModelError, match="midpoint failure"):
             min_budget_for_latency(
                 flaky, target_latency=1e3, budget_lo=20, budget_hi=320

@@ -2,25 +2,23 @@
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from repro.errors import ModelError
 from repro.experiments import evaluate_allocation, run_budget_sweep
-from repro.workloads import homogeneity_workload
+from repro.workloads import homogeneity_family
 
 
 @pytest.fixture
 def factory():
-    return functools.partial(homogeneity_workload, n_tasks=10, repetitions=2)
+    return homogeneity_family(n_tasks=10, repetitions=2)
 
 
 class TestEvaluateAllocation:
     def test_mc_and_numeric_agree(self, factory):
         from repro.core import even_allocation
 
-        problem = factory(100)
+        problem = factory.problem_at(100)
         alloc = even_allocation(problem, rng=0)
         mc = evaluate_allocation(
             problem, alloc, scoring="mc", n_samples=40000, rng=0
@@ -31,7 +29,7 @@ class TestEvaluateAllocation:
     def test_unknown_scoring(self, factory):
         from repro.core import even_allocation
 
-        problem = factory(100)
+        problem = factory.problem_at(100)
         alloc = even_allocation(problem, rng=0)
         with pytest.raises(ModelError):
             evaluate_allocation(problem, alloc, scoring="vibes")

@@ -10,7 +10,6 @@ from repro.core import STRATEGIES, Scenario
 from repro.errors import InfeasibleAllocationError, ModelError
 from repro.workloads import (
     ProblemFamily,
-    as_problem_family,
     heterogeneous_family,
     homogeneity_family,
     homogeneity_workload,
@@ -29,12 +28,6 @@ class TestProblemFamily:
         assert a.tasks is b.tasks is family.tasks
         assert a.groups() is b.groups() is family.groups
         assert a.budget == 100 and b.budget == 200
-
-    def test_family_is_callable_factory(self):
-        family = homogeneity_family(n_tasks=6, repetitions=2)
-        problem = family(40)
-        assert problem.budget == 40
-        assert problem.num_tasks == 6
 
     def test_matches_workload_factories(self):
         family = repetition_family(n_tasks=8)
@@ -95,19 +88,6 @@ class TestProblemFamily:
         ] == group_snapshot
 
 
-class TestFromFactory:
-    def test_adapts_legacy_closure(self):
-        factory = functools.partial(homogeneity_workload, n_tasks=5, repetitions=2)
-        family = ProblemFamily.from_factory(factory)
-        assert family.num_tasks == 5
-        assert family.problem_at(50).tasks == factory(50).tasks
-
-    def test_probe_budget_explicit(self):
-        factory = functools.partial(repetition_workload, n_tasks=6)
-        family = ProblemFamily.from_factory(factory, probe_budget=100)
-        assert family.num_tasks == 6
-
-
 class TestScenarioFamily:
     def test_dispatch(self):
         assert (
@@ -132,19 +112,28 @@ class TestScenarioFamily:
         assert scenario_workload("repe", 500, n_tasks=12).tasks == fam.tasks
 
 
-class TestAsProblemFamily:
-    def test_family_passthrough(self):
-        family = homogeneity_family(n_tasks=4, repetitions=2)
-        builder, fam = as_problem_family(family)
-        assert fam is family
-        assert builder(40).budget == 40
+class TestSweepsTakeOnlyFamilies:
+    def test_sweeps_reject_a_closure(self):
+        """A ``budget -> HTuningProblem`` closure (or any non-family)
+        is refused with one error that names the wrapping."""
+        from repro.experiments import (
+            budget_latency_frontier,
+            deadline_cost_frontier,
+            min_budget_for_latency,
+            run_budget_sweep,
+            run_deadline_sweep,
+        )
 
-    def test_legacy_closure_not_adapted(self):
-        factory = functools.partial(homogeneity_workload, n_tasks=4, repetitions=2)
-        builder, fam = as_problem_family(factory)
-        assert fam is None
-        assert builder(40).num_tasks == 4
-
-    def test_rejects_non_callable(self):
-        with pytest.raises(ModelError):
-            as_problem_family(42)
+        closure = functools.partial(homogeneity_workload, n_tasks=4, repetitions=2)
+        tasks = list(homogeneity_family(n_tasks=4, repetitions=2).tasks)
+        calls = [
+            lambda w: run_budget_sweep(w, [40], ["ea"], scoring="numeric"),
+            lambda w: budget_latency_frontier(w, [40]),
+            lambda w: min_budget_for_latency(w, 1.0, 8, 40),
+            lambda w: deadline_cost_frontier(w, [3.0], max_price=5),
+            lambda w: run_deadline_sweep(w, [3.0], max_price=5),
+        ]
+        for call in calls:
+            for workload in (closure, tasks, 42):
+                with pytest.raises(ModelError, match=r"ProblemFamily\(tasks\)"):
+                    call(workload)
