@@ -113,27 +113,43 @@ class TestScenarioFamily:
 
 
 class TestSweepsTakeOnlyFamilies:
-    def test_sweeps_reject_a_closure(self):
-        """A ``budget -> HTuningProblem`` closure (or any non-family)
-        is refused with one error that names the wrapping."""
-        from repro.experiments import (
-            budget_latency_frontier,
-            deadline_cost_frontier,
-            min_budget_for_latency,
-            run_budget_sweep,
-            run_deadline_sweep,
-        )
+    # (sweep, call with the workload, the function named in the error):
+    # run_deadline_sweep forwards its workload to deadline_cost_frontier,
+    # which does the check.
+    SWEEPS = {
+        "run_budget_sweep": (
+            lambda ex, w: ex.run_budget_sweep(w, [40], ["ea"], scoring="numeric"),
+            "run_budget_sweep",
+        ),
+        "budget_latency_frontier": (
+            lambda ex, w: ex.budget_latency_frontier(w, [40]),
+            "budget_latency_frontier",
+        ),
+        "min_budget_for_latency": (
+            lambda ex, w: ex.min_budget_for_latency(w, 1.0, 8, 40),
+            "min_budget_for_latency",
+        ),
+        "deadline_cost_frontier": (
+            lambda ex, w: ex.deadline_cost_frontier(w, [3.0], max_price=5),
+            "deadline_cost_frontier",
+        ),
+        "run_deadline_sweep": (
+            lambda ex, w: ex.run_deadline_sweep(w, [3.0], max_price=5),
+            "deadline_cost_frontier",
+        ),
+    }
 
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_sweeps_reject_a_closure(self, sweep):
+        """A ``budget -> HTuningProblem`` closure (or any non-family)
+        is refused with one error that names the checking function and
+        the wrapping."""
+        import repro.experiments as ex
+
+        call, where = self.SWEEPS[sweep]
         closure = functools.partial(homogeneity_workload, n_tasks=4, repetitions=2)
         tasks = list(homogeneity_family(n_tasks=4, repetitions=2).tasks)
-        calls = [
-            lambda w: run_budget_sweep(w, [40], ["ea"], scoring="numeric"),
-            lambda w: budget_latency_frontier(w, [40]),
-            lambda w: min_budget_for_latency(w, 1.0, 8, 40),
-            lambda w: deadline_cost_frontier(w, [3.0], max_price=5),
-            lambda w: run_deadline_sweep(w, [3.0], max_price=5),
-        ]
-        for call in calls:
-            for workload in (closure, tasks, 42):
-                with pytest.raises(ModelError, match=r"ProblemFamily\(tasks\)"):
-                    call(workload)
+        for workload in (closure, tasks, 42):
+            with pytest.raises(ModelError, match=r"ProblemFamily\(tasks\)") as err:
+                call(ex, workload)
+            assert str(err.value).startswith(f"{where} takes a ProblemFamily, got ")
