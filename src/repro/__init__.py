@@ -22,12 +22,13 @@ Subpackages:
 * :mod:`repro.resilience` — deterministic fault injection
   (:class:`~repro.resilience.FaultPlan`), retry/timeout policies,
   structured :class:`~repro.resilience.ErrorDocument` failure capture,
-  and checkpointed :class:`~repro.resilience.BatchReport` batches
+  and per-spec :class:`~repro.resilience.BatchReport` batches
   (see ``docs/robustness.md``);
 * :mod:`repro.store` — crash-safe persistent result store:
   content-addressed :class:`~repro.store.ResultStore` with atomic
   writes, checksum + validity-envelope verification, and quarantine,
-  behind ``Session.run(store=...)`` and the ``repro results`` CLI
+  behind ``Session.run(store=...)``, resumable
+  ``Session.run_many(store=...)`` batches and the ``repro results`` CLI
   (see ``docs/robustness.md``, "Result store failure modes").
 
 Quickstart::
@@ -55,7 +56,6 @@ from .core import (
 )
 from .errors import (
     BudgetError,
-    CheckpointError,
     FaultInjectedError,
     InfeasibleAllocationError,
     InferenceError,
@@ -88,7 +88,6 @@ __all__ = [
     "Allocation",
     "BatchReport",
     "BudgetError",
-    "CheckpointError",
     "ErrorDocument",
     "ExperimentSpec",
     "FaultInjectedError",

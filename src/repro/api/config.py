@@ -42,7 +42,7 @@ configs — and therefore every pre-existing fingerprint — are
 unchanged.  ``executor`` never serializes at all: it is orchestration,
 not run identity — the same ``(spec, config)`` pair produces the same
 payload on every executor, and keeping it out of :meth:`to_dict` is
-what makes serial and process runs share fingerprints, checkpoint
+what makes serial and process runs share fingerprints, result-store
 entries, and golden documents byte-for-byte.
 
 ``RunConfig.resolve()`` is the **single place** ``None`` defaulting

@@ -9,12 +9,9 @@ ladder tables), and exposes exactly two verbs:
 * ``run_many(specs)`` — execute a batch against the *shared* kernel
   tables, so runs probing the same rate profiles amortize each
   other's ladder builds (see the ``session_run_many`` benchmark
-  section).
-
-``Session(isolated=True)`` clears the process caches before every run
-— cold-start semantics for benchmarking or bit-exact cache-freshness
-audits; payloads are identical either way because every cache in the
-library is bit-exact.
+  section).  Every cache in the library is bit-exact, so a run after
+  :meth:`Session.clear_caches` returns the same payload as one on warm
+  tables.
 
 ``run`` is the **resilient executor**: it interprets the config's
 fault plan, retry policy and timeout (:mod:`repro.resilience`) in one
@@ -148,7 +145,7 @@ class RunResult:
 
         The payload stays in its JSON form (``payload_to_jsonable`` is
         idempotent on it), so a restored result re-serializes
-        byte-identically — the property checkpoint resume relies on.
+        byte-identically — the property store resume relies on.
         """
         from ..resilience.policy import ExecutionRecord
 
@@ -166,26 +163,19 @@ class RunResult:
 
 
 class _BatchBook:
-    """Journal + store bookkeeping shared by ``run(store=...)`` and both
+    """Store bookkeeping shared by ``run(store=...)`` and both
     ``run_many`` paths.
 
-    Per spec, :meth:`resume` restores a journaled completion (and
-    backfills the store if its entry was evicted) or serves a verified
-    store hit; :meth:`record` journals a fresh completion and writes
-    it back to the store.  One fault state and one tally cover the
+    Per spec, :meth:`resume` serves a verified store hit and
+    :meth:`record` writes a fresh completion back to the store; with
+    no store both do nothing.  One fault state and one tally cover the
     whole batch, so ``store.*`` occurrence indexes count across it
     (``at=[2]`` fires on the third store operation of the batch,
     whichever spec reaches it) — which is why the per-spec order of
     store operations here is fixed.
     """
 
-    def __init__(self, session: "Session", checkpoint, store) -> None:
-        from ..resilience.checkpoint import CheckpointJournal
-
-        self.journal = self.completed = None
-        if checkpoint is not None:
-            self.journal = CheckpointJournal(checkpoint)
-            self.completed = self.journal.load()
+    def __init__(self, session: "Session", store) -> None:
         self.store = self.state = self.counts = None
         if store is not None:
             from ..store import resolve_store
@@ -196,56 +186,32 @@ class _BatchBook:
                 "hits": 0, "misses": 0, "quarantined": 0, "write_failures": 0,
             }
 
-    @property
-    def active(self) -> bool:
-        return self.journal is not None or self.store is not None
-
     def resume(self, spec: ExperimentSpec, token: str):
-        """The spec's outcome without executing it, or ``None``."""
+        """The spec's outcome served from the store, or ``None``."""
         from ..resilience.batch import SpecOutcome
 
-        if self.journal is not None:
-            entry = self.completed.get(token)
-            if entry is not None:
-                outcome = SpecOutcome(
-                    spec=spec,
-                    status="succeeded",
-                    result=RunResult.from_document(entry["result"]),
-                    restored=True,
-                )
-                if self.store is not None and token not in self.store:
-                    # Journal line wins; backfill the evicted store
-                    # entry so future batches hit without a journal.
-                    self._put(token, entry["result"])
-                return outcome
-        if self.store is not None:
-            lookup = self.store.lookup(token, fault_state=self.state)
-            if lookup.quarantined:
-                self.counts["quarantined"] += 1
-            if lookup.hit:
-                self.counts["hits"] += 1
-                if self.journal is not None:
-                    self.journal.append(token, lookup.result)
-                return SpecOutcome(
-                    spec=spec,
-                    status="succeeded",
-                    result=RunResult.from_document(lookup.result),
-                    served=True,
-                )
+        if self.store is None:
+            return None
+        lookup = self.store.lookup(token, fault_state=self.state)
+        if lookup.quarantined:
+            self.counts["quarantined"] += 1
+        if not lookup.hit:
             self.counts["misses"] += 1
-        return None
+            return None
+        self.counts["hits"] += 1
+        return SpecOutcome(
+            spec=spec,
+            status="succeeded",
+            result=RunResult.from_document(lookup.result),
+            served=True,
+        )
 
     def record(self, token: str, result_doc: dict) -> None:
-        """Journal a completed spec, then write it to the store."""
-        if self.journal is not None:
-            self.journal.append(token, result_doc)
-        if self.store is not None:
-            self._put(token, result_doc)
-
-    def _put(self, token: str, result_doc: dict) -> None:
         """Best-effort store write: failures are counted, never raised."""
         from ..errors import StoreError
 
+        if self.store is None:
+            return
         try:
             self.store.put(token, result_doc, fault_state=self.state)
         except StoreError:
@@ -269,20 +235,12 @@ class Session:
     config:
         The run configuration every ``run``/``run_many`` call uses
         (default: ``RunConfig()`` — default engine/comparator, seed 0,
-        one replication).
-    isolated:
-        When true, the process-level phase-kernel caches are cleared
-        before **each** run — every run pays its own kernel builds.
-        The default (shared) mode lets batched runs reuse each other's
-        weight-ladder and cdf tables; outputs are bit-identical either
-        way.
+        one replication).  Runs share the process-level weight-ladder
+        and cdf tables; :meth:`clear_caches` drops them, and outputs
+        are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        config: Optional[RunConfig] = None,
-        isolated: bool = False,
-    ) -> None:
+    def __init__(self, config: Optional[RunConfig] = None) -> None:
         if config is None:
             config = RunConfig()
         if not isinstance(config, RunConfig):
@@ -291,7 +249,6 @@ class Session:
                 "with RunConfig(engine=..., seed=...))"
             )
         self.config = config
-        self.isolated = bool(isolated)
         self.runs_completed = 0
 
     # -- execution -----------------------------------------------------
@@ -336,7 +293,7 @@ class Session:
 
     def _run_stored(self, spec: ExperimentSpec, store) -> RunResult:
         """The memoized path: store lookup → serve or compute+write."""
-        book = _BatchBook(self, None, store)
+        book = _BatchBook(self, store)
         token = fingerprint(
             {"spec": spec.to_dict(), "config": self.config.to_dict()}
         )
@@ -391,10 +348,6 @@ class Session:
             try:
                 with runtime_scope(state, timeout):
                     site_check("run.start")
-                    if self.isolated:
-                        from ..perf.cache import clear_phase_caches
-
-                        clear_phase_caches()
                     payload = spec.run(self)
             except ReproError as exc:
                 delay = retry.delay(attempt)
@@ -434,17 +387,15 @@ class Session:
         specs: Iterable[Union[ExperimentSpec, Mapping, str]],
         *,
         fail_fast: bool = False,
-        checkpoint=None,
         executor=None,
         store=None,
     ):
         """Execute a batch of specs against the shared kernel tables.
 
         Runs execute in order under one config; every phase-kernel /
-        weight-ladder table built by one run is visible to the next
-        (unless the session is ``isolated``), which is what makes a
-        batched submission cheaper than cold per-run sessions — see
-        the ``session_run_many`` section of
+        weight-ladder table built by one run is visible to the next,
+        which is what makes a batched submission cheaper than cold
+        per-run sessions — see the ``session_run_many`` section of
         ``benchmarks/bench_perf_engine.py``.
 
         Returns a :class:`~repro.resilience.batch.BatchReport`: one
@@ -456,13 +407,6 @@ class Session:
         report yields the completed :class:`RunResult` objects, so
         all-success batches behave like the historical list.
 
-        ``checkpoint`` names a JSONL journal file
-        (:class:`~repro.resilience.checkpoint.CheckpointJournal`):
-        completed specs are journaled as they finish, and a resumed
-        batch skips (and restores) every journaled fingerprint —
-        producing a report that serializes byte-identically to the
-        uninterrupted run's.
-
         ``executor`` (or ``config.executor``) fans the batch across an
         executor from the :mod:`repro.exec` registry — ``"serial"``
         exercises the wire format in-process, ``"process"`` runs the
@@ -471,18 +415,16 @@ class Session:
         ``None`` keeps the historical inline loop.  Payloads are
         executor-invariant, so the returned report serializes
         byte-identically whichever path ran it; supervisor
-        observability lands in :attr:`BatchReport.events` and as
-        ``{"event": ...}`` audit lines in the checkpoint journal.
+        observability lands in :attr:`BatchReport.events`.
 
         ``store`` (a :class:`~repro.store.ResultStore` or a directory
-        path) makes the batch memoized: verified stored entries are
-        served without executing (``SpecOutcome.served``), misses
-        execute and are written back, and the hit/miss/quarantine
-        tally lands in :attr:`BatchReport.store`.  With both
-        ``checkpoint=`` and ``store=``, the journal line wins — a spec
-        journaled but evicted from (or corrupted in) the store is
-        restored from the journal, never re-executed, and the store is
-        backfilled from the journal entry on resume.
+        path) is how a batch resumes: every spec is written back as it
+        completes, and a rerun serves each verified entry without
+        executing it (``SpecOutcome.served``) — its report serializes
+        byte-identically to the uninterrupted run's.  An entry whose
+        registry bindings changed since it was written is quarantined
+        as ``store-stale`` and recomputed.  The hit/miss/quarantine
+        tally lands in :attr:`BatchReport.store`.
         """
         from ..resilience.batch import SpecOutcome
         from ..resilience.document import ErrorDocument
@@ -495,14 +437,13 @@ class Session:
                 normalized,
                 executor,
                 fail_fast=fail_fast,
-                checkpoint=checkpoint,
                 store=store,
             )
-        book = _BatchBook(self, checkpoint, store)
+        book = _BatchBook(self, store)
         outcomes = []
         for spec in normalized:
             token = None
-            if book.active:
+            if store is not None:
                 token = fingerprint(
                     {
                         "spec": spec.to_dict(),
@@ -536,7 +477,7 @@ class Session:
         return book.report(outcomes)
 
     def _run_many_executor(
-        self, specs: list, executor, *, fail_fast: bool, checkpoint, store=None
+        self, specs: list, executor, *, fail_fast: bool, store=None
     ):
         """The ``run_many`` fan-out path: wire tasks on an executor.
 
@@ -545,9 +486,7 @@ class Session:
         as result documents and are restored with
         :meth:`RunResult.from_document` — the byte-identity inverse —
         so the merged report serializes exactly like the inline loop's.
-        Checkpointing and resume share the inline path's journal
-        format; supervisor events are appended both to the report and
-        (as skip-on-load audit lines) to the journal.
+        Supervisor events are appended to the report.
 
         The store is consulted and written **in the parent only**:
         hits are filtered out before dispatch and misses are written
@@ -562,7 +501,7 @@ class Session:
         from ..errors import RemoteTaskError
 
         resolved = resolve_executor(executor)
-        book = _BatchBook(self, checkpoint, store)
+        book = _BatchBook(self, store)
         config_doc = self.config.to_dict()  # wire format: must serialize
         outcomes: list = [None] * len(specs)
         tasks = []
@@ -584,11 +523,6 @@ class Session:
 
         events: list = []
 
-        def on_event(event: dict) -> None:
-            events.append(dict(event))
-            if book.journal is not None:
-                book.journal.append_event(event)
-
         def on_complete(task, outcome) -> None:
             if outcome.ok:
                 book.record(task.fingerprint, outcome.result)
@@ -600,7 +534,7 @@ class Session:
             retry=self.config.retry,
             timeout=self.config.timeout,
             on_complete=on_complete,
-            on_event=on_event,
+            on_event=lambda event: events.append(dict(event)),
         )
         self.runs_completed += sum(1 for o in task_outcomes if o.ok)
 
@@ -674,8 +608,7 @@ class Session:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "isolated" if self.isolated else "shared"
         return (
-            f"Session({self.config!r}, {mode}, "
+            f"Session({self.config!r}, "
             f"runs_completed={self.runs_completed})"
         )

@@ -173,20 +173,26 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _cmd_run_many(args: argparse.Namespace) -> None:
-    """Batch execution with checkpointing and executor fan-out.
+    """Batch execution with store resume and executor fan-out.
 
     Positional arguments are registered experiment names (default
     params) or inline spec JSON documents; the whole batch shares one
     config.  Exit contract matches ``run``: 2 for user errors (bad
-    names, params, executor), 3 when any spec's execution failed.
+    names, params, executor, a ``--workers`` without
+    ``--executor process``), 3 when any spec's execution failed.
     """
     try:
         faults = _parse_faults(args.faults)
         executor = args.executor
+        if args.workers is not None and executor != "process":
+            raise ModelError(
+                "--workers sizes the process pool; it needs "
+                "--executor process"
+            )
         if executor is not None:
             from .exec import ProcessExecutor, get_executor
 
-            if executor == "process" and args.workers is not None:
+            if args.workers is not None:
                 executor = ProcessExecutor(workers=args.workers)
             else:
                 executor = get_executor(executor)
@@ -217,7 +223,6 @@ def _cmd_run_many(args: argparse.Namespace) -> None:
         report = Session(config).run_many(
             specs,
             fail_fast=args.fail_fast,
-            checkpoint=args.checkpoint,
             executor=executor,
             store=args.store,
         )
@@ -234,11 +239,7 @@ def _cmd_run_many(args: argparse.Namespace) -> None:
     else:
         for outcome in report.outcomes:
             label = getattr(outcome.spec, "name", "?")
-            marker = " "
-            if outcome.restored:
-                marker = "*"  # replayed from the checkpoint journal
-            elif outcome.served:
-                marker = "+"  # served from the result store
+            marker = "+" if outcome.served else " "  # served from the store
             print(f"{label:20s} {outcome.status}{marker}")
         print(
             f"total {len(report)}  succeeded {len(report.succeeded)}  "
@@ -659,9 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_many = sub.add_parser(
         "run-many",
-        help="run a batch of experiments with checkpointing and an "
-        "optional parallel executor (repro run-many fig2 fig3 "
-        "--checkpoint batch.jsonl --executor process)",
+        help="run a batch of experiments, resumable through a result "
+        "store, on an optional parallel executor (repro run-many fig2 "
+        "fig3 --store results --executor process)",
     )
     run_many.add_argument(
         "experiment",
@@ -669,13 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EXPERIMENT",
         help="registered experiment names (default params) and/or "
         "inline spec JSON documents",
-    )
-    run_many.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="JSONL journal: completed specs are recorded as they "
-        "finish, and a rerun resumes from it byte-identically",
     )
     run_many.add_argument(
         "--executor",
@@ -732,7 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="persistent result store: skip verified hits, execute and "
-        "store misses, tally hit/miss/quarantine counts",
+        "store misses, tally hit/miss/quarantine counts (a rerun of a "
+        "killed batch resumes from it byte-identically)",
     )
     run_many.add_argument(
         "--fail-fast",

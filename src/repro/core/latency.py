@@ -246,8 +246,8 @@ def sample_job_latencies(
     ``"chunked-batch"``, ``"agent-batch"``); ``None`` uses the default.
     Every registered name runs the same row-blocked sampler
     (:func:`repro.perf.batch.sample_job_latencies_batch`), so the name
-    never changes the draws; it only labels the fault site and retry
-    fallbacks (see :mod:`repro.perf.engine`).
+    never changes the draws; it only labels the ``engine.sample``
+    fault site (see :mod:`repro.perf.engine`).
     """
     from ..perf.engine import resolve_engine
 

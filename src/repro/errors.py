@@ -28,7 +28,6 @@ __all__ = [
     "RegistryError",
     "FaultInjectedError",
     "RunTimeoutError",
-    "CheckpointError",
     "WorkerCrashError",
     "RemoteTaskError",
     "StoreError",
@@ -216,12 +215,6 @@ class PlanError(ReproError, ValueError):
     """Raised when a crowd-DB query plan is malformed or unexecutable."""
 
     code = "plan-invalid"
-
-
-class CheckpointError(ReproError, RuntimeError):
-    """Raised for unreadable or inconsistent checkpoint journals."""
-
-    code = "checkpoint-invalid"
 
 
 class StoreError(ReproError, RuntimeError):

@@ -30,8 +30,7 @@ that completes nothing spends it.  When the pool collapses with no
 credit left, the supervisor **degrades to serial** and runs every
 remaining and later task in-process on its own thread, so every
 submission still completes.  Every decision is emitted through
-``on_event`` (→ :attr:`~repro.resilience.batch.BatchReport.events` and
-the checkpoint journal's ``{"event": ...}`` audit lines).
+``on_event`` (→ :attr:`~repro.resilience.batch.BatchReport.events`).
 
 :meth:`ProcessExecutor.open_pool` is the executor's one method, so two
 callers share the one supervisor: the batch loop

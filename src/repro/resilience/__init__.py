@@ -10,8 +10,6 @@ The execution layer's failure model (see ``docs/robustness.md``):
   the :class:`ExecutionRecord` of what the executor actually did;
 * :mod:`~repro.resilience.document` — replayable
   :class:`ErrorDocument` failure records;
-* :mod:`~repro.resilience.checkpoint` — the append-only
-  :class:`CheckpointJournal` behind resumable ``run_many`` batches;
 * :mod:`~repro.resilience.batch` — :class:`BatchReport` /
   :class:`SpecOutcome`, the per-spec outcome view ``run_many``
   returns.
@@ -23,7 +21,6 @@ by the ``session_resilience`` section of
 """
 
 from .batch import BatchReport, SpecOutcome
-from .checkpoint import CheckpointJournal
 from .document import ErrorDocument
 from .faults import (
     FAULT_SITES,
@@ -43,7 +40,6 @@ from .policy import DEFAULT_RETRY, ExecutionRecord, RetryPolicy, TimeoutPolicy
 __all__ = [
     "BatchReport",
     "SpecOutcome",
-    "CheckpointJournal",
     "ErrorDocument",
     "FAULT_SITES",
     "FaultPlan",

@@ -23,19 +23,16 @@ __all__ = ["SpecOutcome", "BatchReport"]
 class SpecOutcome:
     """One spec's fate inside a batch.
 
-    ``restored`` marks outcomes replayed from a checkpoint journal
-    instead of executed; ``served`` marks outcomes served from a
-    verified :class:`~repro.store.ResultStore` entry.  Both are
+    ``served`` marks outcomes served from a verified
+    :class:`~repro.store.ResultStore` entry instead of executed.  It is
     bookkeeping only and deliberately excluded from :meth:`to_dict`,
-    so resumed / memoized and uninterrupted batches serialize
-    byte-identically.
+    so resumed and uninterrupted batches serialize byte-identically.
     """
 
     spec: object
     status: str  # "succeeded" | "failed"
     result: Optional[object] = None
     error: Optional[object] = None
-    restored: bool = False
     served: bool = False
 
     @property
@@ -58,7 +55,7 @@ class BatchReport:
     ``events`` is the supervisor's observability stream — worker
     crashes, straggler requeues, respawns, degradation to serial — as
     plain dicts in occurrence order.  Serial batches leave it empty.
-    Like :attr:`SpecOutcome.restored`, events are bookkeeping only and
+    Like :attr:`SpecOutcome.served`, events are bookkeeping only and
     excluded from :meth:`to_dict` unless ``include_events=True``, so
     serial and parallel reports of the same batch serialize
     byte-identically.

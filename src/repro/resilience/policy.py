@@ -137,7 +137,7 @@ class ExecutionRecord:
     them, but they never enter the default serialized form: a record is
     :attr:`significant` only when an attempt failed, and :meth:`to_dict` omits timing unless
     ``include_timing=True`` (the ``repro run --json`` path), so result
-    documents — and therefore checkpoints, fingerprint goldens, and
+    documents — and therefore stored entries, fingerprint goldens, and
     serial-vs-parallel merges — stay byte-identical across runs.
     """
 

@@ -9,9 +9,10 @@ under their fingerprint (the ``(spec, config)`` digest from
     <root>/quarantine/<fingerprint>-<n>.reason.json
 
 A document directory was chosen over sqlite deliberately: entries are
-already canonical JSON documents (the same shape the checkpoint
-journal stores), POSIX ``os.replace`` gives lock-free last-writer-wins
-atomicity for concurrent cross-process writers (results are
+already canonical JSON documents (the ``RunResult.to_dict`` shape a
+resumed ``run_many`` batch rebuilds its report from), POSIX
+``os.replace`` gives lock-free last-writer-wins atomicity for
+concurrent cross-process writers (results are
 deterministic, so racing writers of the same key carry identical
 bytes), quarantining is a rename that preserves the corrupt bytes for
 forensics, and the read path is one ``open`` + one ``json.loads`` with

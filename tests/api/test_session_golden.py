@@ -32,6 +32,7 @@ from repro.experiments import (
     run_budget_sweep,
     run_deadline_sweep,
 )
+from repro.perf import clear_phase_caches
 from repro.workloads import scenario_family
 
 
@@ -166,7 +167,7 @@ class TestSessionFacade:
         singles = [Session(config).run(s) for s in specs]
         assert [r.payload for r in batched] == [r.payload for r in singles]
 
-    def test_isolated_session_is_bit_identical_to_shared(self):
+    def test_cold_runs_are_bit_identical_to_shared(self):
         specs = [
             DeadlineFrontierSpec(
                 scenario="repe", case="a", n_tasks=5, n_deadlines=3,
@@ -175,7 +176,10 @@ class TestSessionFacade:
             for c in (0.7, 0.9)
         ]
         shared = Session().run_many(specs)
-        cold = Session(isolated=True).run_many(specs)
+        cold = []
+        for spec in specs:
+            clear_phase_caches()
+            cold.append(Session().run(spec))
         assert [r.payload for r in shared] == [r.payload for r in cold]
 
     def test_rejects_unapplied_recorder_policy(self):

@@ -61,7 +61,7 @@ class TestExecutorRegistry:
 
     def test_executor_never_serializes(self):
         # Orchestration is not run identity: serial and process runs
-        # must share fingerprints, checkpoints, and golden documents.
+        # must share fingerprints, store entries, and golden documents.
         doc = RunConfig(executor="process").to_dict()
         assert "executor" not in doc
         assert doc == RunConfig().to_dict()

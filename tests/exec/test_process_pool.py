@@ -136,45 +136,43 @@ class TestDegradation:
         ]
 
 
-class TestCheckpointResume:
+class TestStoreResume:
     def test_resume_through_the_pool_is_byte_identical(self, tmp_path):
-        from repro.resilience.checkpoint import CheckpointJournal
+        from repro.store import ResultStore
 
-        journal = tmp_path / "batch.jsonl"
+        store = ResultStore(tmp_path / "store")
         config = RunConfig()
-        # seed the journal with the first spec, serially
-        partial = Session(config).run_many(
-            tiny_specs()[:1], checkpoint=journal
-        )
+        # seed the store with the first spec, serially
+        partial = Session(config).run_many(tiny_specs()[:1], store=store)
         assert partial.ok
         # resume the full batch on the pool
         resumed = Session(config).run_many(
-            tiny_specs(), checkpoint=journal, executor=_pool()
+            tiny_specs(), store=store, executor=_pool()
         )
         clean = Session(config).run_many(tiny_specs())
         assert resumed.to_json() == clean.to_json()
-        assert [o.restored for o in resumed.outcomes] == [True, False, False]
-        # the journal now covers all three specs; supervisor audit
-        # lines are skipped by load()
-        assert len(CheckpointJournal(journal).load()) == 3
+        assert [o.served for o in resumed.outcomes] == [True, False, False]
+        # the store now covers all three specs
+        assert len(store) == 3
 
-    def test_crash_events_are_journaled_as_audit_lines(self, tmp_path):
-        from repro.resilience.checkpoint import CheckpointJournal
+    def test_crash_events_reach_the_report_of_a_stored_batch(self, tmp_path):
+        from repro.store import ResultStore
 
-        journal = tmp_path / "crash.jsonl"
+        store = ResultStore(tmp_path / "store")
         config = RunConfig(
             faults={"rules": [{"site": "worker.task", "at": [0]}]}
         )
         report = Session(config).run_many(
-            tiny_specs(), checkpoint=journal, executor=_pool()
+            tiny_specs(), store=store, executor=_pool()
         )
         assert report.ok
-        events = CheckpointJournal(journal).load_events()
-        kinds = {e["type"] for e in events}
+        kinds = {e["type"] for e in report.events}
         assert "worker.crashed" in kinds
         assert "task.requeued" in kinds
-        # audit lines never masquerade as completed work
-        assert len(CheckpointJournal(journal).load()) == 3
+        # a crashed attempt never lands in the store: only the three
+        # completed specs do
+        assert len(store) == 3
+        assert report.store["write_failures"] == 0
 
 
 class TestFailFast:

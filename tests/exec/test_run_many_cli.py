@@ -1,4 +1,4 @@
-"""CLI ``run-many``: exit-code contract, checkpoint resume, executors."""
+"""CLI ``run-many``: exit-code contract, store resume, executors."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.cli import EXECUTION_ERROR_EXIT, USER_ERROR_EXIT, main
+from repro.store import ResultStore
 
 from exec_tiny import requires_process_pool, tiny_spec_documents
 
@@ -54,6 +55,20 @@ class TestUserErrors:
         assert code == USER_ERROR_EXIT
         assert "unknown fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--workers", "4"],
+            ["--executor", "serial", "--workers", "0"],
+        ],
+    )
+    def test_workers_without_the_process_executor_exits_two(
+        self, capsys, extra
+    ):
+        code = _run(["run-many", _spec_args()[0], *extra])
+        assert code == USER_ERROR_EXIT
+        assert "--executor process" in capsys.readouterr().err
+
 
 class TestExecutionErrors:
     def test_failing_spec_exits_three(self, capsys):
@@ -93,39 +108,32 @@ class TestSuccess:
         assert [o["status"] for o in payload["outcomes"]] == ["succeeded"] * 3
 
 
-class TestCheckpointResume:
+class TestStoreResume:
     def test_partial_failure_then_resume(self, tmp_path, capsys):
-        journal = tmp_path / "batch.jsonl"
-        # first invocation: fig3 fails mid-batch, fig2/fig4 are journaled
+        store = ResultStore(tmp_path / "store")
+        # first invocation: fig3 fails mid-batch, fig2/fig4 are stored
         code = _run(
             ["run-many", *_spec_args(), "--faults", _MARKET_FAULT,
-             "--checkpoint", str(journal)]
+             "--store", str(store.root)]
         )
         assert code == EXECUTION_ERROR_EXIT
         capsys.readouterr()
-        completed_lines = [
-            line for line in journal.read_text().splitlines()
-            if '"event"' not in line
-        ]
-        assert len(completed_lines) == 2
-        # rerun the same batch: journal entries are keyed by the
-        # (spec, config) fingerprint, so the completed specs restore
-        # without re-running (marked `*` in the listing) and only the
+        assert len(store) == 2
+        # rerun the same batch: store entries are keyed by the
+        # (spec, config) fingerprint, so the completed specs are served
+        # without re-running (marked `+` in the listing) and only the
         # deterministic failure replays
         code = _run(
             ["run-many", *_spec_args(), "--faults", _MARKET_FAULT,
-             "--checkpoint", str(journal)]
+             "--store", str(store.root)]
         )
         assert code == EXECUTION_ERROR_EXIT
         out = capsys.readouterr().out
         assert "succeeded 2" in out
-        assert out.count("succeeded*") == 2
-        # nothing new was journaled: the restored specs did not re-run
-        completed_lines = [
-            line for line in journal.read_text().splitlines()
-            if '"event"' not in line
-        ]
-        assert len(completed_lines) == 2
+        assert out.count("succeeded+") == 2
+        assert "hits 2" in out
+        # nothing new was stored: the served specs did not re-run
+        assert len(store) == 2
 
 
 def _proc_stat(pid):
@@ -153,12 +161,12 @@ def _alive(pid):
 
 @requires_process_pool
 class TestKillAndRestart:
-    """A SIGKILLed parent resumes from its journal byte-identically."""
+    """A SIGKILLed parent resumes from its store byte-identically."""
 
-    def test_killed_batch_resumes_from_journal(self, tmp_path, capsys):
-        journal = tmp_path / "killed.jsonl"
+    def test_killed_batch_resumes_from_store(self, tmp_path, capsys):
+        store = ResultStore(tmp_path / "killed")
         argv = [
-            "run-many", *_spec_args(), "--checkpoint", str(journal),
+            "run-many", *_spec_args(), "--store", str(store.root),
             "--executor", "process",
         ]
         env = dict(os.environ)
@@ -172,12 +180,14 @@ class TestKillAndRestart:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        # kill the parent as soon as the journal shows progress (or let
+        # kill the parent as soon as the store holds an entry (or let
         # it finish — the resume contract holds either way)
         deadline = time.monotonic() + 60.0
         orphans = []
         while time.monotonic() < deadline and proc.poll() is None:
-            if journal.exists() and journal.read_text().strip():
+            if store.objects_dir.is_dir() and any(
+                store.objects_dir.iterdir()
+            ):
                 orphans = _children_of(proc.pid)
                 proc.send_signal(signal.SIGKILL)
                 break
@@ -190,14 +200,15 @@ class TestKillAndRestart:
             time.sleep(0.1)
         assert not any(map(_alive, orphans)), orphans
 
-        # restart: restored + fresh work merge into a clean report ...
+        # restart: served + fresh work merge into a clean report ...
         assert main([*argv, "--json"]) in (0, None)
         resumed = json.loads(capsys.readouterr().out)
         assert resumed["succeeded"] == 3
-        # ... identical (modulo restoration) to a never-killed batch
-        clean_journal = tmp_path / "clean.jsonl"
+        assert resumed["store"]["hits"] + resumed["store"]["misses"] == 3
+        # ... identical (modulo serving) to a never-killed batch
+        clean_store = tmp_path / "clean"
         assert main(
-            ["run-many", *_spec_args(), "--checkpoint", str(clean_journal),
+            ["run-many", *_spec_args(), "--store", str(clean_store),
              "--json"]
         ) in (0, None)
         clean = json.loads(capsys.readouterr().out)

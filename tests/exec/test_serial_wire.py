@@ -220,21 +220,45 @@ class TestSerialBatch:
         inline = Session(RunConfig()).run_many(tiny_specs())
         assert wired.to_json() == inline.to_json()
 
-    def test_checkpoint_resume_through_the_wire_path(self, tmp_path):
-        journal = tmp_path / "batch.jsonl"
+    def test_store_resume_through_the_wire_path(self, tmp_path):
+        store = tmp_path / "store"
         config = RunConfig()
         specs = tiny_specs()
-        # first pass journals everything ...
+        # first pass stores everything ...
         first = Session(config).run_many(
-            specs, checkpoint=journal, executor="serial"
+            specs, store=store, executor="serial"
         )
         assert first.ok
-        # ... second pass restores without re-running, byte-identically
-        second = Session(config).run_many(
-            tiny_specs(), checkpoint=journal, executor="serial"
+        # ... second pass serves without re-running, byte-identically
+        session = Session(config)
+        second = session.run_many(
+            tiny_specs(), store=store, executor="serial"
         )
         assert second.to_json() == first.to_json()
-        assert all(o.restored for o in second.outcomes)
+        assert all(o.served for o in second.outcomes)
+        assert session.runs_completed == 0
+
+    def test_failed_specs_rerun_on_store_resume_through_the_wire_path(
+        self, tmp_path
+    ):
+        store = tmp_path / "store"
+        # fig3 reaches market.replication; fig2/fig4 do not.
+        config = RunConfig(
+            faults={"rules": [{"site": "market.replication", "at": [0]}]}
+        )
+        first = Session(config).run_many(
+            tiny_specs(), store=store, executor="serial"
+        )
+        assert [o.status for o in first.outcomes] == [
+            "succeeded", "failed", "succeeded",
+        ]
+        # only completed specs were stored: the rerun serves those and
+        # replays the deterministic failure
+        second = Session(config).run_many(
+            tiny_specs(), store=store, executor="serial"
+        )
+        assert [o.served for o in second.outcomes] == [True, False, True]
+        assert second.to_json() == first.to_json()
 
     def test_outcome_ok_property(self):
         assert TaskOutcome(index=0, status="succeeded").ok

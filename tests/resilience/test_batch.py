@@ -72,6 +72,9 @@ def test_report_serializes_with_counts():
                for o in doc["outcomes"])
 
 
-def test_outcome_dict_hides_restored_flag():
-    report = Session(RunConfig()).run_many([tiny_spec("fig2")])
-    assert "restored" not in report.to_dict()["outcomes"][0]
+def test_outcome_dict_hides_served_flag(tmp_path):
+    store = tmp_path / "store"
+    Session(RunConfig()).run_many([tiny_spec("fig2")], store=store)
+    report = Session(RunConfig()).run_many([tiny_spec("fig2")], store=store)
+    assert report.outcomes[0].served
+    assert "served" not in report.to_dict()["outcomes"][0]

@@ -7,6 +7,8 @@ entries written under the old binding stale.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import RunConfig, Session
 from repro.api.specs import BudgetSweepSpec, DeadlineSweepSpec
 from repro.core.deadline import min_cost_for_deadline_sweep
@@ -43,6 +45,44 @@ def test_rebinding_a_family_quarantines_entries_as_stale(store):
     finally:
         register_family("homo", original, replace=True)
     assert registry_contents_hash() == before
+
+
+@pytest.mark.parametrize("executor", [None, "serial"])
+def test_rebinding_a_family_makes_a_resumed_batch_recompute(
+    store, executor
+):
+    """``run_many(store=...)`` resumes through the same envelope check
+    as ``Session.run``, inline and on an executor: a batch rerun after
+    its family was rebound quarantines the old entry and reports what a
+    fresh run reports."""
+    spec = BudgetSweepSpec(
+        family="repe", n_tasks=6, budgets=(200,), strategies=("re",),
+        scoring="numeric",
+    )
+    config = RunConfig(executor=executor)
+    first = Session(config).run_many([spec], store=store)
+    assert first.store["misses"] == 1
+    original = get_family_builder("repe")
+    register_family("repe", get_family_builder("heter"), replace=True)
+    try:
+        fresh = Session(config).run_many([spec])
+        assert fresh.to_dict() != first.to_dict()  # the rebinding matters
+        session = Session(config)
+        rerun = session.run_many([spec], store=store)
+        assert session.runs_completed == 1  # recomputed, not served
+        assert rerun.store == {
+            "hits": 0, "misses": 1, "quarantined": 1, "write_failures": 0,
+        }
+        assert not rerun.outcomes[0].served
+        assert rerun.to_dict() == fresh.to_dict()
+        reasons = store.quarantined()
+        assert [reason["code"] for reason in reasons] == ["store-stale"]
+        # The recompute rewrote the entry under the new binding.
+        again = Session(config).run_many([spec], store=store)
+        assert again.store["hits"] == 1
+        assert again.to_dict() == fresh.to_dict()
+    finally:
+        register_family("repe", original, replace=True)
 
 
 def test_rebinding_an_engine_to_a_subclass_quarantines_entries_as_stale(

@@ -1,9 +1,9 @@
-"""Session/store integration: memoized serving and journal interplay.
+"""Session/store integration: memoized serving and batch resume.
 
 The headline contract is **byte-identity**: a result served from the
 store must serialize exactly like the one that was computed, and a
-batch report mixing served / restored / computed outcomes must
-serialize exactly like an uninterrupted run's.
+batch report mixing served / computed outcomes must serialize exactly
+like an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -103,67 +103,6 @@ class TestRunManyMemoized:
         assert report.store["hits"] == 1
         assert report.store["misses"] == 2
         assert [o.served for o in report.outcomes] == [False, True, False]
-
-
-class TestJournalStoreInterplay:
-    """Satellite: the checkpoint journal and the store must agree."""
-
-    def test_journal_line_wins_and_backfills_evicted_store(
-        self, store, tmp_path
-    ):
-        journal = tmp_path / "batch.jsonl"
-        session = Session(RunConfig())
-        first = session.run_many(
-            tiny_specs(), checkpoint=journal, store=store
-        )
-        assert session.runs_completed == 3
-        # Evict one entry from the store; the journal still has it.
-        evicted = first.outcomes[1].result.fingerprint
-        store.path_for(evicted).unlink()
-        assert evicted not in store
-        resumed = Session(RunConfig()).run_many(
-            tiny_specs(), checkpoint=journal, store=store
-        )
-        # Restored from the journal, never re-executed, and the store
-        # was backfilled so future batches hit without the journal.
-        assert all(o.restored for o in resumed.outcomes)
-        assert evicted in store
-        assert store.lookup(evicted).hit
-        assert resumed.to_dict() == first.to_dict()
-
-    def test_store_hit_is_journaled_for_later_resume(self, store, tmp_path):
-        journal = tmp_path / "batch.jsonl"
-        specs = [tiny_spec("fig3")]
-        Session(RunConfig()).run_many(specs, store=store)  # no journal yet
-        served = Session(RunConfig()).run_many(
-            specs, checkpoint=journal, store=store
-        )
-        assert served.outcomes[0].served
-        # The serve was appended to the journal: a later resume with no
-        # store at all restores the same document.
-        restored = Session(RunConfig()).run_many(specs, checkpoint=journal)
-        assert restored.outcomes[0].restored
-        assert restored.to_dict() == served.to_dict()
-
-    def test_corrupt_store_with_journal_never_reexecutes(
-        self, store, tmp_path
-    ):
-        journal = tmp_path / "batch.jsonl"
-        session = Session(RunConfig())
-        first = session.run_many(
-            tiny_specs(), checkpoint=journal, store=store
-        )
-        # Corrupt every store entry; the journal line must win before
-        # the store is even consulted.
-        for token in store.fingerprints():
-            path = store.path_for(token)
-            path.write_bytes(b"{torn")
-        resumed = session.run_many(
-            tiny_specs(), checkpoint=journal, store=store
-        )
-        assert session.runs_completed == 3  # nothing re-executed
-        assert all(o.restored for o in resumed.outcomes)
-        assert resumed.to_dict() == first.to_dict()
 
 
 class TestSerialExecutorStore:
