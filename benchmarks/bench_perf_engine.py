@@ -45,10 +45,10 @@ Fig. 2-sized workload, against the seed implementations:
   overhead, the median armed/default ratio of interleaved rounds in
   process CPU time, reported as ``overhead_pct`` (the tier-1 smoke
   test caps it at 5%).
-* **Executor scaling** — ``Session.run_many`` spec batches and
-  sharded replication ensembles on the supervised process pool at
-  1/2/4 workers vs the serial loop (reports byte-identical), plus the
-  recovery overhead of one injected worker kill.  Spawns real
+* **Executor scaling** — ``Session.run_many`` spec batches on the
+  supervised process pool at 1/2/4 workers vs the serial loop
+  (reports byte-identical), plus the recovery overhead of one
+  injected worker kill.  Spawns real
   subprocesses, so the tier-1 smoke suite asserts on the committed
   numbers and only the ``parallel-executor`` CI job re-runs it.
 * **Store serving** — cold compute vs warm memoized serving through
@@ -765,35 +765,23 @@ def bench_agent_market_replications(
 def bench_executor_scaling(
     n_samples: int = 1000,
     n_tasks: int = 100,
-    n_replications: int = 64,
     worker_counts=(1, 2, 4),
 ) -> dict:
     """Serial loop vs the supervised process pool, plus crash recovery.
 
-    Two fan-out shapes from :mod:`repro.exec`, each at 1/2/4 workers:
-
-    * **spec batches** — six overlapping Monte-Carlo budget-sweep specs
-      through ``Session.run_many(executor=ProcessExecutor(workers=w))``
-      vs the in-process serial loop (``specs_per_sec``);
-    * **replication shards** — a Fig. 3-sized ``agent-batch`` ensemble
-      split with :func:`repro.exec.sharded_run_replications` across the
-      pool (``replications_per_sec``).
-
-    The pooled batch report is asserted **byte-identical** to the
-    serial one, and the sharded ensemble trajectory-identical to the
-    sequential fan-out.  ``recovery_overhead_pct`` is the price of one
-    injected worker kill (``worker.task`` fault on the first dispatch:
-    crash, requeue, respawn) on the two-worker batch.  Parallel
+    Six overlapping Monte-Carlo budget-sweep specs run through
+    ``Session.run_many(executor=ProcessExecutor(workers=w))`` at 1/2/4
+    workers vs the in-process serial loop (``specs_per_sec``).  The
+    pooled batch report is asserted **byte-identical** to the serial
+    one.  ``recovery_overhead_pct`` is the price of one injected
+    worker kill (``worker.task`` fault on the first dispatch: crash,
+    requeue, respawn) on the two-worker batch.  Parallel
     speedups here are bounded by worker spawn cost and per-worker cache
     warm-up — the section exists to keep the *scaling trajectory* and
     the recovery price honest, not to advertise a big multiplier.
     """
     from repro.api import BudgetSweepSpec, RunConfig, Session
-    from repro.exec import ProcessExecutor, sharded_run_replications
-    from repro.market.simulator import AgentSimulator, AtomicTaskOrder
-    from repro.perf.engine import resolve_engine
-    from repro.stats.rng import replication_seeds
-    from repro.workloads.amt import amt_task_type, amt_worker_pool
+    from repro.exec import ProcessExecutor
 
     worker_counts = tuple(worker_counts)
 
@@ -849,57 +837,14 @@ def bench_executor_scaling(
         )
     t_killed = _time(run_with_kill, repeats=2)
 
-    # -- replication-shard fan-out --------------------------------------
-    orders = [
-        AtomicTaskOrder(
-            task_type=amt_task_type(votes=4), prices=(5,), atomic_task_id=i
-        )
-        for i in range(16)
-    ]
-
-    def fresh_sim():
-        return AgentSimulator(amt_worker_pool(), seed=0, max_sim_time=1e9)
-
-    def run_sequential():
-        return resolve_engine("agent-batch").run_replications(
-            fresh_sim(), orders, replication_seeds(0, n_replications),
-            None, 0.0,
-        )
-
-    def run_sharded(w):
-        return sharded_run_replications(
-            fresh_sim(), orders, replication_seeds(0, n_replications),
-            engine="agent-batch", shards=w,
-            executor=ProcessExecutor(workers=w),
-        )
-
-    sequential = run_sequential()
-    sharded = run_sharded(2)
-    if [r.makespan for r in sharded] != [r.makespan for r in sequential] or [
-        r.answers for r in sharded
-    ] != [r.answers for r in sequential]:
-        raise AssertionError(
-            "sharded replication ensemble diverged from the sequential "
-            "fan-out"
-        )
-    t_seq_reps = _time(run_sequential, repeats=2)
-    t_shard = {
-        w: _time(lambda: run_sharded(w), repeats=2) for w in worker_counts
-    }
-
     widest = worker_counts[-1]
     return {
         "workload": f"{len(specs)} mc budget-sweep specs "
-        f"({n_samples} samples, {n_tasks} tasks) + "
-        f"{n_replications} agent-batch replications x {len(orders)} tasks",
+        f"({n_samples} samples, {n_tasks} tasks)",
         "cpu_count": os.cpu_count(),
         "serial_specs_per_sec": len(specs) / t_serial,
         "pool_specs_per_sec": {
             str(w): len(specs) / t for w, t in t_pool.items()
-        },
-        "sequential_replications_per_sec": n_replications / t_seq_reps,
-        "sharded_replications_per_sec": {
-            str(w): n_replications / t for w, t in t_shard.items()
         },
         "recovery_overhead_pct": (t_killed / t_pool[2] - 1.0) * 100.0,
         "speedup": t_serial / t_pool[widest],
@@ -1211,7 +1156,7 @@ _SECTIONS = {
         p["n_samples"], p["n_tasks"], p["n_budgets"]
     ),
     "executor_scaling": lambda p: bench_executor_scaling(
-        p["n_samples"], p["n_tasks"], p["n_replications"]
+        p["n_samples"], p["n_tasks"]
     ),
     "store_serving": lambda p: bench_store_serving(
         p["n_tasks"], p["n_budgets"]

@@ -88,19 +88,25 @@ SWEEP_STRATEGIES: dict[str, Callable] = {
     "ha": heterogeneous_algorithm_sweep,
 }
 
+#: Each one-pass sweep keyed by the built-in strategy it reproduces, so
+#: a name rebound to another strategy is tuned budget by budget.
+_SWEEPS = {
+    STRATEGIES[name]: sweep for name, sweep in SWEEP_STRATEGIES.items()
+}
+
 
 def tune_budget_sweep(
     family, budgets: Sequence[int], strategy: str
 ) -> Optional[dict[int, Allocation]]:
     """One-pass ``budget -> Allocation`` map for a family sweep.
 
-    Returns ``None`` when *strategy* has no one-pass implementation
-    (callers then fall back to per-budget tuning); raises
+    Returns ``None`` when what *strategy* is bound to has no one-pass
+    implementation — ``ra`` or ``ha`` rebound to another strategy
+    included (callers then fall back to per-budget tuning); raises
     :class:`~repro.errors.RegistryError` for names not in
     :data:`STRATEGIES` at all.
     """
-    STRATEGIES.lookup(strategy)
-    sweep = SWEEP_STRATEGIES.get(strategy)
+    sweep = _SWEEPS.get(STRATEGIES.lookup(strategy))
     if sweep is None:
         return None
     return sweep(family, budgets)

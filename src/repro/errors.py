@@ -202,10 +202,9 @@ class WorkerCrashError(ReproError, RuntimeError):
 class RemoteTaskError(ReproError, RuntimeError):
     """A task shipped to a worker failed remotely.
 
-    Raised in the parent for ``fail_fast`` batches and sharded
-    replication runs when the remote failure class cannot be rebuilt
-    locally; the worker's structured account is attached as
-    ``error_document``.
+    Raised in the parent for ``fail_fast`` batches when the remote
+    failure class cannot be rebuilt locally; the worker's structured
+    account is attached as ``error_document``.
     """
 
     code = "remote-task-failed"

@@ -1,9 +1,8 @@
 """Executors: where a batch of runs executes (serial / process pool).
 
 The executor layer sits between :class:`repro.api.Session` and the
-engines: :meth:`Session.run_many` fans its specs — and
-:func:`sharded_run_replications` fans a replication ensemble — across
-an :class:`Executor` resolved through the same kind of name registry
+engines: :meth:`Session.run_many` fans its specs across an
+:class:`Executor` resolved through the same kind of name registry
 engines and comparators use.  An executor is one method,
 :meth:`Executor.open_pool`: ``"serial"`` opens an :class:`InlinePool`
 of dispatch threads that exercise the wire format in-process;
@@ -30,8 +29,7 @@ from .base import (
     resolve_executor,
 )
 from .process import ProcessExecutor, WorkerPool
-from .shard import sharded_run_replications, split_replications
-from .worker import run_replication_shard, run_task_document, worker_main
+from .worker import run_task_document, worker_main
 
 __all__ = [
     "DEFAULT_EXECUTOR",
@@ -46,9 +44,6 @@ __all__ = [
     "get_executor",
     "register_executor",
     "resolve_executor",
-    "sharded_run_replications",
-    "split_replications",
-    "run_replication_shard",
     "run_task_document",
     "worker_main",
 ]

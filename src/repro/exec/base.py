@@ -2,9 +2,9 @@
 
 An :class:`Executor` consumes :class:`ExecTask` wire documents — a
 ``(spec, config)`` pair serialized with the library's own
-``to_dict`` forms, or a picklable callable for replication shards —
-and produces one :class:`TaskOutcome` per task.  Executors are pure
-orchestration: a task's *payload* is executor-invariant (the same
+``to_dict`` forms, or a picklable callable — and produces one
+:class:`TaskOutcome` per task.  Executors are pure orchestration: a
+task's *payload* is executor-invariant (the same
 ``(spec, config)`` produces the same result document on every
 executor), which is why :class:`~repro.api.config.RunConfig` excludes
 its ``executor`` field from serialization and why serial and process
@@ -67,8 +67,8 @@ class ExecTask:
     ordinary :meth:`repro.api.Session.run` path, so retries, fault
     plans and cooperative timeouts inside the run behave exactly as
     they do serially.  ``kind="call"`` tasks carry a picklable
-    ``(func, args, kwargs)`` triple (the replication-shard fan-out of
-    :func:`repro.exec.shard.sharded_run_replications`).
+    ``(func, args, kwargs)`` triple, which the pool suites drive
+    workers with.
     """
 
     index: int

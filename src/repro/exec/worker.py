@@ -64,7 +64,6 @@ __all__ = [
     "worker_main",
     "execute_wire_payload",
     "run_task_document",
-    "run_replication_shard",
     "pin_blas_threads",
     "blas_threads",
     "CRASH_EXIT_CODE",
@@ -161,31 +160,6 @@ def run_task_document(spec_doc, config_doc):
     spec = ExperimentSpec.from_dict(spec_doc)
     config = RunConfig.from_dict(config_doc)
     return Session(config).run(spec).to_dict()
-
-
-def run_replication_shard(
-    simulator, orders, seeds, offset, engine, start_time=0.0, run_kwargs=None
-):
-    """Run one contiguous replication shard at its global *offset*.
-
-    The ``call``-task target of
-    :func:`repro.exec.shard.sharded_run_replications`: resolves the
-    engine by name and hands it the seed slice with
-    ``replication_offset=offset``, so fault coordinates and error
-    labels stay global no matter which worker ran the shard.
-    """
-    from ..perf.engine import resolve_engine
-
-    resolved = resolve_engine(engine)
-    return resolved.run_replications(
-        simulator,
-        orders,
-        seeds,
-        None,
-        start_time,
-        replication_offset=offset,
-        **(run_kwargs or {}),
-    )
 
 
 def execute_wire_payload(kind: str, payload):

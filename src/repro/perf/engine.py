@@ -75,7 +75,6 @@ class EvaluationEngine:
         seeds,
         recorders=None,
         start_time: float = 0.0,
-        replication_offset: int = 0,
         **run_kwargs,
     ) -> list:
         """Run R independent market-simulator replications.
@@ -87,28 +86,18 @@ class EvaluationEngine:
         all replications at once; any other simulator exposing the
         ``_run_job_with_rng`` protocol runs one seeded replication
         after another.  Both paths produce bit-identical trajectories
-        for the same seeds.
-
-        ``replication_offset`` is the global index of ``seeds[0]`` when
-        the caller hands this engine a *shard* of a larger ensemble
-        (:func:`repro.exec.sharded_run_replications`): fault-site
-        coordinates, recorder bookkeeping and error labels all use the
-        global index ``offset + k``, so an injected fault or a timeout
-        lands on the same replication no matter how the ensemble was
-        split across executors.
+        for the same seeds, and both key fault-site coordinates and
+        error labels on the replication's index in *seeds*.
         """
         from . import market
 
         orders = list(orders)
         if not run_kwargs and market.lockstep_supported(simulator, orders):
             return market.batch_agent_run_replications(
-                simulator, orders, seeds, recorders, start_time,
-                replication_offset=replication_offset,
+                simulator, orders, seeds, recorders, start_time
             )
         return market.sequential_run_replications(
-            simulator, orders, seeds, recorders, start_time,
-            replication_offset=replication_offset,
-            **run_kwargs,
+            simulator, orders, seeds, recorders, start_time, **run_kwargs
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

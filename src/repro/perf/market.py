@@ -143,7 +143,6 @@ def sequential_run_replications(
     seeds,
     recorders=None,
     start_time: float = 0.0,
-    replication_offset: int = 0,
     **run_kwargs,
 ) -> list:
     """One seeded ``simulator._run_job_with_rng`` run per replication.
@@ -153,18 +152,16 @@ def sequential_run_replications(
     :class:`~repro.market.simulator.AggregateSimulator`).  A
     :class:`~repro.errors.SimulationError` raised inside one
     replication (e.g. ``max_sim_time`` exceeded) is re-raised with its
-    global replication index ``replication_offset + k`` prefixed (and
-    set as ``.replication``).
+    replication index ``k`` prefixed (and set as ``.replication``).
     """
     if recorders is None:
         recorders = [None] * len(seeds)
-    offset = int(replication_offset)
     fault_state = active_fault_state()
     results = []
     for k, (seed, rec) in enumerate(zip(seeds, recorders)):
-        site_check("market.replication", replication=offset + k)
+        site_check("market.replication", replication=k)
         if fault_state is not None:
-            fault_state.enter_replication(offset + k)
+            fault_state.enter_replication(k)
         try:
             results.append(
                 simulator._run_job_with_rng(
@@ -172,8 +169,8 @@ def sequential_run_replications(
                 )
             )
         except SimulationError as exc:
-            wrapped = SimulationError(f"replication {offset + k}: {exc}")
-            wrapped.replication = offset + k
+            wrapped = SimulationError(f"replication {k}: {exc}")
+            wrapped.replication = k
             raise wrapped from exc
     return results
 
@@ -184,7 +181,6 @@ def batch_agent_run_replications(
     seeds,
     recorders=None,
     start_time: float = 0.0,
-    replication_offset: int = 0,
 ) -> list[JobResult]:
     """Advance R seeded :class:`AgentSimulator` replications in lock-step.
 
@@ -194,11 +190,9 @@ def batch_agent_run_replications(
     ``worker_id`` values come from the same global counters, assigned
     in replication order).  Callers normally reach this through
     ``run_replications``, which checks :func:`lockstep_supported`
-    first; an input that fails that check raises here.
-
-    ``replication_offset`` is the global index of ``seeds[0]`` when the
-    seeds are a shard of a larger ensemble — fault-site coordinates and
-    error labels use the global index, matching the sequential loop.
+    first; an input that fails that check raises here.  Fault-site
+    coordinates and error labels use the replication's index in
+    *seeds*, matching the sequential loop.
     """
     orders = list(orders)
     if not lockstep_supported(simulator, orders):
@@ -207,7 +201,6 @@ def batch_agent_run_replications(
             "with unique atomic ids, a built-in choice model and a "
             "base-class worker pool; use run_replications for others"
         )
-    offset = int(replication_offset)
     pool = simulator.pool
     model = pool.choice_model
     kind = _builtin_kind(model)
@@ -225,7 +218,7 @@ def batch_agent_run_replications(
     # injected worker abandonment shares the sequential path's
     # per-replication counters, so trajectories stay engine-identical.
     for k in range(R):
-        site_check("market.replication", replication=offset + k)
+        site_check("market.replication", replication=k)
     fault_state = active_fault_state()
     abandon_state = (
         fault_state
@@ -513,8 +506,9 @@ def batch_agent_run_replications(
                         t_ts.append(tE_list[i])
             for r, s, t in zip(t_rs, t_ss, t_ts):
                 # -- acceptance --------------------------------------
-                if abandon_state is not None and abandon_state.abandon_fires(
-                    offset + r
+                if (
+                    abandon_state is not None
+                    and abandon_state.abandon_fires(r)
                 ):
                     # Injected abandonment: the slot stays live (no
                     # tombstone), no worker id, no processing draw —
@@ -538,9 +532,8 @@ def batch_agent_run_replications(
             act_list = [r for r in act_list if not done[r]]
 
     if failed:
-        k = offset + min(failed)
         raise SimulationError(
-            f"replication {k}: simulation exceeded "
+            f"replication {min(failed)}: simulation exceeded "
             f"max_sim_time={max_sim_time}; the market is too slow for "
             "this job (rates too small?)"
         )

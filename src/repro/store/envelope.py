@@ -11,13 +11,14 @@ cover but correctness depends on:
   may shift between releases even for identical specs);
 * ``registries`` — a digest of what every name a run can reference
   is bound to: ``name -> module.qualname`` of each engine (its type),
-  deadline comparator, experiment spec and workload family.  A spec
-  naming ``family="homo"`` or a config naming ``engine="batch"``
-  fingerprints identically whatever the name currently resolves to,
-  so a process that registered or rebound a name must not serve
-  entries written under the old binding.  Fault plans are digested by
-  content (``name -> plan.to_dict()``): a plan is an instance, whose
-  type says nothing about the rules a ``faults="name"`` run injects.
+  deadline comparator, experiment spec, workload family and tuning
+  strategy.  A spec naming ``family="homo"`` or a config naming
+  ``engine="batch"`` fingerprints identically whatever the name
+  currently resolves to, so a process that registered or rebound a
+  name must not serve entries written under the old binding.  Fault
+  plans are digested by content (``name -> plan.to_dict()``): a plan
+  is an instance, whose type says nothing about the rules a
+  ``faults="name"`` run injects.
 
 An intact entry whose envelope mismatches is **stale**, not corrupt:
 it is quarantined with the :class:`~repro.errors.StoreStaleError` code
@@ -52,13 +53,14 @@ _digest = (-1, "")
 
 
 def registry_contents_hash() -> str:
-    """Digest of what the engine, comparator, experiment, family and
-    fault-plan registries currently bind each name to (recomputed only
-    after a registry changed)."""
+    """Digest of what the engine, comparator, experiment, family,
+    strategy and fault-plan registries currently bind each name to
+    (recomputed only after a registry changed)."""
     global _digest
     generation = Registry.generation
     if _digest[0] != generation:
         from ..api.spec import _EXPERIMENTS
+        from ..core.tuner import STRATEGIES
         from ..perf.deadline import _COMPARATORS
         from ..perf.engine import _REGISTRY as _ENGINES
         from ..resilience.faults import _PLANS
@@ -69,6 +71,7 @@ def registry_contents_hash() -> str:
             "comparators": _COMPARATORS,
             "experiments": _EXPERIMENTS,
             "families": _FAMILY_REGISTRY,
+            "strategies": STRATEGIES,
         }
         contents = {
             kind: {name: _binding(obj) for name, obj in table.items()}

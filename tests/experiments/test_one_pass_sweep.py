@@ -286,6 +286,41 @@ class TestFrontierFamilyPath:
         ] == per_budget_frontier("heter", [150, 300], Tuner(strategy="ha"), 10)
 
 
+class TestReboundStrategy:
+    def test_sweeps_follow_a_rebound_name(self):
+        """A rebound ``ra`` is what every sweep tunes with: the one-pass
+        DP reproduces only the built-in binding."""
+        family = repetition_family(n_tasks=8)
+        budgets = (1500,)
+        original = STRATEGIES["ra"]
+        STRATEGIES.register("ra", STRATEGIES["re"], replace=True)
+        try:
+            assert tune_budget_sweep(family, budgets, "ra") is None
+            frontier = budget_latency_frontier(
+                family, budgets, tuner=Tuner(strategy="ra")
+            )
+            rebound = per_budget_frontier(
+                "repe", budgets, Tuner(strategy="ra"), 8
+            )
+            assert [
+                (p.budget, p.latency, p.strategy) for p in frontier.points
+            ] == rebound
+            kwargs = dict(
+                budgets=budgets, strategies=("ra",), scoring="numeric",
+                n_samples=200, seed=17,
+            )
+            assert run_budget_sweep(family, **kwargs).series == (
+                per_budget_sweep("repe", n_tasks=8, **kwargs)
+            )
+        finally:
+            STRATEGIES.register("ra", original, replace=True)
+        # The rebinding matters: the built-in binding tunes otherwise.
+        assert per_budget_frontier(
+            "repe", budgets, Tuner(strategy="ra"), 8
+        ) != rebound
+        assert tune_budget_sweep(family, budgets, "ra") is not None
+
+
 class TestExhaustiveSharedGrid:
     def test_matches_per_allocation_argmin(self):
         from repro.core import (

@@ -16,7 +16,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import FaultInjectedError, SimulationError
 from repro.market import (
     NULL_RECORDER,
     AgentSimulator,
@@ -28,7 +28,11 @@ from repro.market import (
     WorkerPool,
 )
 from repro.market.dynamics import ConstantRate, NonstationaryWorkerPool
-from repro.market.simulator import AtomicTaskOrder, MarketModel
+from repro.market.simulator import (
+    AggregateSimulator,
+    AtomicTaskOrder,
+    MarketModel,
+)
 from repro.market.pricing import LinearPricing
 from repro.market.worker import (
     ChoiceModel,
@@ -36,8 +40,10 @@ from repro.market.worker import (
     PriceProportionalChoice,
     SoftmaxChoice,
 )
+from repro.perf.market import lockstep_supported
 from repro.perf.reference import reference_agent_run_job
-from repro.stats.rng import ensure_rng
+from repro.resilience.faults import FaultPlan, runtime_scope
+from repro.stats.rng import ensure_rng, replication_seeds
 
 
 class CoinPayload:
@@ -321,6 +327,39 @@ class TestMaxSimTimeSaturation:
             return int(re.match(r"replication (\d+):", message).group(1))
 
         assert first_failure("scalar") == first_failure("agent-batch")
+
+
+class TestFaultCoordinates:
+    @pytest.mark.parametrize(
+        "make_sim, lockstep",
+        [
+            (lambda: AgentSimulator(WorkerPool(5.0), seed=999), True),
+            (
+                lambda: AggregateSimulator(
+                    MarketModel(LinearPricing(1.0, 1.0)), seed=11
+                ),
+                False,
+            ),
+        ],
+        ids=["lockstep", "sequential"],
+    )
+    def test_rule_pinned_to_a_replication_fires_there(
+        self, make_sim, lockstep
+    ):
+        """A ``market.replication`` rule pinned to replication 4 fails
+        the ensemble at its fifth seed on either fan-out."""
+        plan = FaultPlan(
+            rules=(
+                {"site": "market.replication", "replication": 4, "at": [0]},
+            )
+        )
+        sim = make_sim()
+        orders = make_orders(n_tasks=6)
+        assert lockstep_supported(sim, orders) is lockstep
+        with runtime_scope(plan.activate()):
+            with pytest.raises(FaultInjectedError) as excinfo:
+                sim.run_replications(orders, seeds=replication_seeds(3, 6))
+        assert excinfo.value.replication == 4
 
 
 class TestNullRecorder:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import RunConfig, Session
 from repro.api.specs import BudgetSweepSpec, DeadlineSweepSpec
+from repro.core.tuner import STRATEGIES
 from repro.core.deadline import min_cost_for_deadline_sweep
 from repro.perf.deadline import (
     get_deadline_comparator,
@@ -83,6 +84,40 @@ def test_rebinding_a_family_makes_a_resumed_batch_recompute(
         assert again.to_dict() == fresh.to_dict()
     finally:
         register_family("repe", original, replace=True)
+
+
+def test_rebinding_a_strategy_quarantines_entries_as_stale(store):
+    """A sweep's strategy names fingerprint by name alone, so rebinding
+    one must make the entries computed under the old binding stale."""
+    spec = BudgetSweepSpec(
+        family="repe", n_tasks=4, budgets=(800,), strategies=("te",),
+        scoring="numeric",
+    )
+    session = Session(RunConfig())
+    computed = session.run(spec, store=store)
+    original = STRATEGIES["te"]
+    before = registry_contents_hash()
+    STRATEGIES.register("te", STRATEGIES["re"], replace=True)
+    try:
+        assert registry_contents_hash() != before
+        fresh = Session(RunConfig()).run(spec)
+        assert fresh.payload.series != computed.payload.series
+        rebound = session.run(spec, store=store)
+        assert session.runs_completed == 2  # recomputed, not served
+        assert rebound.payload.series == fresh.payload.series
+        reasons = store.quarantined()
+        assert [reason["code"] for reason in reasons] == ["store-stale"]
+        assert "registries" in reasons[0]["message"]
+    finally:
+        STRATEGIES.register("te", original, replace=True)
+    assert registry_contents_hash() == before
+    # The entry now carries the rebound envelope: the restored name
+    # recomputes it once more, then is served.
+    restored = session.run(spec, store=store)
+    assert restored.payload.series == computed.payload.series
+    assert session.runs_completed == 3
+    assert session.run(spec, store=store).to_dict() == restored.to_dict()
+    assert session.runs_completed == 3
 
 
 def test_rebinding_an_engine_to_a_subclass_quarantines_entries_as_stale(
