@@ -329,30 +329,43 @@ class TestMaxSimTimeSaturation:
         assert first_failure("scalar") == first_failure("agent-batch")
 
 
-class TestFaultCoordinates:
-    @pytest.mark.parametrize(
-        "make_sim, lockstep",
-        [
-            (lambda: AgentSimulator(WorkerPool(5.0), seed=999), True),
-            (
-                lambda: AggregateSimulator(
-                    MarketModel(LinearPricing(1.0, 1.0)), seed=11
-                ),
-                False,
+#: The two fan-outs behind ``run_replications``: the lock-step kernel
+#: (built-in choice model) and the sequential loop (any other simulator).
+FANOUTS = pytest.mark.parametrize(
+    "make_sim, lockstep",
+    [
+        (lambda: AgentSimulator(WorkerPool(5.0), seed=999), True),
+        (
+            lambda: AggregateSimulator(
+                MarketModel(LinearPricing(1.0, 1.0)), seed=11
             ),
-        ],
-        ids=["lockstep", "sequential"],
+            False,
+        ),
+    ],
+    ids=["lockstep", "sequential"],
+)
+
+
+def pinned_fault(replication):
+    return FaultPlan(
+        rules=(
+            {
+                "site": "market.replication",
+                "replication": replication,
+                "at": [0],
+            },
+        )
     )
+
+
+class TestFaultCoordinates:
+    @FANOUTS
     def test_rule_pinned_to_a_replication_fires_there(
         self, make_sim, lockstep
     ):
         """A ``market.replication`` rule pinned to replication 4 fails
         the ensemble at its fifth seed on either fan-out."""
-        plan = FaultPlan(
-            rules=(
-                {"site": "market.replication", "replication": 4, "at": [0]},
-            )
-        )
+        plan = pinned_fault(4)
         sim = make_sim()
         orders = make_orders(n_tasks=6)
         assert lockstep_supported(sim, orders) is lockstep
@@ -360,6 +373,66 @@ class TestFaultCoordinates:
             with pytest.raises(FaultInjectedError) as excinfo:
                 sim.run_replications(orders, seeds=replication_seeds(3, 6))
         assert excinfo.value.replication == 4
+
+    @FANOUTS
+    @pytest.mark.parametrize("replication", [0, 5])
+    def test_first_and_last_replication(self, make_sim, lockstep, replication):
+        """The coordinate is the plain index into *seeds* at both ends of
+        the ensemble, and the message names it."""
+        sim = make_sim()
+        orders = make_orders(n_tasks=6)
+        assert lockstep_supported(sim, orders) is lockstep
+        with runtime_scope(pinned_fault(replication).activate()):
+            with pytest.raises(FaultInjectedError) as excinfo:
+                sim.run_replications(orders, seeds=replication_seeds(3, 6))
+        assert excinfo.value.replication == replication
+        assert f"replication {replication})" in str(excinfo.value)
+
+    @FANOUTS
+    def test_rule_past_the_ensemble_never_fires(self, make_sim, lockstep):
+        """A rule pinned to replication 6 of a 6-replication ensemble
+        leaves the run untouched."""
+        orders = make_orders(n_tasks=6)
+        plain = make_sim().run_replications(
+            orders, seeds=replication_seeds(3, 6)
+        )
+        sim = make_sim()
+        assert lockstep_supported(sim, orders) is lockstep
+        with runtime_scope(pinned_fault(6).activate()):
+            faulted = sim.run_replications(
+                orders, seeds=replication_seeds(3, 6)
+            )
+        assert [trajectory(r) for r in faulted] == [
+            trajectory(r) for r in plain
+        ]
+
+
+class TestReplicationIndependence:
+    @FANOUTS
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (2, 5), (5, 6)])
+    def test_seed_slice_reproduces_its_replications(
+        self, make_sim, lockstep, lo, hi
+    ):
+        """Replication k depends on seed k alone: running
+        ``seeds[lo:hi]`` on its own gives replications lo..hi-1 of the
+        full ensemble, uids taken relative to each run's first record.
+        (The spawned seeds are generators, so each run gets fresh ones.)"""
+        orders = make_orders(n_tasks=6)
+        sim = make_sim()
+        assert lockstep_supported(sim, orders) is lockstep
+        full = sim.run_replications(orders, seeds=replication_seeds(3, 6))
+        part = make_sim().run_replications(
+            orders, seeds=replication_seeds(3, 6)[lo:hi]
+        )
+        assert len(part) == hi - lo
+
+        def relative(result):
+            records = result.trace.records
+            return trajectory(result, base_uid=records[0].uid)
+
+        assert [relative(r) for r in part] == [
+            relative(r) for r in full[lo:hi]
+        ]
 
 
 class TestNullRecorder:
