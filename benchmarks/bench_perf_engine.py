@@ -686,11 +686,21 @@ def bench_agent_market_replications(
     certifies trace-for-trace equality between both engines on that
     configuration (same makespans, payments, arrival epochs, and
     per-record timestamps — ``bit_identical``).
+
+    The ``fig5ab_*`` keys time a Fig. 5(a)(b)-shaped job (100 tasks x 3
+    repetitions, 3 replications, plain traces) through the compiled
+    kernel (:mod:`repro.perf.native`) and through the numpy lock-step
+    loop with the kernel reported unavailable, after certifying that
+    both give the same trajectories.  Without a C compiler both rates
+    time the numpy loop and ``kernel_loaded`` is false.
     """
+    from unittest import mock
+
     from repro.market.simulator import AgentSimulator, AtomicTaskOrder
     from repro.market.trace import NULL_RECORDER, TraceRecorder
+    from repro.perf import native
     from repro.perf.reference import reference_agent_run_job
-    from repro.stats.rng import ensure_rng
+    from repro.stats.rng import ensure_rng, replication_seeds
     from repro.workloads.amt import amt_task_type, amt_worker_pool
 
     task_type = amt_task_type(votes=4)
@@ -745,6 +755,32 @@ def bench_agent_market_replications(
     t_reference = _time(reference, repeats=3)
     t_batched = _time(lambda: batched(NULL_RECORDER), repeats=9)
     t_traced = _time(lambda: batched(None), repeats=5)
+
+    fig5ab_orders = [
+        AtomicTaskOrder(task_type=task_type, prices=(5, 5, 5), atomic_task_id=i)
+        for i in range(100)
+    ]
+
+    def fig5ab_job():
+        sim = AgentSimulator(amt_worker_pool(), seed=0, max_sim_time=1e9)
+        results = sim.run_replications(
+            fig5ab_orders, seeds=replication_seeds(5, 3), engine="agent-batch"
+        )
+        return [
+            (res.makespan, [record_key(r) for r in res.trace.records])
+            for res in results
+        ]
+
+    kernel_loaded = native.agent_kernel() is not None
+    compiled = fig5ab_job()
+    with mock.patch.object(native, "agent_kernel", lambda: None):
+        if fig5ab_job() != compiled:
+            raise AssertionError(
+                "compiled agent-market replications diverged from the "
+                "numpy lock-step loop"
+            )
+        t_numpy = _time(fig5ab_job, repeats=9)
+    t_compiled = _time(fig5ab_job, repeats=9)
     return {
         "workload": f"{n_replications} replications x {n_arrivals} tasks "
         "(fig3-sized job, AMT market)",
@@ -755,10 +791,17 @@ def bench_agent_market_replications(
         "batched_replications_per_sec": n_replications / t_batched,
         "speedup": t_reference / t_batched,
         "traced_speedup": t_reference / t_traced,
+        "fig5ab_workload": "3 replications x 100 tasks x 3 repetitions "
+        "(fig5ab-sized job, AMT market, plain traces)",
+        "kernel_loaded": kernel_loaded,
+        "fig5ab_numpy_replications_per_sec": 3 / t_numpy,
+        "fig5ab_compiled_replications_per_sec": 3 / t_compiled,
+        "fig5ab_compiled_speedup": t_numpy / t_compiled,
         "bit_identical": True,
         "note": "batched_seconds uses the NullTraceRecorder fast path "
         "(the replication-study configuration); batched_traced_seconds "
-        "materializes full per-replication traces",
+        "materializes full per-replication traces; both run the "
+        "compiled kernel when it loads (kernel_loaded)",
     }
 
 

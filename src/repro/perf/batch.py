@@ -25,7 +25,7 @@ loop-shaped:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,16 +47,30 @@ def _segment_sum_sequential(
 
     ``np.add.reduceat`` reassociates (pairwise/SIMD) and so drifts from
     the seed simulator's ``total += phase`` accumulation in the last
-    ulp; adding the ``k``-th column of every segment still that long at
-    step ``k`` keeps each segment's additions in column order (batch
-    results stay bit-identical) while vectorizing across samples and
-    segments, so the loop runs once per column of the longest segment.
+    ulp; adding the ``k``-th column of every segment at step ``k``
+    keeps each segment's additions in column order (batch results stay
+    bit-identical) while vectorizing across samples and segments.
+    Segments of one length are gathered into one ``(samples, length,
+    segments)`` array, so each step is one plain array add.
     """
     lengths = np.diff(np.append(starts, matrix.shape[1]))
-    out = matrix[:, starts]
-    for k in range(1, int(lengths.max())):
-        live = lengths > k
-        out[:, live] += matrix[:, starts[live] + k]
+    widths = sorted(set(lengths.tolist()))
+    if len(widths) == 1 and widths[0] * len(starts) == matrix.shape[1]:
+        # Equal segments back to back: split the columns, no gather.
+        split = matrix.reshape(len(matrix), len(starts), widths[0])
+        grouped = [(slice(None), split.transpose(0, 2, 1))]
+    else:
+        grouped = []
+        for width in widths:
+            which = np.flatnonzero(lengths == width)
+            columns = starts[which] + np.arange(width)[:, None]
+            grouped.append((which, matrix[:, columns]))
+    out = np.empty((len(matrix), len(starts)))
+    for which, cols in grouped:
+        acc = cols[:, 0].copy()
+        for k in range(1, cols.shape[1]):
+            acc += cols[:, k]
+        out[:, which] = acc
     return out
 
 
@@ -65,21 +79,30 @@ def _allocation_phase_layout(
     allocation: Allocation,
     include_processing: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-phase scales (1/rate) in scalar draw order + task row starts."""
+    """Per-phase scales (1/rate) in scalar draw order + task row starts.
+
+    Each distinct ``(pricing curve, price)`` is priced once.
+    """
     scales: list[float] = []
     starts: list[int] = []
+    onhold: dict[tuple[int, int], float] = {}
     for task in problem.tasks:
         starts.append(len(scales))
+        curve = id(task.pricing)
         for price in allocation[task.task_id]:
-            scales.append(1.0 / task.onhold_rate(price))
+            scale = onhold.get((curve, price))
+            if scale is None:
+                scale = onhold[curve, price] = 1.0 / task.onhold_rate(price)
+            scales.append(scale)
             if include_processing:
                 scales.append(1.0 / task.processing_rate)
     return np.asarray(scales), np.asarray(starts)
 
 
 #: Doubles per drawn block of the phase matrix (512 KiB): the samplers
-#: draw ``max(1, _BLOCK_DOUBLES // row_length)`` rows at a time, so peak
-#: memory stays bounded whatever the job size.
+#: draw ``max(1, _BLOCK_DOUBLES // row_length)`` rows at a time (the job
+#: sampler rounds down to whole tasks, and draws a task longer than that
+#: alone), so peak memory stays bounded whatever the job size.
 _BLOCK_DOUBLES = 1 << 16
 
 
@@ -94,9 +117,10 @@ def sample_job_latencies_batch(
 
     The sampler behind every registered evaluation engine.  The
     ``(n_phases, n_samples)`` standard-exponential phase matrix is
-    drawn in row blocks of at most :data:`_BLOCK_DOUBLES` doubles,
-    scaled per phase, summed per task strictly left to right (a task
-    may straddle a block edge) and reduced by a running max over tasks.
+    drawn in row blocks of whole tasks, at most :data:`_BLOCK_DOUBLES`
+    doubles unless one task alone is longer, scaled per phase, summed
+    per task strictly left to right and reduced by a running max over
+    tasks.
     The generator fills the matrix row-major, so drawing row blocks in
     order consumes the stream exactly as the seed's task-by-task loop
     (:func:`repro.perf.reference.reference_sample_job_latencies`)
@@ -110,24 +134,22 @@ def sample_job_latencies_batch(
     scales, starts = _allocation_phase_layout(
         problem, allocation, include_processing
     )
-    n_rows = len(scales)
     block_rows = max(1, _BLOCK_DOUBLES // n_samples)
-    is_start = np.zeros(n_rows, dtype=bool)
-    is_start[starts] = True
+    bounds = np.append(starts, len(scales))
     job = np.full(n_samples, -np.inf)
-    acc: Optional[np.ndarray] = None
-    for r0 in range(0, n_rows, block_rows):
-        r1 = min(r0 + block_rows, n_rows)
+    t0 = 0
+    while t0 < len(starts):
+        # The most whole tasks that fit in block_rows rows, at least one.
+        t1 = max(
+            t0 + 1,
+            int(np.searchsorted(bounds, bounds[t0] + block_rows, "right")) - 1,
+        )
+        r0, r1 = bounds[t0], bounds[t1]
         block = gen.standard_exponential((r1 - r0, n_samples))
         block *= scales[r0:r1, None]
-        for row, first in zip(block, is_start[r0:r1].tolist()):
-            if first:
-                if acc is not None:
-                    np.maximum(job, acc, out=job)
-                acc = row.copy()
-            else:
-                acc += row
-    np.maximum(job, acc, out=job)
+        totals = _segment_sum_sequential(block.T, starts[t0:t1] - r0)
+        np.maximum(job, totals.max(axis=1), out=job)
+        t0 = t1
     return job
 
 

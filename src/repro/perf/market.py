@@ -24,6 +24,13 @@ replications **in lock-step** instead:
   end; with a :class:`~repro.market.trace.NullTraceRecorder` the
   event/record materialization is skipped entirely.
 
+For the price-proportional and greedy models with draw-free
+completions (no answer payloads, no accuracy jitter, no injected
+abandonment) on null or plain traces, a compiled C kernel
+(:mod:`repro.perf.native`) runs each replication instead, on the same
+generators and with the same float operations, and hands its columns
+to the same finalize pass; without a compiler the numpy loop runs.
+
 The lock-step kernel covers the three built-in choice models
 (price-proportional, softmax, greedy) on a plain
 :class:`~repro.market.worker.WorkerPool` (:func:`lockstep_supported`);
@@ -56,6 +63,7 @@ from ..market.worker import (
 )
 from ..resilience.faults import active_fault_state, site_check
 from ..stats.rng import ensure_rng
+from . import native
 from .engine import EvaluationEngine
 
 __all__ = [
@@ -192,7 +200,8 @@ def batch_agent_run_replications(
     ``run_replications``, which checks :func:`lockstep_supported`
     first; an input that fails that check raises here.  Fault-site
     coordinates and error labels use the replication's index in
-    *seeds*, matching the sequential loop.
+    *seeds*, matching the sequential loop, and a ``max_sim_time``
+    overrun sets it as ``.replication``.
     """
     orders = list(orders)
     if not lockstep_supported(simulator, orders):
@@ -266,9 +275,6 @@ def batch_agent_run_replications(
 
     # -- per-replication state ----------------------------------------
     gens = [ensure_rng(seed) for seed in seeds]
-    std_exp = [g.standard_exponential for g in gens]
-    draw_d = [g.random for g in gens]
-
     modes = [_trace_mode(rec) for rec in recorders]
     plain_traces = [
         (rec if rec is not None else TraceRecorder())
@@ -276,6 +282,50 @@ def batch_agent_run_replications(
         else None
         for r, rec in enumerate(recorders)
     ]
+
+    # The compiled kernel takes the draw-free completions of the
+    # weighted and greedy models (softmax weights come from numpy's
+    # exp) on null and plain traces, one replication at a time.
+    if (
+        kind != _SOFTMAX
+        and not draws_on_completion
+        and abandon_state is None
+        and _TRACE_FULL not in modes
+    ):
+        job = native.agent_job(
+            greedy=kind == _GREEDY,
+            reps=reps_j,
+            vals=val_jr,
+            prices=prices_j,
+            inv_proc=inv_proc_j,
+            leave_weight=model.leave_weight if kind == _WEIGHTED else 0.0,
+            inv_lambda=inv_lambda,
+            t0=t0,
+            max_sim_time=max_sim_time,
+        )
+        if job is not None:
+            columns = []
+            for k, gen in enumerate(gens):
+                cols = job.run(gen, modes[k] == _TRACE_PLAIN)
+                if cols is None:
+                    raise _over_time(k, max_sim_time)
+                if cols.arrivals:
+                    plain_traces[k].worker_arrival_times.extend(
+                        cols.arrivals
+                    )
+                columns.append(cols)
+            (wctr, slot_cnt, slot_j, per_atomic, slot_rep, slot_price,
+             pub_t, acc_t, com_t, comp_order, _) = map(list, zip(*columns))
+            nothing = [None] * R
+            return _finalize(
+                simulator, orders, recorders, modes, plain_traces, t0,
+                ids, reps_j, job_cost, per_atomic, nothing, wctr,
+                slot_cnt, nothing, slot_j, slot_rep, slot_price, pub_t,
+                acc_t, com_t, nothing, nothing, comp_order,
+            )
+
+    std_exp = [g.standard_exponential for g in gens]
+    draw_d = [g.random for g in gens]
 
     dead_val = -math.inf if kind == _SOFTMAX else 0.0
     slot_val = np.full((R, T), dead_val)
@@ -532,11 +582,7 @@ def batch_agent_run_replications(
             act_list = [r for r in act_list if not done[r]]
 
     if failed:
-        raise SimulationError(
-            f"replication {min(failed)}: simulation exceeded "
-            f"max_sim_time={max_sim_time}; the market is too slow for "
-            "this job (rates too small?)"
-        )
+        raise _over_time(min(failed), max_sim_time)
 
     return _finalize(
         simulator, orders, recorders, modes, plain_traces, t0,
@@ -544,6 +590,17 @@ def batch_agent_run_replications(
         logs, slot_j, slot_rep, slot_price, pub_t, acc_t, com_t,
         wkr_of, ans_of, comp_order,
     )
+
+
+def _over_time(k: int, max_sim_time: float) -> SimulationError:
+    """The sequential loop's ``max_sim_time`` error for replication *k*."""
+    error = SimulationError(
+        f"replication {k}: simulation exceeded "
+        f"max_sim_time={max_sim_time}; the market is too slow for "
+        "this job (rates too small?)"
+    )
+    error.replication = k
+    return error
 
 
 def _finalize(

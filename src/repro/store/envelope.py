@@ -42,7 +42,29 @@ SCHEMA_VERSION = 1
 
 def _binding(obj) -> str:
     """``module.qualname`` of a bound function or class (the type for
-    instances)."""
+    instances), plus what a closure captured: the ``repr`` of each
+    int, float, str, bool or ``None`` cell (stable across processes)
+    and the ``module.qualname`` of any other, so two closures of one
+    factory (``_make_bias(0.67)`` and ``_make_bias(0.9)``) differ."""
+    name = _qualname(obj)
+    cells = getattr(obj, "__closure__", None)
+    if not cells:
+        return name
+    captured = []
+    for cell in cells:
+        try:
+            value = cell.cell_contents
+        except ValueError:  # an empty cell
+            captured.append("<empty>")
+            continue
+        if value is None or type(value) in (bool, int, float, str):
+            captured.append(repr(value))
+        else:
+            captured.append(_qualname(value))
+    return f"{name}({', '.join(captured)})"
+
+
+def _qualname(obj) -> str:
     if not hasattr(obj, "__qualname__"):
         obj = type(obj)
     return f"{obj.__module__}.{obj.__qualname__}"

@@ -328,6 +328,31 @@ class TestMaxSimTimeSaturation:
 
         assert first_failure("scalar") == first_failure("agent-batch")
 
+    @pytest.mark.parametrize("lockstep", [True, False])
+    def test_error_carries_the_replication_index(self, lockstep):
+        """Both fan-outs set ``.replication`` on the ``max_sim_time``
+        error, the index its message names.  A choice-model subclass
+        sends the job to the sequential loop."""
+
+        class Subclassed(PriceProportionalChoice):
+            pass
+
+        model = PriceProportionalChoice() if lockstep else Subclassed()
+        tt = TaskType("slow", processing_rate=2.0)
+        orders = [
+            AtomicTaskOrder(task_type=tt, prices=(2, 3), atomic_task_id=i)
+            for i in range(6)
+        ]
+        sim = AgentSimulator(
+            WorkerPool(0.08, choice_model=model), seed=1, max_sim_time=200.0
+        )
+        assert lockstep_supported(sim, orders) is lockstep
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run_replications(orders, seeds=list(range(12)))
+        message = str(excinfo.value)
+        index = int(re.match(r"replication (\d+):", message).group(1))
+        assert excinfo.value.replication == index
+
 
 #: The two fan-outs behind ``run_replications``: the lock-step kernel
 #: (built-in choice model) and the sequential loop (any other simulator).

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import RunConfig, Session
 from repro.api.specs import BudgetSweepSpec, DeadlineSweepSpec
-from repro.core.tuner import STRATEGIES
+from repro.core.tuner import STRATEGIES, _make_bias
 from repro.core.deadline import min_cost_for_deadline_sweep
 from repro.perf.deadline import (
     get_deadline_comparator,
@@ -118,6 +118,31 @@ def test_rebinding_a_strategy_quarantines_entries_as_stale(store):
     assert session.runs_completed == 3
     assert session.run(spec, store=store).to_dict() == restored.to_dict()
     assert session.runs_completed == 3
+
+
+def test_rebinding_a_strategy_closure_quarantines_entries_as_stale(store):
+    """``bias_1`` and ``bias_2`` are closures of one factory: the
+    envelope digests what each captured, so rebinding ``bias_1`` to
+    another alpha makes its entries stale."""
+    spec = BudgetSweepSpec(
+        family="homo", n_tasks=4, budgets=(800,), strategies=("bias_1",),
+        n_samples=20,
+    )
+    session = Session(RunConfig())
+    session.run(spec, store=store)
+    original = STRATEGIES["bias_1"]
+    before = registry_contents_hash()
+    STRATEGIES.register("bias_1", _make_bias(0.9), replace=True)
+    try:
+        assert registry_contents_hash() != before
+        session.run(spec, store=store)
+        assert session.runs_completed == 2  # recomputed, not served
+        reasons = store.quarantined()
+        assert [reason["code"] for reason in reasons] == ["store-stale"]
+        assert "registries" in reasons[0]["message"]
+    finally:
+        STRATEGIES.register("bias_1", original, replace=True)
+    assert registry_contents_hash() == before
 
 
 def test_rebinding_an_engine_to_a_subclass_quarantines_entries_as_stale(
